@@ -9,7 +9,8 @@ import numpy as np
 from claimforge.numerics import Rng, Tensor
 from claimforge.generator.adapters import AdapterBank, effective_overrides
 from claimforge.generator.classify import DomainClassifier, classify_domain, pool_embedding
-from claimforge.textcore import BOS_ID, EOS_ID, SEP_ID, EncoderConfig, encode_sequence, init_encoder_params
+from claimforge.textcore import (BOS_ID, EOS_ID, SEP_ID, EncoderConfig, KVCache,
+                                 encode_sequence, init_encoder_params)
 
 
 @dataclass
@@ -34,10 +35,15 @@ class GeneratorModel:
 
 
 def decoder_logits(ids: list[int], model: GeneratorModel,
-                   overrides: dict[str, Tensor] | None = None) -> Tensor:
-    """Next-token logits at every position (causal self-attention)."""
+                   overrides: dict[str, Tensor] | None = None,
+                   cache: KVCache | None = None) -> Tensor:
+    """Next-token logits at every position of ``ids`` (causal self-attention).
+
+    With a ``cache``, ``ids`` continue the positions it holds, and only
+    their logits are returned.
+    """
     states = encode_sequence(ids, model.cfg, model.params, prefix="dec",
-                             causal=True, weight_overrides=overrides)
+                             causal=True, weight_overrides=overrides, cache=cache)
     return states @ model.params["dec/out_w"] + model.params["dec/out_b"]
 
 
@@ -48,6 +54,9 @@ def generate(description_ids: list[int], model: GeneratorModel,
     """Autoregressive decoding conditioned on the description prefix.
 
     The domain mixture alpha is computed once per document, before decoding.
+    One causal pass over the prefix (BOS, description, SEP) fills a per-layer
+    KV cache and gives the first token's logits; each later step feeds only
+    the newest token, so a step computes one position, not the whole prefix.
     Returns (generated token ids, alpha, domain label); greedy mode is
     deterministic, "sample" mode needs an Rng.
     """
@@ -65,10 +74,10 @@ def generate(description_ids: list[int], model: GeneratorModel,
 
     budget = model.cfg.max_seq_len - max_len - 2
     prefix = [BOS_ID] + list(description_ids)[:budget] + [SEP_ID]
-    ids = list(prefix)
+    cache = KVCache()
+    logits = decoder_logits(prefix, model, overrides, cache=cache).data[-1]
     out: list[int] = []
-    for _ in range(max_len):
-        logits = decoder_logits(ids, model, overrides).data[-1]
+    for step in range(max_len):
         if mode == "greedy":
             nxt = int(np.argmax(logits))
         else:
@@ -78,5 +87,6 @@ def generate(description_ids: list[int], model: GeneratorModel,
         if nxt == EOS_ID:
             break
         out.append(nxt)
-        ids.append(nxt)
+        if step + 1 < max_len:
+            logits = decoder_logits([nxt], model, overrides, cache=cache).data[-1]
     return out, alpha, label

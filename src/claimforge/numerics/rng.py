@@ -37,8 +37,5 @@ class Rng:
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
 
-    def choice(self, seq, size=None, replace: bool = True):
-        return self._gen.choice(seq, size=size, replace=replace)
-
     def shuffle(self, items: list) -> None:
         self._gen.shuffle(items)

@@ -41,8 +41,18 @@ class PipelineConfig:
     adapt_strength: float = 0.1
     # reporting
     top_k: int = 5
-    workers: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_gen_len < 1:
+            raise ValueError(f"max_gen_len must be at least 1, got {self.max_gen_len}")
+        if self.max_gen_len + 2 >= self.max_seq_len:
+            raise ValueError(
+                f"max_gen_len + 2 must be below max_seq_len, so the decoder has room for "
+                f"a description: {self.max_gen_len} + 2 >= {self.max_seq_len}"
+            )
+        if self.top_k < 0:
+            raise ValueError(f"top_k must be non-negative, got {self.top_k}")
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(

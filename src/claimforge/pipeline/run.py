@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from claimforge.numerics import Rng, Tensor, load_checkpoint
-from claimforge.chunker import Document, chunk_document, complexity, embed_chunk, target_size
+from claimforge.chunker import Chunk, Document, chunk_document, complexity, target_size
 from claimforge.evaluator import ASPECTS, EvaluatorModel, score_pair
 from claimforge.generator import (
     AdapterBank,
@@ -46,6 +45,20 @@ class PipelineModels:
     adapter_bank: AdapterBank
     classifier: DomainClassifier
     evaluator: EvaluatorModel
+
+
+@dataclass
+class StageOneMemo:
+    """Stage-1 work shared by every record of one run, filled as records need it.
+
+    ``states`` maps a token tuple (a claim or a prior-art chunk) to its
+    detached encoder states; ``prior_art`` maps a prior-art record id to its
+    document and chunks. Valid only for one set of models, config and
+    prior-art records.
+    """
+
+    states: dict[tuple[int, ...], Tensor] = field(default_factory=dict)
+    prior_art: dict[str, tuple[Document, list[Chunk]]] = field(default_factory=dict)
 
 
 @dataclass
@@ -126,14 +139,35 @@ def _document_from_record(rec: CorpusRecord, vocab: Vocabulary) -> Document:
     )
 
 
-def _chunk_states(token_ids: list[int], models: PipelineModels) -> Tensor:
-    return encode_sequence(token_ids, models.cfg, models.enc_params)
+def _chunk_states(token_ids: list[int], models: PipelineModels, memo: StageOneMemo) -> Tensor:
+    key = tuple(token_ids)
+    states = memo.states.get(key)
+    if states is None:
+        states = Tensor(encode_sequence(token_ids, models.cfg, models.enc_params).data)
+        memo.states[key] = states
+    return states
+
+
+def _prior_art_chunks(pa: CorpusRecord, models: PipelineModels, config: PipelineConfig,
+                      memo: StageOneMemo) -> tuple[Document, list[Chunk]]:
+    if pa.id not in memo.prior_art:
+        pa_doc = _document_from_record(pa, models.vocab)
+        pa_size = target_size(complexity(pa_doc), centering=config.chunk_centering,
+                              scale=config.chunk_scale)
+        memo.prior_art[pa.id] = (pa_doc, chunk_document(pa_doc, pa_size))
+    return memo.prior_art[pa.id]
 
 
 def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
                      models: PipelineModels, config: PipelineConfig,
-                     train_step: int = 0) -> tuple[dict, dict]:
-    """Run stages 1-3 for one record; returns (report record, stage timings)."""
+                     train_step: int = 0,
+                     memo: StageOneMemo | None = None) -> tuple[dict, dict]:
+    """Run stages 1-3 for one record; returns (report record, stage timings).
+
+    ``memo`` carries encoder states and prior-art chunks across the records
+    of one run; without it, a fresh one serves this record alone.
+    """
+    memo = StageOneMemo() if memo is None else memo
     timings = {}
 
     def mark(stage: str, t_start: float) -> None:
@@ -152,17 +186,14 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
 
     sim_reports = []
     for pa in prior_art:
-        pa_doc = _document_from_record(pa, models.vocab)
-        pa_size = target_size(complexity(pa_doc), centering=config.chunk_centering,
-                              scale=config.chunk_scale)
-        pa_chunks = chunk_document(pa_doc, pa_size)
+        pa_doc, pa_chunks = _prior_art_chunks(pa, models, config, memo)
         for ci, claim_ids in enumerate(claim_ids_list):
             if not claim_ids:
                 continue
-            claim_states = _chunk_states(claim_ids, models)
+            claim_states = _chunk_states(claim_ids, models, memo)
             for chunk in pa_chunks:
                 span = pa_doc.tokens[chunk.start_token:chunk.end_token]
-                doc_states = _chunk_states(span, models)
+                doc_states = _chunk_states(span, models, memo)
                 report = similarity(
                     f"{rec.id}/claim{ci}",
                     f"{pa.id}/[{chunk.start_token},{chunk.end_token})",
@@ -216,13 +247,6 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
     return report, timings
 
 
-def _ordered_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
                  seed: int, checkpoint_path=None) -> PipelineResult:
     """Execute the full three-stage pipeline over a corpus file."""
@@ -239,22 +263,16 @@ def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
     ckpt = load_checkpoint(checkpoint_path) if checkpoint_path else None
     models = build_models(vocab, config, seed, checkpoint=ckpt)
 
-    def safe_process(rec: CorpusRecord):
-        try:
-            return rec.id, process_document(rec, prior_art, models, config), None
-        except Exception as exc:  # failure isolation: one bad record skips one doc
-            return rec.id, None, str(exc)
-
-    results = _ordered_map(safe_process, records, config.workers)
-
+    memo = StageOneMemo()
     reports, failures, timing_rows = [], [], []
-    for doc_id, payload, error in results:
-        if error is not None:
-            failures.append({"doc_id": doc_id, "error": error})
+    for rec in records:
+        try:
+            report, timings = process_document(rec, prior_art, models, config, memo=memo)
+        except Exception as exc:  # failure isolation: one bad record skips one doc
+            failures.append({"doc_id": rec.id, "error": str(exc)})
             continue
-        report, timings = payload
         reports.append(report)
-        timing_rows.append({"doc_id": doc_id, **timings})
+        timing_rows.append({"doc_id": rec.id, **timings})
 
     report_path = out / "report.jsonl"
     with open(report_path, "w", encoding="utf-8") as fh:

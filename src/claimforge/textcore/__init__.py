@@ -14,6 +14,7 @@ from claimforge.textcore.vocab import (
 from claimforge.textcore.segment import sentence_boundaries
 from claimforge.textcore.encoder import (
     EncoderConfig,
+    KVCache,
     init_encoder_params,
     encode_sequence,
     positional_encoding,
@@ -32,6 +33,7 @@ __all__ = [
     "NUM_RESERVED",
     "sentence_boundaries",
     "EncoderConfig",
+    "KVCache",
     "init_encoder_params",
     "encode_sequence",
     "positional_encoding",

@@ -8,7 +8,7 @@ weight matrix reduces the stack to token + positional embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -40,11 +40,28 @@ def _positional_encoding_cached(length: int, dim: int) -> np.ndarray:
     pe = np.zeros((length, dim))
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles)
+    pe.flags.writeable = False  # shared by every caller
     return pe
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
     return _positional_encoding_cached(length, dim).copy()
+
+
+@dataclass
+class KVCache:
+    """Per-layer attention keys and values of the positions encoded so far.
+
+    Each entry is a plain (num_heads, length, head_dim) ndarray, one per
+    layer; ``encode_sequence`` appends the new positions' rows on every call.
+    """
+
+    keys: list[np.ndarray] = field(default_factory=list)
+    values: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def length(self) -> int:
+        return self.keys[0].shape[1] if self.keys else 0
 
 
 def init_encoder_params(vocab_size: int, cfg: EncoderConfig, rng: Rng,
@@ -89,18 +106,30 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
                     prefix: str = "enc", causal: bool = False,
-                    weight_overrides: dict[str, Tensor] | None = None) -> Tensor:
+                    weight_overrides: dict[str, Tensor] | None = None,
+                    cache: KVCache | None = None) -> Tensor:
     """Run the transformer stack over a token id sequence.
 
     ``weight_overrides`` maps full parameter names to replacement tensors
     (used by the generator to apply low-rank adapter deltas to projections).
     Returns the (len, model_dim) hidden-state matrix.
+
+    With a ``cache`` (causal only), ``ids`` are the positions that follow the
+    ``cache.length`` already encoded: they are placed from that offset, attend
+    to the cached keys and values as well as to each other, and their own
+    keys and values are appended to the cache. The result holds the new rows
+    only. The cache is for inference: cached keys and values are plain
+    arrays, so no gradient flows into earlier positions through them.
     """
     ids = list(ids)
     if not ids:
         raise ValueError("empty sequence")
-    if len(ids) > cfg.max_seq_len:
-        raise ValueError(f"sequence length {len(ids)} exceeds max_seq_len {cfg.max_seq_len}")
+    if cache is not None and not causal:
+        raise ValueError("a KV cache needs causal attention")
+    offset = cache.length if cache is not None else 0
+    total = offset + len(ids)
+    if total > cfg.max_seq_len:
+        raise ValueError(f"sequence length {total} exceeds max_seq_len {cfg.max_seq_len}")
     overrides = weight_overrides or {}
 
     def get(name: str) -> Tensor:
@@ -115,11 +144,13 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
         raise ValueError(f"token id out of vocabulary range [0, {vocab_size})")
 
     length = len(ids)
-    x = take_rows(embed, ids) + Tensor(positional_encoding(length, cfg.model_dim))
+    # Rows of one table per geometry: each row depends only on its position.
+    positions = _positional_encoding_cached(cfg.max_seq_len, cfg.model_dim)[offset:total]
+    x = take_rows(embed, ids) + Tensor(positions)
 
     mask = None
     if causal:
-        mask = Tensor(np.triu(np.full((length, length), -1e9), k=1))
+        mask = Tensor(np.triu(np.full((length, total), -1e9), k=offset + 1))
 
     scale = 1.0 / np.sqrt(cfg.head_dim)
     for layer in range(cfg.num_layers):
@@ -128,6 +159,8 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
         q = _split_heads(h @ get(f"{p}/attn/wq"), cfg.num_heads, cfg.head_dim)
         k = _split_heads(h @ get(f"{p}/attn/wk"), cfg.num_heads, cfg.head_dim)
         v = _split_heads(h @ get(f"{p}/attn/wv"), cfg.num_heads, cfg.head_dim)
+        if cache is not None:
+            k, v = _extend_cache(cache, layer, k, v)
         scores = (q @ k.transpose()) * scale
         if mask is not None:
             scores = scores + mask
@@ -137,6 +170,17 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
         inner = (h @ get(f"{p}/ffn/w1") + get(f"{p}/ffn/b1")).relu()
         x = x + inner @ get(f"{p}/ffn/w2") + get(f"{p}/ffn/b2")
     return x
+
+
+def _extend_cache(cache: KVCache, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    """Append one layer's new keys and values; return that layer's full K and V."""
+    if layer == len(cache.keys):
+        cache.keys.append(k.data)
+        cache.values.append(v.data)
+    else:
+        cache.keys[layer] = np.concatenate([cache.keys[layer], k.data], axis=1)
+        cache.values[layer] = np.concatenate([cache.values[layer], v.data], axis=1)
+    return Tensor(cache.keys[layer]), Tensor(cache.values[layer])
 
 
 def mean_pool(states: Tensor) -> Tensor:

@@ -12,7 +12,6 @@ from claimforge.training.optimizer import AdamW, clip_grad_norm
 from claimforge.training.losses import (
     contrastive_loss,
     margin_loss,
-    hinge_margin,
     sequence_cross_entropy,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "clip_grad_norm",
     "contrastive_loss",
     "margin_loss",
-    "hinge_margin",
     "sequence_cross_entropy",
 ]

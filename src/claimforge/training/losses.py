@@ -24,14 +24,6 @@ def contrastive_loss(sim_matrix: Tensor, temperature: float) -> Tensor:
     return -diag.mean()
 
 
-def hinge_margin(margin, s_pos, s_neg) -> Tensor:
-    """max(0, margin - s_pos + s_neg)."""
-    margin = margin if isinstance(margin, Tensor) else Tensor(margin)
-    s_pos = s_pos if isinstance(s_pos, Tensor) else Tensor(s_pos)
-    s_neg = s_neg if isinstance(s_neg, Tensor) else Tensor(s_neg)
-    return (margin - s_pos + s_neg).relu()
-
-
 def margin_loss(margin: float, s_pos: float, s_neg: float) -> float:
     """Scalar hinge value, exactly zero when s_pos - s_neg >= margin."""
     return max(0.0, margin - s_pos + s_neg)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimforge.generator import (
     ADAPTER_RANK,
@@ -22,7 +24,15 @@ from claimforge.generator import (
     train_generator,
 )
 from claimforge.numerics import Rng, Tensor
-from claimforge.textcore import EncoderConfig, Vocabulary
+from claimforge.textcore import (
+    BOS_ID,
+    EOS_ID,
+    SEP_ID,
+    EncoderConfig,
+    KVCache,
+    Vocabulary,
+    encode_sequence,
+)
 from claimforge.training import CurriculumSchedule
 
 CFG = EncoderConfig(model_dim=16, num_heads=2, head_dim=8, num_layers=1, max_seq_len=64)
@@ -194,6 +204,72 @@ class TestGenerate:
         clf = DomainClassifier.init(CFG.model_dim, Rng(0, ("c",)))
         with pytest.raises(ValueError, match="empty"):
             generate([], model, bank, clf, max_len=2)
+
+
+class TestKVCache:
+    """Cached decoding against the uncached causal stack, its reference."""
+
+    @staticmethod
+    def _adapted(seed):
+        model, bank = make_model(seed), make_bank(seed)
+        randomize_bank(bank, seed)
+        alpha = np.array([0.05, 0.4, 0.1, 0.3, 0.15])
+        return model, bank, effective_overrides(model.params, bank, alpha)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=47), min_size=1, max_size=40),
+           st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=3))
+    def test_cached_logits_match_full_recompute(self, prefix, steps, seed):
+        model, _, overrides = self._adapted(seed)
+        cache = KVCache()
+        ids = list(prefix)
+        logits = decoder_logits(ids, model, overrides, cache=cache).data
+        np.testing.assert_allclose(logits, decoder_logits(ids, model, overrides).data,
+                                   rtol=0, atol=1e-12)
+        for _ in range(min(steps, CFG.max_seq_len - len(ids))):
+            nxt = int(np.argmax(logits[-1]))
+            ids.append(nxt)
+            logits = decoder_logits([nxt], model, overrides, cache=cache).data
+            assert logits.shape == (1, model.vocab_size)
+            full = decoder_logits(ids, model, overrides).data
+            np.testing.assert_allclose(logits[-1], full[-1], rtol=0, atol=1e-12)
+        assert cache.length == len(ids)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(min_value=5, max_value=47), min_size=1, max_size=40),
+           st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=3))
+    def test_greedy_ids_match_uncached_loop(self, desc, max_len, seed):
+        model, bank, overrides = self._adapted(seed)
+        clf = DomainClassifier.init(CFG.model_dim, Rng(seed, ("c",)))
+        out, alpha, _ = generate(desc, model, bank, clf, max_len=max_len)
+        # the decoding loop before caching: every step reruns the whole prefix
+        overrides = effective_overrides(model.params, bank, alpha)
+        budget = CFG.max_seq_len - max_len - 2
+        ids = [BOS_ID] + desc[:budget] + [SEP_ID]
+        expected = []
+        for _ in range(max_len):
+            nxt = int(np.argmax(decoder_logits(ids, model, overrides).data[-1]))
+            if nxt == EOS_ID:
+                break
+            expected.append(nxt)
+            ids.append(nxt)
+        assert out == expected
+
+    def test_cache_requires_causal(self):
+        model = make_model()
+        with pytest.raises(ValueError, match="causal"):
+            encode_sequence([2, 3], CFG, model.params, prefix="dec", causal=False,
+                            cache=KVCache())
+
+    def test_cache_past_max_seq_len_rejected(self):
+        model = make_model()
+        cache = KVCache()
+        decoder_logits([2] * (CFG.max_seq_len - 1), model, cache=cache)
+        decoder_logits([4], model, cache=cache)
+        assert cache.length == CFG.max_seq_len
+        with pytest.raises(ValueError, match="max_seq_len"):
+            decoder_logits([4], model, cache=cache)
+        assert cache.length == CFG.max_seq_len
 
 
 class TestTrainGenerator:

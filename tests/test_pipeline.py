@@ -116,6 +116,29 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="bool"):
             PipelineConfig.from_file(path)
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(max_gen_len=0), "max_gen_len must be at least 1"),
+        (dict(max_seq_len=10, max_gen_len=8), "max_gen_len \\+ 2"),
+        (dict(top_k=-1), "top_k"),
+    ])
+    def test_invalid_combination_rejected(self, tmp_path, kw, match):
+        with pytest.raises(ValueError, match=match):
+            compact_config(**kw)
+        path = tmp_path / "p.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in kw.items()))
+        with pytest.raises(ValueError, match=match):
+            PipelineConfig.from_file(path)
+
+    def test_smallest_valid_combination_accepted(self):
+        cfg = compact_config(max_seq_len=11, max_gen_len=8, top_k=0)
+        assert (cfg.max_seq_len, cfg.max_gen_len, cfg.top_k) == (11, 8, 0)
+
+    def test_workers_key_rejected(self, tmp_path):
+        path = tmp_path / "p.cfg"
+        path.write_text("workers = 2\n")
+        with pytest.raises(ValueError, match="unknown config key 'workers'"):
+            PipelineConfig.from_file(path)
+
 
 class TestRunPipeline:
     def test_golden_file_byte_exact(self, tmp_path):
@@ -126,6 +149,23 @@ class TestRunPipeline:
         got = result.report_path.read_bytes()
         expected = (DATA / "golden_report.jsonl").read_bytes()
         assert got == expected
+
+    def test_each_stage1_text_encoded_once(self, tmp_path, monkeypatch):
+        from claimforge.pipeline import run as pipeline_run
+        seen = []
+        encode = pipeline_run.encode_sequence
+
+        def counting(ids, *args, **kwargs):
+            seen.append(tuple(ids))
+            return encode(ids, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_run, "encode_sequence", counting)
+        result = run_pipeline(DATA / "golden_corpus.jsonl",
+                              DATA / "golden_prior_art.jsonl",
+                              tmp_path, compact_config(), seed=0)
+        assert result.report_path.read_bytes() == (DATA / "golden_report.jsonl").read_bytes()
+        assert seen
+        assert len(seen) == len(set(seen))
 
     def test_rerun_byte_identical(self, tmp_path):
         corpus = synth_corpus(5, 15)
