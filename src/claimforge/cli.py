@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from claimforge.numerics import NonFiniteError, Rng, save_checkpoint, load_checkpoint, CheckpointError
+from claimforge.numerics import (NonFiniteError, Rng, save_checkpoint, load_checkpoint, CheckpointError,
+                                 no_grad)
 from claimforge.chunker import Document, chunk_document, complexity, target_size
 from claimforge.evaluator import EvaluatorTrainConfig, ordering_accuracy, score_pair, train_evaluator
 from claimforge.generator import (
@@ -162,9 +163,11 @@ def _cmd_chunk(args, config, seed) -> int:
     return EXIT_OK
 
 
+@no_grad()
 def _cmd_similarity(args, config, seed) -> int:
     models = _models_for(args, config, seed, [args.corpus, args.prior_art], args.checkpoint)
     cfg = models.cfg
+    projections = models.head_bank.stacked_projections()
     rows = []
     prior = read_corpus(args.prior_art)
     for rec in read_corpus(args.corpus):
@@ -177,7 +180,7 @@ def _cmd_similarity(args, config, seed) -> int:
                 doc_ids = models.vocab.encode_text(pa.description)[:cfg.max_seq_len]
                 doc_states = encode_sequence(doc_ids, cfg, models.enc_params)
                 report = similarity(f"{rec.id}/claim{ci}", pa.id,
-                                    claim_states, doc_states, models.head_bank)
+                                    claim_states, doc_states, models.head_bank, projections)
                 rows.append(report.to_record())
     _write_jsonl(args.out / "similarity.jsonl", rows)
     print(f"wrote {len(rows)} similarity reports -> {args.out / 'similarity.jsonl'}")
@@ -270,6 +273,7 @@ def _cmd_train_eval(args, config, seed) -> int:
     return EXIT_OK
 
 
+@no_grad()
 def _cmd_generate(args, config, seed) -> int:
     models = _models_for(args, config, seed, [args.corpus], args.checkpoint)
     max_len = args.max_len if args.max_len is not None else config.max_gen_len
@@ -304,6 +308,7 @@ def _read_pairs(path: Path) -> list[dict]:
     return pairs
 
 
+@no_grad()
 def _cmd_evaluate(args, config, seed) -> int:
     pairs = _read_pairs(args.pairs)
     texts = [p["reference"] for p in pairs] + [p["generated"] for p in pairs]

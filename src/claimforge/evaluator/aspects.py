@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, softmax
+from claimforge.numerics import Rng, Tensor, no_grad, softmax
 from claimforge.generator.adapters import DOMAINS
 from claimforge.textcore import BOS_ID, EOS_ID, SEP_ID, EncoderConfig, encode_sequence
 
@@ -122,6 +122,7 @@ def adaptive_margin(alpha, model: EvaluatorModel) -> Tensor:
     return Tensor(model.base_margins) + Tensor(model.adapt_strengths) * z.tanh()
 
 
+@no_grad()
 def score_pair(ref_ids: list[int], gen_ids: list[int], alpha,
                model: EvaluatorModel, enc_params: dict[str, Tensor],
                prefix: str = "enc") -> QualityReport:

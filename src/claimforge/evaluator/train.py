@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from claimforge.numerics import Tensor, backward
+from claimforge.numerics import Tensor, backward, no_grad
 from claimforge.evaluator.aspects import (
     ASPECTS,
     EvaluatorModel,
@@ -89,6 +89,7 @@ def train_evaluator(tuples: list[tuple[list[int], list[int], list[int], str]],
     return history
 
 
+@no_grad()
 def ordering_accuracy(tuples: list[tuple[list[int], list[int], list[int], str]],
                       model: EvaluatorModel, enc_params: dict[str, Tensor]) -> float:
     """Fraction of tuples whose better claim outranks the worse on `overall`."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor
+from claimforge.numerics import Rng, Tensor, concat
 
 DOMAINS = ("mechanical", "electrical", "software", "chemical", "biotech")
 ADAPTER_RANK = 8
@@ -59,17 +59,23 @@ class AdapterBank:
 
 def effective_projection(base: Tensor, bank: AdapterBank, alpha,
                          target_name: str) -> Tensor:
-    """base + sum_d alpha_d * B_d C_d^T for one projection matrix."""
-    out = base
+    """base + sum_d alpha_d * B_d C_d^T for one projection matrix.
+
+    The domains' deltas are merged as one product,
+    [alpha_1 B_1, ..., alpha_D B_D] @ [C_1, ..., C_D]^T, whose inner
+    dimension is D * rank.
+    """
+    alpha = alpha if isinstance(alpha, Tensor) else Tensor(np.asarray(alpha, dtype=np.float64))
+    scaled, factors_c = [], []
     for d, domain in enumerate(DOMAINS):
         b, c = bank.factors(domain, target_name)
         if b.shape[0] != base.shape[0] or c.shape[0] != base.shape[1]:
             raise ValueError(
                 f"adapter shapes {b.shape} x {c.shape} incompatible with base {base.shape}"
             )
-        a_d = alpha[d] if isinstance(alpha, Tensor) else float(np.asarray(alpha)[d])
-        out = out + a_d * (b @ c.T)
-    return out
+        scaled.append(b * alpha[d])
+        factors_c.append(c)
+    return base + concat(scaled, axis=1) @ concat(factors_c, axis=1).T
 
 
 def effective_overrides(base_params: dict[str, Tensor], bank: AdapterBank,

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, backward, cross_entropy_logits, softmax, take_rows
+from claimforge.numerics import (Rng, Tensor, backward, cross_entropy_logits, no_grad, softmax,
+                                 take_rows)
 from claimforge.generator.adapters import DOMAINS
 from claimforge.training import AdamW
 
@@ -77,6 +78,7 @@ def train_domain_classifier(samples: list[tuple[list[int], str]],
     return history
 
 
+@no_grad()
 def eval_domain_accuracy(samples: list[tuple[list[int], str]],
                          embed_table: Tensor, classifier: DomainClassifier) -> float:
     correct = 0

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor
+from claimforge.numerics import Rng, Tensor, no_grad
 from claimforge.generator.adapters import AdapterBank, effective_overrides
 from claimforge.generator.classify import DomainClassifier, classify_domain, pool_embedding
 from claimforge.textcore import (BOS_ID, EOS_ID, SEP_ID, EncoderConfig, KVCache,
@@ -47,6 +47,7 @@ def decoder_logits(ids: list[int], model: GeneratorModel,
     return states @ model.params["dec/out_w"] + model.params["dec/out_b"]
 
 
+@no_grad()
 def generate(description_ids: list[int], model: GeneratorModel,
              bank: AdapterBank, classifier: DomainClassifier,
              max_len: int, mode: str = "greedy",

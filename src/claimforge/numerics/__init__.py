@@ -5,13 +5,13 @@ from claimforge.numerics.tensor import (
     NonFiniteError,
     set_debug_checks,
     debug_checks_enabled,
+    no_grad,
     backward,
     concat,
     take_rows,
     softmax,
     log_softmax,
     layer_norm,
-    cosine_similarity,
     scaled_dot_attention,
     cross_entropy_logits,
 )
@@ -23,13 +23,13 @@ __all__ = [
     "NonFiniteError",
     "set_debug_checks",
     "debug_checks_enabled",
+    "no_grad",
     "backward",
     "concat",
     "take_rows",
     "softmax",
     "log_softmax",
     "layer_norm",
-    "cosine_similarity",
     "scaled_dot_attention",
     "cross_entropy_logits",
     "Rng",

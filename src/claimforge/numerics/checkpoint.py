@@ -15,6 +15,8 @@ artifacts, so save/load round-trips are exact only at float32 precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MAGIC = "CFKP1"
@@ -41,34 +43,62 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
             fh.write(blob)
 
 
+def _manifest_int(text: str, what: str) -> int:
+    # digits only: int() would also take signs, spaces, underscores and non-ASCII digits
+    if not (text.isascii() and text.isdigit()):
+        raise CheckpointError(f"bad {what}: {text!r}")
+    return int(text)
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Any malformed file raises ``CheckpointError``: a bad manifest, entries
+    that do not tile the payload back to back in manifest order (gaps,
+    overlaps, out-of-range offsets, trailing bytes), or a NaN or Inf value.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise CheckpointError("missing manifest terminator")
-    lines = raw[:sep].decode("utf-8").split("\n")
+    try:
+        lines = raw[:sep].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"manifest is not UTF-8: {exc}") from exc
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"bad magic header: expected {MAGIC!r}")
-    try:
-        count = int(lines[1])
-    except (IndexError, ValueError) as exc:
-        raise CheckpointError("bad entry count") from exc
+    if len(lines) < 2:
+        raise CheckpointError("bad entry count")
+    count = _manifest_int(lines[1], "entry count")
     if len(lines) != 2 + count:
         raise CheckpointError(f"manifest declares {count} entries, found {len(lines) - 2}")
     blob = raw[sep + 2:]
     out: dict[str, np.ndarray] = {}
+    end = 0
     for line in lines[2:]:
         try:
             name, shape_s, offset_s = line.split("\t")
         except ValueError as exc:
             raise CheckpointError(f"bad manifest line: {line!r}") from exc
-        shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        offset = int(offset_s)
-        try:
-            arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(shape)
-        except ValueError as exc:
-            raise CheckpointError(f"truncated or corrupt payload for {name!r}: {exc}") from exc
-        out[name] = arr.astype(np.float64)
+        if not name or name in out:
+            raise CheckpointError(f"empty or duplicate tensor name {name!r}")
+        shape = tuple(_manifest_int(d, f"dimension of {name!r}")
+                      for d in shape_s.split(",")) if shape_s else ()
+        offset = _manifest_int(offset_s, f"offset of {name!r}")
+        if offset != end:
+            raise CheckpointError(
+                f"payload of {name!r} starts at byte {offset}, expected {end}"
+            )
+        end = offset + 4 * math.prod(shape)
+        if end > len(blob):
+            raise CheckpointError(
+                f"truncated payload for {name!r}: needs bytes up to {end}, have {len(blob)}"
+            )
+        arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"non-finite value in {name!r}")
+        out[name] = arr.reshape(shape).astype(np.float64)
+    if end != len(blob):
+        raise CheckpointError(f"{len(blob) - end} trailing payload bytes")
     return out

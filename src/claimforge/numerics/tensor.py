@@ -9,6 +9,7 @@ order and accumulates gradients into every ``requires_grad`` tensor.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,6 +29,27 @@ def set_debug_checks(enabled: bool) -> None:
 
 def debug_checks_enabled() -> bool:
     return _DEBUG_CHECKS
+
+
+_GRAD_ENABLED = True
+
+
+@contextmanager
+def no_grad():
+    """Build no autodiff tape while active: for inference only.
+
+    Ops inside record no parents, no backward closure and no gradient
+    buffer, whatever their inputs. Nests, works as a decorator
+    (``@no_grad()``), and restores the previous state on exit, also when an
+    exception leaves the block. The flag is process-wide.
+    """
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 def _check_finite(data: np.ndarray, where: str) -> None:
@@ -69,7 +91,7 @@ class Tensor:
         out.data = data
         if _DEBUG_CHECKS:
             _check_finite(data, "op output")
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out.grad = np.zeros_like(data) if out.requires_grad else None
         if out.requires_grad:
             out._parents = parents
@@ -388,17 +410,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered / (var + eps).sqrt() * gain + bias
-
-
-def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
-    """Cosine of two vectors; 0 when either has (near-)zero norm."""
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na < eps or nb < eps:
-        return Tensor(0.0)
-    dot = (a * b).sum()
-    denom = ((a * a).sum().sqrt() * (b * b).sum().sqrt())
-    return dot / denom
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, load_checkpoint
+from claimforge.numerics import Rng, Tensor, load_checkpoint, no_grad
 from claimforge.chunker import Chunk, Document, chunk_document, complexity, target_size
 from claimforge.evaluator import ASPECTS, EvaluatorModel, score_pair
 from claimforge.generator import (
@@ -52,13 +52,14 @@ class StageOneMemo:
     """Stage-1 work shared by every record of one run, filled as records need it.
 
     ``states`` maps a token tuple (a claim or a prior-art chunk) to its
-    detached encoder states; ``prior_art`` maps a prior-art record id to its
-    document and chunks. Valid only for one set of models, config and
-    prior-art records.
+    encoder states; ``prior_art`` maps a prior-art record id to its document
+    and chunks; ``projections`` is the head bank's stacked projections.
+    Valid only for one set of models, config and prior-art records.
     """
 
     states: dict[tuple[int, ...], Tensor] = field(default_factory=dict)
     prior_art: dict[str, tuple[Document, list[Chunk]]] = field(default_factory=dict)
+    projections: np.ndarray | None = None
 
 
 @dataclass
@@ -143,7 +144,7 @@ def _chunk_states(token_ids: list[int], models: PipelineModels, memo: StageOneMe
     key = tuple(token_ids)
     states = memo.states.get(key)
     if states is None:
-        states = Tensor(encode_sequence(token_ids, models.cfg, models.enc_params).data)
+        states = encode_sequence(token_ids, models.cfg, models.enc_params)
         memo.states[key] = states
     return states
 
@@ -158,14 +159,16 @@ def _prior_art_chunks(pa: CorpusRecord, models: PipelineModels, config: Pipeline
     return memo.prior_art[pa.id]
 
 
+@no_grad()
 def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
                      models: PipelineModels, config: PipelineConfig,
                      train_step: int = 0,
                      memo: StageOneMemo | None = None) -> tuple[dict, dict]:
     """Run stages 1-3 for one record; returns (report record, stage timings).
 
-    ``memo`` carries encoder states and prior-art chunks across the records
-    of one run; without it, a fresh one serves this record alone.
+    ``memo`` carries encoder states, prior-art chunks and the stacked head
+    projections across the records of one run; without it, a fresh one
+    serves this record alone. No autodiff tape is built.
     """
     memo = StageOneMemo() if memo is None else memo
     timings = {}
@@ -183,6 +186,8 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
 
     claim_texts = rec.claims if rec.claims else [rec.description]
     claim_ids_list = [models.vocab.encode_text(t) for t in claim_texts]
+    if memo.projections is None:
+        memo.projections = models.head_bank.stacked_projections()
 
     sim_reports = []
     for pa in prior_art:
@@ -197,7 +202,7 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
                 report = similarity(
                     f"{rec.id}/claim{ci}",
                     f"{pa.id}/[{chunk.start_token},{chunk.end_token})",
-                    claim_states, doc_states, models.head_bank,
+                    claim_states, doc_states, models.head_bank, memo.projections,
                 )
                 sim_reports.append(report)
     sim_reports.sort(key=lambda r: (-r.similarity, r.claim_chunk_id, r.doc_chunk_id))

@@ -8,7 +8,7 @@ from claimforge.similarity.heads import (
     HeadBank,
     SimilarityReport,
     head_weights,
-    head_score,
+    head_scores,
     similarity,
 )
 from claimforge.similarity.train import train_similarity, SimilarityTrainConfig
@@ -21,7 +21,7 @@ __all__ = [
     "HeadBank",
     "SimilarityReport",
     "head_weights",
-    "head_score",
+    "head_scores",
     "similarity",
     "train_similarity",
     "SimilarityTrainConfig",

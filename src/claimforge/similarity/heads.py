@@ -6,14 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import (
-    Rng,
-    Tensor,
-    concat,
-    cosine_similarity,
-    scaled_dot_attention,
-    softmax,
-)
+from claimforge.numerics import NonFiniteError, Rng, Tensor, concat, softmax
 from claimforge.textcore import mean_pool
 
 NUM_HEADS = 8
@@ -57,6 +50,16 @@ class HeadBank:
         p["sim/phi/b2"] = Tensor(np.zeros(NUM_HEADS), requires_grad=True)
         return bank
 
+    def stacked_projections(self) -> np.ndarray:
+        """The heads' wq, wk and wv as one (3, NUM_HEADS, model_dim, head_dim) array.
+
+        A copy: build it once per set of weights, not once per pair.
+        """
+        return np.stack([
+            np.stack([self.params[f"sim/h{h}/{proj}"].data for h in range(1, NUM_HEADS + 1)])
+            for proj in ("wq", "wk", "wv")
+        ])
+
 
 @dataclass
 class SimilarityReport:
@@ -93,15 +96,37 @@ def head_weights(claim_repr: Tensor, doc_repr: Tensor, bank: HeadBank) -> Tensor
     return softmax(logits)
 
 
-def head_score(claim_states: Tensor, doc_states: Tensor, bank: HeadBank, h: int) -> Tensor:
-    """Cosine between pooled attended output and pooled query for head h."""
+def head_scores(claim_states: np.ndarray, doc_states: np.ndarray,
+                projections: np.ndarray) -> np.ndarray:
+    """Per-head cosine between the pooled attended output and the pooled query.
+
+    All heads at once over ``projections`` from ``HeadBank.stacked_projections``:
+    per head, scaled dot-product attention of the claim's queries over the
+    doc's keys and values, then mean pooling over rows. A head whose pooled
+    vectors have a norm below 1e-12 scores 0. Returns shape (NUM_HEADS,).
+    """
     if claim_states.shape[0] == 0 or doc_states.shape[0] == 0:
         raise ValueError("empty states")
-    q = claim_states @ bank.params[f"sim/h{h}/wq"]
-    k = doc_states @ bank.params[f"sim/h{h}/wk"]
-    v = doc_states @ bank.params[f"sim/h{h}/wv"]
-    attended, _ = scaled_dot_attention(q, k, v)
-    return cosine_similarity(mean_pool(attended), mean_pool(q))
+    wq, wk, wv = projections
+    q = claim_states @ wq
+    k = doc_states @ wk
+    v = doc_states @ wv
+    scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteError("non-finite value in attention scores")
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    attended = (e / e.sum(axis=-1, keepdims=True)) @ v
+    # pool as sum times 1/n, the way mean_pool does: np.mean divides, which
+    # can differ in the last bit and would move the report bytes
+    n = q.shape[1]
+    a = attended.sum(axis=1) * (1.0 / n)
+    b = q.sum(axis=1) * (1.0 / n)
+    norm_a = np.sqrt((a * a).sum(axis=-1))
+    norm_b = np.sqrt((b * b).sum(axis=-1))
+    out = np.zeros(len(q))
+    ok = (norm_a >= 1e-12) & (norm_b >= 1e-12)
+    out[ok] = (a * b).sum(axis=-1)[ok] / (norm_a * norm_b)[ok]
+    return out
 
 
 def group_masses_from_weights(w: np.ndarray) -> dict[str, float]:
@@ -122,12 +147,17 @@ def label_from_masses(masses: dict[str, float]) -> str:
 
 def similarity(claim_chunk_id: str, doc_chunk_id: str,
                claim_states: Tensor, doc_states: Tensor,
-               bank: HeadBank) -> SimilarityReport:
-    """Head-weighted similarity report for one (claim chunk, doc chunk) pair."""
+               bank: HeadBank, projections: np.ndarray | None = None) -> SimilarityReport:
+    """Head-weighted similarity report for one (claim chunk, doc chunk) pair.
+
+    ``projections`` is ``bank.stacked_projections()``; a caller scoring many
+    pairs with one bank passes it, otherwise it is built for this pair.
+    """
+    if projections is None:
+        projections = bank.stacked_projections()
     w = head_weights(mean_pool(claim_states), mean_pool(doc_states), bank)
-    scores = [head_score(claim_states, doc_states, bank, h) for h in range(1, NUM_HEADS + 1)]
     w_np = w.data
-    score_np = np.array([s.item() for s in scores])
+    score_np = head_scores(claim_states.data, doc_states.data, projections)
     masses = group_masses_from_weights(w_np)
     return SimilarityReport(
         claim_chunk_id=claim_chunk_id,

@@ -24,6 +24,7 @@ from claimforge.generator import (
     train_generator,
 )
 from claimforge.numerics import Rng, Tensor
+from claimforge.numerics.gradcheck import check_op
 from claimforge.textcore import (
     BOS_ID,
     EOS_ID,
@@ -117,6 +118,39 @@ class TestAdapterMixing:
         bound = min(5 * ADAPTER_RANK, CFG.model_dim)
         if len(sv) > bound:
             assert sv[bound] < 1e-8 * sv[0]
+
+    def test_merged_product_matches_sequential_sum(self):
+        model = make_model()
+        for seed in range(10):
+            bank = make_bank(seed)
+            randomize_bank(bank, seed)
+            alpha = Rng(seed, ("alpha",)).uniform((len(DOMAINS),))
+            alpha = alpha / alpha.sum()
+            for target in bank.target_names:
+                base = model.params[target]
+                expected = base.data.copy()
+                for d, domain in enumerate(DOMAINS):
+                    expected = expected + alpha[d] * bank.delta(domain, target)
+                got = effective_projection(base, bank, alpha, target).data
+                assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_gradients_match_finite_differences(self):
+        dim, rank, target = 4, 2, "dec/l0/attn/wv"
+        rng = Rng(3, ("adapter-grad",))
+        weights = rng.normal((dim, dim))
+        base = Tensor(rng.normal((dim, dim)))
+        alpha = rng.uniform((len(DOMAINS),))
+        factors = [rng.normal((dim, rank)) for _ in range(2 * len(DOMAINS))]
+
+        def build(ts):
+            bank = AdapterBank(rank=rank)
+            for d, domain in enumerate(DOMAINS):
+                bank.params[f"adapter/{domain}/l0/wv/B"] = ts[1 + 2 * d]
+                bank.params[f"adapter/{domain}/l0/wv/C"] = ts[2 + 2 * d]
+            return (effective_projection(base, bank, ts[0], target) * Tensor(weights)).sum()
+
+        # alpha, then (B, C) for each domain
+        assert check_op(build, [alpha] + factors) < 1e-6
 
     def test_shape_mismatch_rejected(self):
         bank = make_bank()

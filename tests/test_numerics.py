@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from claimforge.numerics import (
@@ -14,6 +14,7 @@ from claimforge.numerics import (
     Tensor,
     backward,
     load_checkpoint,
+    no_grad,
     save_checkpoint,
     scaled_dot_attention,
     softmax,
@@ -152,6 +153,65 @@ class TestBackward:
         assert np.max(np.abs(t.grad - numeric)) < 1e-6
 
 
+def has_tape(t: Tensor) -> bool:
+    return t.requires_grad or t.grad is not None or bool(t._parents) or t._backward is not None
+
+
+class TestNoGrad:
+    def test_every_registered_op_builds_no_tape(self):
+        for name, fn, inputs in op_cases(Rng(0, ("gradcheck",))):
+            params = [Tensor(x, requires_grad=True) for x in inputs]
+            with no_grad():
+                out = fn(params)
+            assert not has_tape(out), name
+            # the same op outside the block records its tape again
+            assert has_tape(fn(params)), name
+
+    def test_values_unchanged(self):
+        for name, fn, inputs in op_cases(Rng(1, ("gradcheck",))):
+            params = [Tensor(x, requires_grad=True) for x in inputs]
+            with no_grad():
+                inside = fn(params).data
+            assert np.array_equal(inside, fn(params).data), name
+
+    def test_nesting(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not has_tape(w * 2.0)
+            # leaving the inner block keeps the outer one in force
+            assert not has_tape(w * 2.0)
+        assert has_tape(w * 2.0)
+
+    def test_restored_after_exception(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert has_tape(w * 2.0)
+
+        @no_grad()
+        def failing():
+            raise KeyError("boom")
+
+        with pytest.raises(KeyError):
+            failing()
+        loss = (w * w).sum()
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, 2.0 * np.ones(3))
+
+    def test_decorator_is_reentrant(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+
+        @no_grad()
+        def depth(n):
+            assert not has_tape(w + 1.0)
+            return 0 if n == 0 else 1 + depth(n - 1)
+
+        assert depth(3) == 3
+        assert has_tape(w + 1.0)
+
+
 class TestTensorValidation:
     def test_non_finite_rejected_at_construction(self):
         with pytest.raises(NonFiniteError):
@@ -190,6 +250,105 @@ class TestCheckpoint:
         path.write_bytes(data[:-8])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+    def test_non_integer_fields_rejected(self, tmp_path):
+        for manifest in (b"CFKP1\nx\n", b"CFKP1\n1\nw\t1.5\t0\n", b"CFKP1\n1\nw\t2\t0x0\n",
+                         b"CFKP1\n1\nw\t2\t+0\n", b"CFKP1\n1\nw\t 2\t0\n"):
+            path = tmp_path / "bad.ckpt"
+            path.write_bytes(manifest + b"\n" + np.zeros(2, "<f4").tobytes())
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_negative_dimension_rejected(self, tmp_path):
+        # a (2, 3) payload declared as -1 must not load as (6,)
+        path = tmp_path / "neg.ckpt"
+        path.write_bytes(b"CFKP1\n1\nw\t-1\t0\n\n" + np.zeros(6, "<f4").tobytes())
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.ones((2, 3))})
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        for bad in (np.nan, np.inf, -np.inf):
+            path = tmp_path / "m.ckpt"
+            save_checkpoint(path, {"w": np.ones(4)})
+            data = bytearray(path.read_bytes())
+            data[-4:] = np.array([bad], "<f4").tobytes()
+            path.write_bytes(bytes(data))
+            with pytest.raises(CheckpointError, match="non-finite"):
+                load_checkpoint(path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_corruptions_raise_checkpoint_error(self, tmp_path, data):
+        # a valid file of 1-3 tensors; the first is never empty, so the payload isn't
+        first = data.draw(st.lists(st.integers(1, 3), max_size=3), label="first")
+        rest = data.draw(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=2),
+                         label="rest")
+        shapes = [first] + rest
+        names = [f"t{i}" for i in range(len(shapes))]
+        blobs = [np.ones(shape, "<f4").tobytes() for shape in shapes]
+        offsets = list(np.cumsum([0] + [len(b) for b in blobs[:-1]]))
+        fields = [[name, ",".join(map(str, shape)), str(off)]
+                  for name, shape, off in zip(names, shapes, offsets)]
+        blob = b"".join(blobs)
+        kind = data.draw(st.sampled_from(
+            ["truncate", "trailing", "offset", "negative_dim", "non_finite", "non_utf8"]),
+            label="kind")
+        i = data.draw(st.integers(0, len(shapes) - 1), label="entry")
+        name_bytes = None
+        if kind == "truncate":
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="keep")]
+        elif kind == "trailing":
+            blob += data.draw(st.binary(min_size=1, max_size=12), label="extra")
+        elif kind == "offset":
+            wrong = data.draw(st.integers(0, len(blob) + 64).filter(
+                lambda o: o != offsets[i]), label="offset")
+            fields[i][2] = str(wrong)
+        elif kind == "negative_dim":
+            dims = fields[i][1].split(",") if fields[i][1] else ["1"]
+            j = data.draw(st.integers(0, len(dims) - 1), label="dim")
+            dims[j] = str(-data.draw(st.integers(1, 6), label="neg"))
+            fields[i][1] = ",".join(dims)
+        elif kind == "non_finite":
+            bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+            arr = np.frombuffer(blob, "<f4").copy()
+            arr[data.draw(st.integers(0, arr.size - 1), label="index")] = bad
+            blob = arr.tobytes()
+        else:
+            name_bytes = b"\xff\xfe"
+        manifest = "\n".join(["CFKP1", str(len(fields))] + ["\t".join(f) for f in fields])
+        header = manifest.encode("utf-8")
+        if name_bytes is not None:
+            header = header.replace(names[i].encode(), name_bytes + names[i].encode(), 1)
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(header + b"\n\n" + blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @given(tail=st.one_of(
+        st.binary(max_size=64),
+        # manifest-shaped noise: digits, separators, signs, a non-UTF-8 byte, NaN bits
+        st.lists(st.sampled_from([b"0", b"1", b"4", b"-", b".", b",", b"\t", b"\n", b"w",
+                                  b"\xff", b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x3f"]),
+                 max_size=24).map(b"".join)))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_bytes_load_or_raise_checkpoint_error(self, tmp_path, tail):
+        path = tmp_path / "any.ckpt"
+        path.write_bytes(b"CFKP1\n" + tail)
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            return
+        assert all(np.all(np.isfinite(v)) for v in loaded.values())
 
 
 class TestRng:

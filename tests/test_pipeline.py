@@ -167,6 +167,73 @@ class TestRunPipeline:
         assert seen
         assert len(seen) == len(set(seen))
 
+    def test_inference_builds_no_tape(self, tmp_path, monkeypatch):
+        from claimforge.numerics import Tensor
+        from_op = Tensor._from_op.__func__
+        counts = {"nodes": 0, "taped": 0}
+
+        def counting(cls, data, parents, backward_fn):
+            out = from_op(cls, data, parents, backward_fn)
+            counts["nodes"] += 1
+            if out.requires_grad or out.grad is not None or out._parents or out._backward:
+                counts["taped"] += 1
+            return out
+
+        monkeypatch.setattr(Tensor, "_from_op", classmethod(counting))
+        result = run_pipeline(DATA / "golden_corpus.jsonl",
+                              DATA / "golden_prior_art.jsonl",
+                              tmp_path, compact_config(), seed=0)
+        assert result.report_path.read_bytes() == (DATA / "golden_report.jsonl").read_bytes()
+        assert counts["nodes"] > 0
+        assert counts["taped"] == 0
+
+    def test_training_after_pipeline_gets_correct_gradients(self, tmp_path):
+        from claimforge.generator import GeneratorSample, GeneratorTrainConfig
+        from claimforge.generator.train import _sample_loss
+        from claimforge.numerics import Rng, backward
+        from claimforge.pipeline.run import build_models
+        from claimforge.textcore import Vocabulary
+
+        records = read_corpus(DATA / "golden_corpus.jsonl")
+        records[-1].figure_count = -1  # this record raises inside process_document
+        write_corpus(tmp_path / "c.jsonl", records)
+        result = run_pipeline(tmp_path / "c.jsonl", DATA / "golden_prior_art.jsonl",
+                              tmp_path / "out", compact_config(), seed=0)
+        assert [f["doc_id"] for f in result.failures] == [records[-1].id]
+
+        rec = records[0]
+        vocab = Vocabulary.build([rec.description] + rec.claims, cap=512)
+        models = build_models(vocab, compact_config(), seed=1)
+        for t in models.adapter_bank.params.values():  # B starts at zero; make deltas matter
+            t.data = Rng(2, ("b",)).normal(t.data.shape, 0.1)
+        sample = GeneratorSample(rec.id, vocab.encode_text(rec.description),
+                                 vocab.encode_text(rec.claims[0]), rec.domain)
+        model, bank, clf = models.generator, models.adapter_bank, models.classifier
+        checked = {name: params[name] for name, params in (
+            ("adapter/software/l0/wq/B", bank.params),
+            ("adapter/software/l0/wv/C", bank.params),
+            ("dec/l0/attn/wq", model.params),
+            ("domain/w2", clf.params),
+        )}
+
+        def loss():
+            return _sample_loss(sample, model, bank, clf, GeneratorTrainConfig())
+
+        grads = backward(loss(), checked)
+        step = 1e-5
+        for name, param in checked.items():
+            original = param.data
+            for j in Rng(4, (name,)).integers(0, original.size, size=5):
+                values = []
+                for sign in (1.0, -1.0):
+                    param.data = original.copy()
+                    param.data.reshape(-1)[j] += sign * step
+                    values.append(loss().item())
+                param.data = original
+                numeric = (values[0] - values[1]) / (2.0 * step)
+                analytic = grads[name].reshape(-1)[j]
+                assert abs(analytic - numeric) <= 1e-6 * max(1.0, abs(numeric)), (name, j)
+
     def test_rerun_byte_identical(self, tmp_path):
         corpus = synth_corpus(5, 15)
         write_corpus(tmp_path / "c.jsonl", corpus.records[:4])

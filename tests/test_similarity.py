@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from claimforge.numerics import Rng, Tensor
+from claimforge.numerics import Rng, Tensor, scaled_dot_attention
 from claimforge.similarity import (
     HEAD_DIM,
     NUM_HEADS,
@@ -13,13 +15,13 @@ from claimforge.similarity import (
     RELATIONSHIP_ORDER,
     HeadBank,
     SimilarityTrainConfig,
-    head_score,
+    head_scores,
     head_weights,
     similarity,
     train_similarity,
 )
 from claimforge.similarity.heads import group_masses_from_weights, label_from_masses
-from claimforge.textcore import Vocabulary, init_encoder_params, encode_sequence
+from claimforge.textcore import Vocabulary, init_encoder_params, encode_sequence, mean_pool
 from claimforge.training import contrastive_loss
 
 DIM = 16
@@ -76,13 +78,11 @@ class TestHeadScore:
         eye = np.eye(DIM)
         for proj in ("wq", "wk", "wv"):
             bank.params[f"sim/h1/{proj}"].data = eye.copy()
-        states = Tensor(Rng(3, ("s",)).normal((4, DIM)))
-        score = head_score(states, states, bank, 1)
         # attended output is a convex recombination of the same value rows;
         # with V == Q == K the pooled vectors line up exactly when the chunk
         # is a single repeated row
-        row = Tensor(np.tile(Rng(4, ("r",)).normal((1, DIM)), (3, 1)))
-        assert abs(head_score(row, row, bank, 1).item() - 1.0) < 1e-10
+        row = np.tile(Rng(4, ("r",)).normal((1, DIM)), (3, 1))
+        assert abs(head_scores(row, row, bank.stacked_projections())[0] - 1.0) < 1e-10
 
     def test_orthogonal_pools_score_zero(self):
         bank = HeadBank.init(DIM, Rng(0, ("b",)), head_dim=DIM)
@@ -91,15 +91,15 @@ class TestHeadScore:
         q = np.zeros((1, DIM)); q[0, 0] = 1.0
         v = np.zeros((1, DIM)); v[0, 1] = 1.0
         # single doc row: attended == projected doc value == e1, query pool e0
-        assert abs(head_score(Tensor(q), Tensor(v), bank, 1).item()) < 1e-12
+        assert abs(head_scores(q, v, bank.stacked_projections())[0]) < 1e-12
 
     def test_matches_brute_force_oracle(self):
         bank = make_bank(seed=0)
         rng = Rng(5, ("pair",))
         claim = rng.normal((4, DIM))
         doc = rng.normal((4, DIM))
+        got = head_scores(claim, doc, bank.stacked_projections())
         for h in range(1, NUM_HEADS + 1):
-            got = head_score(Tensor(claim), Tensor(doc), bank, h).item()
             q = claim @ bank.params[f"sim/h{h}/wq"].data
             k = doc @ bank.params[f"sim/h{h}/wk"].data
             v = doc @ bank.params[f"sim/h{h}/wv"].data
@@ -110,12 +110,66 @@ class TestHeadScore:
                 attended[i] = w @ v
             a, b = attended.mean(0), q.mean(0)
             expected = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-            assert abs(got - expected) < 1e-10
+            assert abs(got[h - 1] - expected) < 1e-10
 
     def test_empty_states_error(self):
-        bank = make_bank()
+        projections = make_bank().stacked_projections()
         with pytest.raises(ValueError):
-            head_score(Tensor(np.zeros((0, DIM))), Tensor(np.ones((2, DIM))), bank, 1)
+            head_scores(np.zeros((0, DIM)), np.ones((2, DIM)), projections)
+
+
+def per_head_reference(claim: np.ndarray, doc: np.ndarray, bank: HeadBank) -> np.ndarray:
+    """One head at a time through the autodiff ops, as scoring was done per head."""
+    out = []
+    for h in range(1, NUM_HEADS + 1):
+        q = Tensor(claim) @ bank.params[f"sim/h{h}/wq"]
+        k = Tensor(doc) @ bank.params[f"sim/h{h}/wk"]
+        v = Tensor(doc) @ bank.params[f"sim/h{h}/wv"]
+        attended, _ = scaled_dot_attention(q, k, v)
+        a, b = mean_pool(attended), mean_pool(q)
+        if np.linalg.norm(a.data) < 1e-12 or np.linalg.norm(b.data) < 1e-12:
+            out.append(0.0)
+        else:
+            out.append(((a * b).sum() / ((a * a).sum().sqrt() * (b * b).sum().sqrt())).item())
+    return np.array(out)
+
+
+class TestHeadScores:
+    @pytest.mark.parametrize("head_dim", [8, 64])
+    @given(seed=st.integers(0, 2**31 - 1), n_claim=st.integers(1, 7),
+           n_doc=st.integers(1, 7), scale=st.sampled_from([1e-3, 1.0, 30.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_equals_per_head_reference_exactly(self, head_dim, seed, n_claim, n_doc, scale):
+        bank = make_bank(seed=seed % 1000, head_dim=head_dim)
+        rng = Rng(seed, ("states",))
+        claim = rng.normal((n_claim, DIM), scale)
+        doc = rng.normal((n_doc, DIM), scale)
+        got = head_scores(claim, doc, bank.stacked_projections())
+        assert got.shape == (NUM_HEADS,)
+        assert np.array_equal(got, per_head_reference(claim, doc, bank))
+
+    @pytest.mark.parametrize("head_dim", [8, 64])
+    def test_zero_norm_pools_score_zero(self, head_dim):
+        bank = make_bank(seed=3, head_dim=head_dim)
+        rng = Rng(9, ("zero",))
+        doc = rng.normal((3, DIM))
+        # zero claim states: every pooled query is zero, so every head scores 0
+        zero = head_scores(np.zeros((2, DIM)), doc, bank.stacked_projections())
+        assert np.array_equal(zero, np.zeros(NUM_HEADS))
+        # a zero query projection zeroes one head and leaves the others alone
+        bank.params["sim/h3/wq"].data = np.zeros((DIM, head_dim))
+        claim = rng.normal((2, DIM))
+        got = head_scores(claim, doc, bank.stacked_projections())
+        assert got[2] == 0.0
+        assert np.array_equal(got, per_head_reference(claim, doc, bank))
+
+    def test_stacked_projections_follow_named_parameters(self):
+        bank = make_bank(seed=1)
+        stacked = bank.stacked_projections()
+        assert stacked.shape == (3, NUM_HEADS, DIM, 8)
+        for p, proj in enumerate(("wq", "wk", "wv")):
+            for h in range(1, NUM_HEADS + 1):
+                assert np.array_equal(stacked[p, h - 1], bank.params[f"sim/h{h}/{proj}"].data)
 
 
 class TestSimilarityReport:
