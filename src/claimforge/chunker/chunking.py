@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from claimforge.numerics import Tensor
 from claimforge.textcore import (
@@ -61,7 +59,6 @@ class Chunk:
     doc_id: str
     start_token: int
     end_token: int
-    embedding: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (0 <= self.start_token < self.end_token):

@@ -8,11 +8,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from claimforge.numerics import (NonFiniteError, Rng, save_checkpoint, load_checkpoint, CheckpointError,
-                                 no_grad)
-from claimforge.chunker import Document, chunk_document, complexity, target_size
+from claimforge.numerics import NonFiniteError, Rng, CheckpointError, no_grad
 from claimforge.evaluator import EvaluatorTrainConfig, ordering_accuracy, score_pair, train_evaluator
 from claimforge.generator import (
     GeneratorSample,
@@ -29,9 +25,16 @@ from claimforge.pipeline import (
     write_corpus,
 )
 from claimforge.pipeline.metrics import bleu, rouge_l
-from claimforge.pipeline.run import all_params, build_models
-from claimforge.similarity import SimilarityTrainConfig, similarity, train_similarity
-from claimforge.textcore import Vocabulary, encode_sequence, tokenize
+from claimforge.pipeline.run import (
+    StageOneMemo,
+    chunk_record,
+    claim_similarities,
+    load_models,
+    record_texts,
+    save_models,
+)
+from claimforge.similarity import SimilarityTrainConfig, train_similarity
+from claimforge.textcore import Vocabulary, tokenize
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -84,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=Path, required=True,
                    help="jsonl with fields reference, generated, domain")
     p.add_argument("--checkpoint", type=Path, default=None)
-    p.add_argument("--corpus", type=Path, default=None,
-                   help="corpus used to build the vocabulary (defaults to the pairs file)")
 
     p = sub.add_parser("pipeline", help="run all three stages end to end")
     p.add_argument("--corpus", type=Path, required=True)
@@ -107,23 +108,14 @@ def _resolve_seed(args, config: PipelineConfig) -> int:
     return config.seed
 
 
-def _vocab_from_corpus_files(paths: list[Path], cap: int) -> Vocabulary:
-    texts = []
-    for path in paths:
-        if path is None:
-            continue
-        for rec in read_corpus(path):
-            texts.append(rec.description)
-            texts.extend(rec.claims)
-            for pair in rec.relationship_pairs:
-                texts.extend([pair["claim_text"], pair["doc_text"]])
-    return Vocabulary.build(texts, cap=cap)
-
-
-def _models_for(args, config, seed, corpus_paths, checkpoint=None):
-    vocab = _vocab_from_corpus_files(corpus_paths, config.vocab_cap)
-    ckpt = load_checkpoint(checkpoint) if checkpoint else None
-    return build_models(vocab, config, seed, checkpoint=ckpt)
+def _corpus_texts(records) -> list[str]:
+    """A fresh vocabulary's texts for the per-corpus commands: the pipeline's
+    texts plus the relationship-pair texts the similarity trainer reads."""
+    texts = record_texts(records)
+    for rec in records:
+        for pair in rec.relationship_pairs:
+            texts.extend([pair["claim_text"], pair["doc_text"]])
+    return texts
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -144,20 +136,13 @@ def _cmd_synth(args, config, seed) -> int:
 
 
 def _cmd_chunk(args, config, seed) -> int:
-    vocab = _vocab_from_corpus_files([args.corpus], config.vocab_cap)
+    records = read_corpus(args.corpus)
+    vocab = Vocabulary.build(record_texts(records), cap=config.vocab_cap)
     rows = []
-    for rec in read_corpus(args.corpus):
-        doc = Document.from_text(rec.id, rec.description, vocab,
-                                 claim_count=len(rec.claims) or None,
-                                 figure_count=rec.figure_count)
-        kappa = complexity(doc)
-        size = target_size(kappa, centering=config.chunk_centering, scale=config.chunk_scale)
-        rows.append({
-            "doc_id": rec.id,
-            "complexity": kappa,
-            "target_size": size,
-            "chunks": [[c.start_token, c.end_token] for c in chunk_document(doc, size)],
-        })
+    for rec in records:
+        _, kappa, size, chunks = chunk_record(rec, vocab, config)
+        rows.append({"doc_id": rec.id, "complexity": kappa, "target_size": size,
+                     "chunks": [[c.start_token, c.end_token] for c in chunks]})
     _write_jsonl(args.out / "chunks.jsonl", rows)
     print(f"chunked {len(rows)} documents -> {args.out / 'chunks.jsonl'}")
     return EXIT_OK
@@ -165,40 +150,21 @@ def _cmd_chunk(args, config, seed) -> int:
 
 @no_grad()
 def _cmd_similarity(args, config, seed) -> int:
-    models = _models_for(args, config, seed, [args.corpus, args.prior_art], args.checkpoint)
-    cfg = models.cfg
-    projections = models.head_bank.stacked_projections()
-    rows = []
-    prior = read_corpus(args.prior_art)
-    for rec in read_corpus(args.corpus):
-        for ci, claim in enumerate(rec.claims):
-            claim_ids = models.vocab.encode_text(claim)
-            if not claim_ids:
-                continue
-            claim_states = encode_sequence(claim_ids, cfg, models.enc_params)
-            for pa in prior:
-                doc_ids = models.vocab.encode_text(pa.description)[:cfg.max_seq_len]
-                doc_states = encode_sequence(doc_ids, cfg, models.enc_params)
-                report = similarity(f"{rec.id}/claim{ci}", pa.id,
-                                    claim_states, doc_states, models.head_bank, projections)
-                rows.append(report.to_record())
+    records, prior = read_corpus(args.corpus), read_corpus(args.prior_art)
+    models = load_models(record_texts(records + prior), config, seed, args.checkpoint)
+    memo = StageOneMemo()
+    rows = [report.to_record() for rec in records
+            for report in claim_similarities(rec, prior, models, config, memo)]
     _write_jsonl(args.out / "similarity.jsonl", rows)
     print(f"wrote {len(rows)} similarity reports -> {args.out / 'similarity.jsonl'}")
     return EXIT_OK
 
 
-def _save_models(models, out: Path) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out / "model.ckpt"
-    save_checkpoint(ckpt_path, all_params(models))
-    models.vocab.save(out / "vocab.txt")
-    return ckpt_path
-
-
 def _cmd_train_sim(args, config, seed) -> int:
-    models = _models_for(args, config, seed, [args.corpus])
+    records = read_corpus(args.corpus)
+    models = load_models(_corpus_texts(records), config, seed)
     pairs = []
-    for rec in read_corpus(args.corpus):
+    for rec in records:
         for pair in rec.relationship_pairs:
             claim_ids = models.vocab.encode_text(pair["claim_text"])
             doc_ids = models.vocab.encode_text(pair["doc_text"])
@@ -211,16 +177,17 @@ def _cmd_train_sim(args, config, seed) -> int:
         SimilarityTrainConfig(temperature=config.sim_temperature,
                               aux_weight=config.aux_weight, epochs=args.epochs),
     )
-    ckpt = _save_models(models, args.out)
+    ckpt = save_models(models, args.out)
     print(f"trained similarity on {len(pairs)} pairs; "
           f"loss {history[0]:.4f} -> {history[-1]:.4f}; checkpoint {ckpt}")
     return EXIT_OK
 
 
 def _cmd_train_gen(args, config, seed) -> int:
-    models = _models_for(args, config, seed, [args.corpus], args.checkpoint)
+    records = read_corpus(args.corpus)
+    models = load_models(_corpus_texts(records), config, seed, args.checkpoint)
     samples = []
-    for rec in read_corpus(args.corpus):
+    for rec in records:
         if not rec.claims:
             continue
         claim_ids = models.vocab.encode_text(rec.claims[0])
@@ -245,16 +212,17 @@ def _cmd_train_gen(args, config, seed) -> int:
     if clf_samples:
         train_domain_classifier(clf_samples, models.generator.embed, models.classifier)
     _write_jsonl(args.out / "train_log.jsonl", log_rows)
-    ckpt = _save_models(models, args.out)
+    ckpt = save_models(models, args.out)
     print(f"trained generator for {args.steps} steps; "
           f"loss {history[0]:.4f} -> {history[-1]:.4f}; checkpoint {ckpt}")
     return EXIT_OK
 
 
 def _cmd_train_eval(args, config, seed) -> int:
-    models = _models_for(args, config, seed, [args.corpus], args.checkpoint)
+    records = read_corpus(args.corpus)
+    models = load_models(_corpus_texts(records), config, seed, args.checkpoint)
     tuples = []
-    for rec in read_corpus(args.corpus):
+    for rec in records:
         for tup in rec.corruption_tuples:
             tuples.append((
                 models.vocab.encode_text(tup["reference"]),
@@ -267,7 +235,7 @@ def _cmd_train_eval(args, config, seed) -> int:
     history = train_evaluator(tuples, models.evaluator, models.enc_params,
                               EvaluatorTrainConfig(epochs=args.epochs))
     acc = ordering_accuracy(tuples, models.evaluator, models.enc_params)
-    ckpt = _save_models(models, args.out)
+    ckpt = save_models(models, args.out)
     print(f"trained evaluator on {len(tuples)} tuples; loss {history[0]:.4f} -> "
           f"{history[-1]:.4f}; train ordering accuracy {acc:.3f}; checkpoint {ckpt}")
     return EXIT_OK
@@ -275,10 +243,11 @@ def _cmd_train_eval(args, config, seed) -> int:
 
 @no_grad()
 def _cmd_generate(args, config, seed) -> int:
-    models = _models_for(args, config, seed, [args.corpus], args.checkpoint)
+    records = read_corpus(args.corpus)
+    models = load_models(_corpus_texts(records), config, seed, args.checkpoint)
     max_len = args.max_len if args.max_len is not None else config.max_gen_len
     rows = []
-    for rec in read_corpus(args.corpus):
+    for rec in records:
         desc_ids = models.vocab.encode_text(rec.description)
         gen_ids, alpha, label = generate(desc_ids, models.generator,
                                          models.adapter_bank, models.classifier,
@@ -312,16 +281,14 @@ def _read_pairs(path: Path) -> list[dict]:
 def _cmd_evaluate(args, config, seed) -> int:
     pairs = _read_pairs(args.pairs)
     texts = [p["reference"] for p in pairs] + [p["generated"] for p in pairs]
-    vocab = Vocabulary.build(texts, cap=config.vocab_cap)
-    ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    models = build_models(vocab, config, seed, checkpoint=ckpt)
+    models = load_models(texts, config, seed, args.checkpoint)
     from claimforge.evaluator.train import domain_one_hot
 
     rows = []
     for pair in pairs:
         alpha = domain_one_hot(pair.get("domain", "mechanical"))
-        report = score_pair(vocab.encode_text(pair["reference"]),
-                            vocab.encode_text(pair["generated"]),
+        report = score_pair(models.vocab.encode_text(pair["reference"]),
+                            models.vocab.encode_text(pair["generated"]),
                             alpha, models.evaluator, models.enc_params)
         rows.append({"reference": pair["reference"], "generated": pair["generated"],
                      **report.to_record()})

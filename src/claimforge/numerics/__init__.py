@@ -3,8 +3,6 @@
 from claimforge.numerics.tensor import (
     Tensor,
     NonFiniteError,
-    set_debug_checks,
-    debug_checks_enabled,
     no_grad,
     backward,
     concat,
@@ -21,8 +19,6 @@ from claimforge.numerics.checkpoint import save_checkpoint, load_checkpoint, Che
 __all__ = [
     "Tensor",
     "NonFiniteError",
-    "set_debug_checks",
-    "debug_checks_enabled",
     "no_grad",
     "backward",
     "concat",

@@ -18,19 +18,6 @@ class NonFiniteError(ValueError):
     """Raised when a NaN or Inf enters the graph."""
 
 
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle finiteness assertions after every op (module-boundary only otherwise)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
-
-def debug_checks_enabled() -> bool:
-    return _DEBUG_CHECKS
-
-
 _GRAD_ENABLED = True
 
 
@@ -89,8 +76,6 @@ class Tensor:
     def _from_op(cls, data: np.ndarray, parents: tuple, backward_fn) -> "Tensor":
         out = cls.__new__(cls)
         out.data = data
-        if _DEBUG_CHECKS:
-            _check_finite(data, "op output")
         out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out.grad = np.zeros_like(data) if out.requires_grad else None
         if out.requires_grad:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, load_checkpoint, no_grad
+from claimforge.numerics import Rng, Tensor, load_checkpoint, no_grad, save_checkpoint
 from claimforge.chunker import Chunk, Document, chunk_document, complexity, target_size
 from claimforge.evaluator import ASPECTS, EvaluatorModel, score_pair
 from claimforge.generator import (
@@ -26,7 +26,7 @@ from claimforge.generator import (
 from claimforge.pipeline.config import PipelineConfig
 from claimforge.pipeline.corpus import CorpusRecord, read_corpus
 from claimforge.pipeline.metrics import bleu, rouge_l
-from claimforge.similarity import HeadBank, similarity
+from claimforge.similarity import HeadBank, SimilarityReport, similarity
 from claimforge.textcore import (
     EncoderConfig,
     Vocabulary,
@@ -71,8 +71,7 @@ class PipelineResult:
     timings_path: Path | None = None
 
 
-def build_models(vocab: Vocabulary, config: PipelineConfig, seed: int,
-                 checkpoint: dict[str, np.ndarray] | None = None) -> PipelineModels:
+def build_models(vocab: Vocabulary, config: PipelineConfig, seed: int) -> PipelineModels:
     cfg = config.encoder_config()
     rng = Rng(seed, ("init",))
     from claimforge.textcore import init_encoder_params
@@ -88,56 +87,87 @@ def build_models(vocab: Vocabulary, config: PipelineConfig, seed: int,
         base_margins=np.full(len(ASPECTS), config.base_margin),
         adapt_strengths=np.full(len(ASPECTS), config.adapt_strength),
     )
-    models = PipelineModels(vocab, cfg, enc_params, head_bank, generator,
-                            adapter_bank, classifier, evaluator)
-    if checkpoint is not None:
-        _load_into(models, checkpoint, config)
+    return PipelineModels(vocab, cfg, enc_params, head_bank, generator,
+                          adapter_bank, classifier, evaluator)
+
+
+def record_texts(records: list[CorpusRecord]) -> list[str]:
+    """The texts a fresh pipeline vocabulary is built from: descriptions and claims."""
+    texts = [r.description for r in records]
+    for r in records:
+        texts.extend(r.claims)
+    return texts
+
+
+def load_models(texts: list[str], config: PipelineConfig, seed: int,
+                checkpoint_path=None) -> PipelineModels:
+    """Fresh models over a vocabulary built from ``texts``, or, given a
+    checkpoint, its tensors and the vocabulary ``save_models`` wrote beside it."""
+    if checkpoint_path is None:
+        return build_models(Vocabulary.build(texts, cap=config.vocab_cap), config, seed)
+    ckpt = load_checkpoint(checkpoint_path)
+    if "enc/embed" in ckpt and ckpt["enc/embed"].shape[-1] != config.model_dim:
+        raise ValueError(f"checkpoint model_dim {ckpt['enc/embed'].shape[-1]} does not "
+                         f"match config model_dim {config.model_dim}")
+    vocab = Vocabulary.load(Path(checkpoint_path).parent / "vocab.txt", cap=config.vocab_cap)
+    models = build_models(vocab, config, seed)
+    _load_into(models, ckpt)
     return models
 
 
-def _load_into(models: PipelineModels, ckpt: dict[str, np.ndarray],
-               config: PipelineConfig) -> None:
-    if "enc/embed" in ckpt:
-        dim = ckpt["enc/embed"].shape[1]
-        if dim != config.model_dim:
-            raise ValueError(
-                f"checkpoint model_dim {dim} does not match config model_dim {config.model_dim}"
-            )
-    holders = (models.enc_params, models.head_bank.params, models.generator.params,
-               models.adapter_bank.params, models.classifier.params, models.evaluator.params)
-    for name, arr in ckpt.items():
-        for params in holders:
-            if name in params:
-                if params[name].data.shape != arr.shape:
-                    raise ValueError(
-                        f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                        f"model expects {params[name].data.shape}"
-                    )
-                params[name].data = arr
-                break
+def save_models(models: PipelineModels, out) -> Path:
+    """Write ``model.ckpt`` and its ``vocab.txt`` into directory ``out``."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt_path = out / "model.ckpt"
+    save_checkpoint(ckpt_path, all_params(models))
+    models.vocab.save(out / "vocab.txt")
+    return ckpt_path
 
 
-def all_params(models: PipelineModels) -> dict[str, np.ndarray]:
+def _param_tensors(models: PipelineModels) -> dict[str, Tensor]:
     out = {}
     for params in (models.enc_params, models.head_bank.params, models.generator.params,
                    models.adapter_bank.params, models.classifier.params,
                    models.evaluator.params):
-        for name, t in params.items():
-            out[name] = t.data
+        out.update(params)
     return out
 
 
-def _document_from_record(rec: CorpusRecord, vocab: Vocabulary) -> Document:
-    text = rec.description
+def _load_into(models: PipelineModels, ckpt: dict[str, np.ndarray]) -> None:
+    params = _param_tensors(models)
+    missing = sorted(params.keys() - ckpt.keys())
+    unexpected = sorted(ckpt.keys() - params.keys())
+    if missing or unexpected:
+        raise ValueError(f"checkpoint does not match the model: missing tensors {missing}, "
+                         f"unexpected tensors {unexpected}")
+    for name, arr in ckpt.items():
+        if params[name].data.shape != arr.shape:
+            raise ValueError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                             f"model expects {params[name].data.shape}")
+        params[name].data = arr
+
+
+def all_params(models: PipelineModels) -> dict[str, np.ndarray]:
+    return {name: t.data for name, t in _param_tensors(models).items()}
+
+
+def chunk_record(rec: CorpusRecord, vocab: Vocabulary,
+                 config: PipelineConfig) -> tuple[Document, float, int, list[Chunk]]:
+    """Stage-1 chunking of a record (description, then its claims): the
+    document, its complexity, the target chunk size and the chunks."""
     claims_text = "\n".join(rec.claims)
-    full = text + ("\n\nCLAIMS\n" + claims_text if claims_text else "")
-    return Document.from_text(
+    full = rec.description + ("\n\nCLAIMS\n" + claims_text if claims_text else "")
+    doc = Document.from_text(
         rec.id, full, vocab,
         claim_count=len(rec.claims) if rec.claims else None,
         figure_count=rec.figure_count,
         domain_label=rec.domain,
         jurisdiction=rec.jurisdiction,
     )
+    kappa = complexity(doc)
+    size = target_size(kappa, centering=config.chunk_centering, scale=config.chunk_scale)
+    return doc, kappa, size, chunk_document(doc, size)
 
 
 def _chunk_states(token_ids: list[int], models: PipelineModels, memo: StageOneMemo) -> Tensor:
@@ -149,14 +179,34 @@ def _chunk_states(token_ids: list[int], models: PipelineModels, memo: StageOneMe
     return states
 
 
-def _prior_art_chunks(pa: CorpusRecord, models: PipelineModels, config: PipelineConfig,
-                      memo: StageOneMemo) -> tuple[Document, list[Chunk]]:
-    if pa.id not in memo.prior_art:
-        pa_doc = _document_from_record(pa, models.vocab)
-        pa_size = target_size(complexity(pa_doc), centering=config.chunk_centering,
-                              scale=config.chunk_scale)
-        memo.prior_art[pa.id] = (pa_doc, chunk_document(pa_doc, pa_size))
-    return memo.prior_art[pa.id]
+def claim_similarities(rec: CorpusRecord, prior_art: list[CorpusRecord],
+                       models: PipelineModels, config: PipelineConfig,
+                       memo: StageOneMemo) -> list[SimilarityReport]:
+    """Stage-1 similarity: one report per (claim, prior-art chunk) pair, in
+    prior-art, claim, chunk order. A record without claims stands in with
+    its description."""
+    if memo.projections is None:
+        memo.projections = models.head_bank.stacked_projections()
+    claim_ids_list = [models.vocab.encode_text(t) for t in rec.claims or [rec.description]]
+    reports = []
+    for pa in prior_art:
+        if pa.id not in memo.prior_art:
+            pa_doc, _, _, pa_chunks = chunk_record(pa, models.vocab, config)
+            memo.prior_art[pa.id] = (pa_doc, pa_chunks)
+        pa_doc, pa_chunks = memo.prior_art[pa.id]
+        for ci, claim_ids in enumerate(claim_ids_list):
+            if not claim_ids:
+                continue
+            claim_states = _chunk_states(claim_ids, models, memo)
+            for chunk in pa_chunks:
+                span = pa_doc.tokens[chunk.start_token:chunk.end_token]
+                reports.append(similarity(
+                    f"{rec.id}/claim{ci}",
+                    f"{pa.id}/[{chunk.start_token},{chunk.end_token})",
+                    claim_states, _chunk_states(span, models, memo),
+                    models.head_bank, memo.projections,
+                ))
+    return reports
 
 
 @no_grad()
@@ -179,32 +229,8 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
 
     # Stage 1: adaptive chunking + relationship-aware similarity
     t_start = time.perf_counter()
-    doc = _document_from_record(rec, models.vocab)
-    kappa = complexity(doc)
-    size = target_size(kappa, centering=config.chunk_centering, scale=config.chunk_scale)
-    chunks = chunk_document(doc, size)
-
-    claim_texts = rec.claims if rec.claims else [rec.description]
-    claim_ids_list = [models.vocab.encode_text(t) for t in claim_texts]
-    if memo.projections is None:
-        memo.projections = models.head_bank.stacked_projections()
-
-    sim_reports = []
-    for pa in prior_art:
-        pa_doc, pa_chunks = _prior_art_chunks(pa, models, config, memo)
-        for ci, claim_ids in enumerate(claim_ids_list):
-            if not claim_ids:
-                continue
-            claim_states = _chunk_states(claim_ids, models, memo)
-            for chunk in pa_chunks:
-                span = pa_doc.tokens[chunk.start_token:chunk.end_token]
-                doc_states = _chunk_states(span, models, memo)
-                report = similarity(
-                    f"{rec.id}/claim{ci}",
-                    f"{pa.id}/[{chunk.start_token},{chunk.end_token})",
-                    claim_states, doc_states, models.head_bank, memo.projections,
-                )
-                sim_reports.append(report)
+    _, kappa, size, chunks = chunk_record(rec, models.vocab, config)
+    sim_reports = claim_similarities(rec, prior_art, models, config, memo)
     sim_reports.sort(key=lambda r: (-r.similarity, r.claim_chunk_id, r.doc_chunk_id))
     top_sims = [r.to_record() for r in sim_reports[:config.top_k]]
     mark("stage1", t_start)
@@ -224,7 +250,7 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
 
     # Stage 3: unified quality assessment
     t_start = time.perf_counter()
-    reference_ids = claim_ids_list[0] if claim_ids_list else desc_ids
+    reference_ids = models.vocab.encode_text((rec.claims or [rec.description])[0])
     quality = score_pair(reference_ids, gen_ids if gen_ids else [models.vocab.token_id("<unk>")],
                          alpha, models.evaluator, models.enc_params)
     ref_tokens = models.vocab.decode(reference_ids)
@@ -260,13 +286,7 @@ def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
     records = read_corpus(corpus_path)
     prior_art = read_corpus(prior_art_path) if prior_art_path else []
 
-    texts = [r.description for r in records + prior_art]
-    for r in records + prior_art:
-        texts.extend(r.claims)
-    vocab = Vocabulary.build(texts, cap=config.vocab_cap)
-
-    ckpt = load_checkpoint(checkpoint_path) if checkpoint_path else None
-    models = build_models(vocab, config, seed, checkpoint=ckpt)
+    models = load_models(record_texts(records + prior_art), config, seed, checkpoint_path)
 
     memo = StageOneMemo()
     reports, failures, timing_rows = [], [], []

@@ -353,3 +353,103 @@ class TestCli:
         assert cli_main(["--out", str(out_b), "synth", "--size", "15"]) == 0
         assert (out_a / "corpus.jsonl").read_bytes() == \
             (out_b / "corpus.jsonl").read_bytes()
+
+
+def _write_config(path, **kw):
+    compact_config(**kw).to_file(path)
+    return path
+
+
+class TestModelCheckpoints:
+    def test_save_load_round_trip(self, tmp_path):
+        from claimforge.pipeline.run import all_params, load_models, record_texts, save_models
+        records = read_corpus(DATA / "golden_corpus.jsonl")
+        saved = load_models(record_texts(records), compact_config(), seed=0)
+        ckpt = save_models(saved, tmp_path / "m")
+        # another seed and no texts: every tensor and the vocabulary come from disk
+        loaded = load_models([], compact_config(), seed=7, checkpoint_path=ckpt)
+        tokens = [saved.vocab.token(i) for i in range(len(saved.vocab))]
+        assert [loaded.vocab.token(i) for i in range(len(loaded.vocab))] == tokens
+        want, got = all_params(saved), all_params(loaded)
+        assert got.keys() == want.keys()
+        for name, arr in want.items():
+            assert np.array_equal(got[name], arr.astype(np.float32)), name
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_strict_load_names_the_tensor(self, tmp_path, capsys, change):
+        from claimforge.numerics import load_checkpoint, save_checkpoint
+        from claimforge.pipeline.run import load_models, record_texts, save_models
+        records = read_corpus(DATA / "golden_corpus.jsonl")
+        ckpt = save_models(load_models(record_texts(records), compact_config(), seed=0),
+                           tmp_path / "m")
+        tensors = load_checkpoint(ckpt)
+        if change == "missing":
+            name = "sim/h3/wk"
+            del tensors[name]
+        else:
+            name = "sim/h9/wk"
+            tensors[name] = np.zeros((16, 8))
+        save_checkpoint(ckpt, tensors)
+        with pytest.raises(ValueError, match=name):
+            load_models([], compact_config(), seed=0, checkpoint_path=ckpt)
+        code = cli_main(["--config", str(_write_config(tmp_path / "c.cfg")),
+                         "--seed", "0", "--out", str(tmp_path / "o"), "pipeline",
+                         "--corpus", str(DATA / "golden_corpus.jsonl"),
+                         "--checkpoint", str(ckpt)])
+        assert code == 1
+        assert name in capsys.readouterr().err
+
+
+class TestCliStages:
+    def test_trained_checkpoints_reach_the_pipeline(self, tmp_path):
+        cfg = str(_write_config(tmp_path / "c.cfg"))
+
+        def run(out, *argv):
+            return cli_main(["--config", cfg, "--seed", "0", "--out", str(tmp_path / out),
+                             *argv])
+
+        corpus = str(tmp_path / "syn" / "corpus.jsonl")
+        assert run("syn", "synth", "--size", "15") == 0
+        assert run("sim", "train-sim", "--corpus", corpus, "--epochs", "1") == 0
+        assert run("gen", "train-gen", "--corpus", corpus, "--steps", "5",
+                   "--checkpoint", str(tmp_path / "sim" / "model.ckpt")) == 0
+        assert run("ev", "train-eval", "--corpus", corpus, "--epochs", "1",
+                   "--checkpoint", str(tmp_path / "gen" / "model.ckpt")) == 0
+        prior = str(tmp_path / "syn" / "prior_art.jsonl")
+        assert run("run", "pipeline", "--corpus", corpus, "--prior-art", prior,
+                   "--checkpoint", str(tmp_path / "ev" / "model.ckpt")) == 0
+        assert run("untrained", "pipeline", "--corpus", corpus, "--prior-art", prior) == 0
+        truth = {rec.id: rec.domain for rec in read_corpus(corpus)}
+
+        def correct_labels(out):
+            rows = [json.loads(line)
+                    for line in (tmp_path / out / "report.jsonl").read_text().splitlines()]
+            assert len(rows) == 15
+            assert not [row for row in rows if "skipped" in row]
+            return sum(row["domain_label"] == truth[row["doc_id"]] for row in rows)
+
+        assert correct_labels("run") > correct_labels("untrained")
+
+    def test_chunk_and_similarity_match_the_golden_report(self, tmp_path):
+        config = compact_config()
+        cfg = str(_write_config(tmp_path / "c.cfg"))
+        corpus, prior = str(DATA / "golden_corpus.jsonl"), str(DATA / "golden_prior_art.jsonl")
+        golden = [json.loads(line)
+                  for line in (DATA / "golden_report.jsonl").read_text().splitlines()]
+        assert cli_main(["--config", cfg, "--seed", "0", "--out", str(tmp_path),
+                         "chunk", "--corpus", corpus]) == 0
+        assert cli_main(["--config", cfg, "--seed", "0", "--out", str(tmp_path),
+                         "similarity", "--corpus", corpus, "--prior-art", prior]) == 0
+        chunk_rows = [json.loads(line)
+                      for line in (tmp_path / "chunks.jsonl").read_text().splitlines()]
+        sim_rows = [json.loads(line)
+                    for line in (tmp_path / "similarity.jsonl").read_text().splitlines()]
+        assert [row["doc_id"] for row in chunk_rows] == [g["doc_id"] for g in golden]
+        for row, expected in zip(chunk_rows, golden):
+            assert row["chunks"] == expected["chunks"]
+            assert row["complexity"] == expected["complexity"]
+            assert row["target_size"] == expected["target_chunk_size"]
+            mine = [r for r in sim_rows
+                    if r["claim_chunk_id"].split("/")[0] == expected["doc_id"]]
+            mine.sort(key=lambda r: (-r["similarity"], r["claim_chunk_id"], r["doc_chunk_id"]))
+            assert mine[:config.top_k] == expected["top_similarity"]

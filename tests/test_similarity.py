@@ -198,9 +198,16 @@ class TestSimilarityReport:
         rng = Rng(7, ("r",))
         claim, doc = Tensor(rng.normal((3, DIM))), Tensor(rng.normal((3, DIM)))
         r1 = similarity("c", "d", claim, doc, bank)
-        # the label depends only on head weights, never on score magnitudes
-        r2 = similarity("c", "d", claim, doc, bank)
-        assert r1.relationship_label == r2.relationship_label
+        # the label depends only on head weights, never on score magnitudes:
+        # other score projections (new wq and wk, scaled wv) move every score
+        other = bank.stacked_projections().copy()
+        other[0] = rng.normal(other[0].shape)
+        other[1] = rng.normal(other[1].shape)
+        other[2] *= 3.0
+        r2 = similarity("c", "d", claim, doc, bank, other)
+        assert not np.allclose(r1.head_scores, r2.head_scores)
+        assert r2.relationship_label == r1.relationship_label
+        assert r2.group_masses == r1.group_masses
 
     def test_bounded_similarity(self):
         bank = make_bank()
