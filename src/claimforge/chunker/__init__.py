@@ -6,7 +6,6 @@ from claimforge.chunker.chunking import (
     complexity,
     target_size,
     chunk_document,
-    embed_chunk,
     count_claims,
     count_figures,
     MIN_CHUNK_SIZE,
@@ -20,7 +19,6 @@ __all__ = [
     "complexity",
     "target_size",
     "chunk_document",
-    "embed_chunk",
     "count_claims",
     "count_figures",
     "MIN_CHUNK_SIZE",

@@ -6,15 +6,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from claimforge.numerics import Tensor
-from claimforge.textcore import (
-    EncoderConfig,
-    Vocabulary,
-    encode_sequence,
-    mean_pool,
-    sentence_boundaries,
-    tokenize,
-)
+from claimforge.textcore import Vocabulary, sentence_boundaries, tokenize
 
 MIN_CHUNK_SIZE = 256
 CHUNK_SIZE_SPAN = 768
@@ -156,11 +148,3 @@ def chunk_document(doc: Document, s: int) -> list[Chunk]:
     if cursor > start:
         chunks.append(Chunk(doc.id, start, cursor))
     return chunks
-
-
-def embed_chunk(token_ids: list[int], cfg: EncoderConfig,
-                params: dict[str, Tensor], prefix: str = "enc") -> Tensor:
-    """Mean-pooled encoder states over a chunk's token span."""
-    if not token_ids:
-        raise ValueError("empty span")
-    return mean_pool(encode_sequence(token_ids, cfg, params, prefix=prefix))

@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate claims for each corpus record")
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--checkpoint", type=Path, default=None)
-    p.add_argument("--max-len", type=int, default=None)
 
     p = sub.add_parser("evaluate", help="score (reference, generated) claim pairs")
     p.add_argument("--pairs", type=Path, required=True,
@@ -245,13 +244,12 @@ def _cmd_train_eval(args, config, seed) -> int:
 def _cmd_generate(args, config, seed) -> int:
     records = read_corpus(args.corpus)
     models = load_models(_corpus_texts(records), config, seed, args.checkpoint)
-    max_len = args.max_len if args.max_len is not None else config.max_gen_len
     rows = []
     for rec in records:
         desc_ids = models.vocab.encode_text(rec.description)
         gen_ids, alpha, label = generate(desc_ids, models.generator,
                                          models.adapter_bank, models.classifier,
-                                         max_len=max_len)
+                                         max_len=config.max_gen_len)
         rows.append({
             "doc_id": rec.id,
             "domain_label": label,

@@ -72,7 +72,7 @@ class QualityReport:
 
 
 def encode_pair(ref_ids: list[int], gen_ids: list[int], cfg: EncoderConfig,
-                enc_params: dict[str, Tensor], prefix: str = "enc") -> Tensor:
+                enc_params: dict[str, Tensor]) -> Tensor:
     """Encoder states over [BOS] reference [SEP] generated [EOS]."""
     if not ref_ids and not gen_ids:
         raise ValueError("empty claim pair")
@@ -84,7 +84,7 @@ def encode_pair(ref_ids: list[int], gen_ids: list[int], cfg: EncoderConfig,
             f"truncate inputs by {excess} tokens total"
         )
     ids = [BOS_ID] + list(ref_ids) + [SEP_ID] + list(gen_ids) + [EOS_ID]
-    return encode_sequence(ids, cfg, enc_params, prefix=prefix)
+    return encode_sequence(ids, cfg, enc_params)
 
 
 def aspect_scores(h_shared: Tensor, model: EvaluatorModel) -> tuple[Tensor, np.ndarray]:
@@ -124,10 +124,9 @@ def adaptive_margin(alpha, model: EvaluatorModel) -> Tensor:
 
 @no_grad()
 def score_pair(ref_ids: list[int], gen_ids: list[int], alpha,
-               model: EvaluatorModel, enc_params: dict[str, Tensor],
-               prefix: str = "enc") -> QualityReport:
+               model: EvaluatorModel, enc_params: dict[str, Tensor]) -> QualityReport:
     """Full quality report for one (reference, generated) claim pair."""
-    h_shared = encode_pair(ref_ids, gen_ids, model.cfg, enc_params, prefix=prefix)
+    h_shared = encode_pair(ref_ids, gen_ids, model.cfg, enc_params)
     scores, _ = aspect_scores(h_shared, model)
     overall, w = overall_score(scores, model.params["eval/aspect_logits"])
     margins = adaptive_margin(alpha, model).data

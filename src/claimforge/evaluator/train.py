@@ -9,7 +9,6 @@ import numpy as np
 
 from claimforge.numerics import Tensor, backward, no_grad
 from claimforge.evaluator.aspects import (
-    ASPECTS,
     EvaluatorModel,
     adaptive_margin,
     aspect_scores,
@@ -26,7 +25,6 @@ class EvaluatorTrainConfig:
     weight_decay: float = 0.01
     epochs: int = 10
     batch_size: int = 8
-    train_encoder: bool = True
     grad_clip: float = 1.0
 
 
@@ -68,8 +66,7 @@ def train_evaluator(tuples: list[tuple[list[int], list[int], list[int], str]],
     trainable = {
         k: v for k, v in model.params.items() if k != "eval/aspect_logits"
     }
-    if train_cfg.train_encoder:
-        trainable.update(enc_params)
+    trainable.update(enc_params)
     opt = AdamW(trainable, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
 
     history: list[float] = []

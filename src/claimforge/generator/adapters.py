@@ -29,11 +29,11 @@ class AdapterBank:
 
     @classmethod
     def init(cls, num_layers: int, model_dim: int, rng: Rng,
-             rank: int = ADAPTER_RANK, prefix: str = "dec") -> "AdapterBank":
+             rank: int = ADAPTER_RANK) -> "AdapterBank":
         bank = cls(rank=rank)
         for layer in range(num_layers):
             for proj in ADAPTED_PROJECTIONS:
-                target = f"{prefix}/l{layer}/attn/{proj}"
+                target = f"dec/l{layer}/attn/{proj}"
                 bank.target_names.append(target)
                 for domain in DOMAINS:
                     base = f"adapter/{domain}/l{layer}/{proj}"

@@ -50,25 +50,22 @@ def decoder_logits(ids: list[int], model: GeneratorModel,
 @no_grad()
 def generate(description_ids: list[int], model: GeneratorModel,
              bank: AdapterBank, classifier: DomainClassifier,
-             max_len: int, mode: str = "greedy",
-             rng: Rng | None = None) -> tuple[list[int], np.ndarray, str]:
-    """Autoregressive decoding conditioned on the description prefix.
+             max_len: int) -> tuple[list[int], np.ndarray, str]:
+    """Greedy autoregressive decoding conditioned on the description prefix.
 
     The domain mixture alpha is computed once per document, before decoding.
     One causal pass over the prefix (BOS, description, SEP) fills a per-layer
     KV cache and gives the first token's logits; each later step feeds only
     the newest token, so a step computes one position, not the whole prefix.
-    Returns (generated token ids, alpha, domain label); greedy mode is
-    deterministic, "sample" mode needs an Rng.
+    Returns (generated token ids, alpha, domain label).
     """
     if not description_ids:
         raise ValueError("empty document")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    if mode not in ("greedy", "sample"):
-        raise ValueError(f"unknown decoding mode {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode requires an rng")
+    if max_len + 2 >= model.cfg.max_seq_len:
+        raise ValueError(f"max_len + 2 must be below max_seq_len, so the decoder has room "
+                         f"for a description: {max_len} + 2 >= {model.cfg.max_seq_len}")
 
     alpha, label, _ = classify_domain(pool_embedding(description_ids, model.embed), classifier)
     overrides = effective_overrides(model.params, bank, alpha)
@@ -79,12 +76,7 @@ def generate(description_ids: list[int], model: GeneratorModel,
     logits = decoder_logits(prefix, model, overrides, cache=cache).data[-1]
     out: list[int] = []
     for step in range(max_len):
-        if mode == "greedy":
-            nxt = int(np.argmax(logits))
-        else:
-            shifted = logits - logits.max()
-            probs = np.exp(shifted) / np.exp(shifted).sum()
-            nxt = int(np.searchsorted(np.cumsum(probs), float(rng.uniform(()))))
+        nxt = int(np.argmax(logits))
         if nxt == EOS_ID:
             break
         out.append(nxt)

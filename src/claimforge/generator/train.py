@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from claimforge.numerics import Rng, Tensor, backward, cross_entropy_logits, softmax
 from claimforge.generator.adapters import DOMAINS, AdapterBank, effective_overrides
 from claimforge.generator.classify import DomainClassifier, pool_embedding
@@ -45,15 +43,11 @@ class GeneratorTrainConfig:
     weight_decay: float = 0.01
     steps: int = 100
     grad_clip: float = 1.0
-    train_base: bool = True
-    train_classifier: bool = True
-    classifier_loss_weight: float = 1.0
     curriculum: bool = True
 
 
 def _sample_loss(sample: GeneratorSample, model: GeneratorModel,
-                 bank: AdapterBank, classifier: DomainClassifier,
-                 train_cfg: GeneratorTrainConfig) -> Tensor:
+                 bank: AdapterBank, classifier: DomainClassifier) -> Tensor:
     pooled = pool_embedding(sample.description_ids, model.embed)
     alpha = softmax(classifier.logits(pooled))
     overrides = effective_overrides(model.params, bank, alpha)
@@ -64,10 +58,9 @@ def _sample_loss(sample: GeneratorSample, model: GeneratorModel,
     logits = decoder_logits(seq[:-1], model, overrides)
     loss = sequence_cross_entropy(logits, seq[1:])
 
-    if train_cfg.train_classifier and sample.domain_label is not None:
-        dom_ce = cross_entropy_logits(classifier.logits(pooled),
-                                      DOMAINS.index(sample.domain_label))
-        loss = loss + train_cfg.classifier_loss_weight * dom_ce
+    if sample.domain_label is not None:
+        loss = loss + cross_entropy_logits(classifier.logits(pooled),
+                                           DOMAINS.index(sample.domain_label))
     return loss
 
 
@@ -79,17 +72,13 @@ def train_generator(samples: list[GeneratorSample], model: GeneratorModel,
     """Next-token training with curriculum batch sampling; returns loss history."""
     if not samples:
         raise ValueError("empty corpus")
-    if train_cfg.train_classifier and all(s.domain_label is None for s in samples):
-        raise ValueError("classifier training enabled but corpus has no domain labels")
+    if all(s.domain_label is None for s in samples):
+        raise ValueError("corpus has no domain labels to train the classifier on")
 
     by_id = {s.id: s for s in samples}
     buckets = bucket_corpus([(s.id, s.key) for s in samples]) if train_cfg.curriculum else None
 
-    trainable: dict[str, Tensor] = dict(bank.params)
-    if train_cfg.train_base:
-        trainable.update(model.params)
-    if train_cfg.train_classifier:
-        trainable.update(classifier.params)
+    trainable: dict[str, Tensor] = {**bank.params, **model.params, **classifier.params}
     opt = AdamW(trainable, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
 
     history: list[float] = []
@@ -102,7 +91,7 @@ def train_generator(samples: list[GeneratorSample], model: GeneratorModel,
             batch_ids = [ids[i] for i in idx]
         loss = None
         for sid in batch_ids:
-            term = _sample_loss(by_id[sid], model, bank, classifier, train_cfg)
+            term = _sample_loss(by_id[sid], model, bank, classifier)
             loss = term if loss is None else loss + term
         loss = loss * (1.0 / len(batch_ids))
         grads = backward(loss, trainable)

@@ -285,8 +285,9 @@ class Tensor:
 
     # -- backward -------------------------------------------------------------
 
-    def backward(self) -> None:
-        """Accumulate gradients of this scalar into all reachable parameters."""
+    def backward(self) -> set[int]:
+        """Accumulate gradients of this scalar into all reachable parameters;
+        returns the ids of this tensor and of every tensor the walk reached."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         order: list[Tensor] = []
@@ -314,6 +315,7 @@ class Tensor:
             for parent, g in zip(node._parents, grads):
                 if parent.requires_grad:
                     parent.grad = parent.grad + g
+        return seen
 
     def zero_grad(self) -> None:
         if self.requires_grad:
@@ -327,17 +329,7 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """
     for p in params.values():
         p.zero_grad()
-    reachable: set[int] = set()
-    stack = [loss]
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        reachable.add(id(node))
-        stack.extend(node._parents)
-    loss.backward()
+    reachable = loss.backward()
     grads: dict[str, np.ndarray] = {}
     for name, p in params.items():
         if id(p) not in reachable:

@@ -21,10 +21,18 @@ class CorpusRecord:
     corruption_tuples: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("record id must be nonempty")
-        if not self.description:
-            raise ValueError(f"record {self.id}: description must be nonempty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError(f"record id must be a nonempty string, got {self.id!r}")
+        if not isinstance(self.description, str) or not self.description:
+            raise ValueError(f"record {self.id}: description must be a nonempty string")
+        if not _list_of(self.claims, str):
+            raise ValueError(f"record {self.id}: claims must be a list of strings")
+        if self.figure_count is not None and type(self.figure_count) is not int:  # not bool
+            raise ValueError(f"record {self.id}: figure_count must be an integer or null, "
+                             f"got {self.figure_count!r}")
+        for name in ("relationship_pairs", "corruption_tuples"):
+            if not _list_of(getattr(self, name), dict):
+                raise ValueError(f"record {self.id}: {name} must be a list of objects")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
@@ -33,6 +41,10 @@ class CorpusRecord:
     def from_json(cls, line: str) -> "CorpusRecord":
         data = json.loads(line)
         return cls(**data)
+
+
+def _list_of(value, item_type: type) -> bool:
+    return isinstance(value, list) and all(isinstance(v, item_type) for v in value)
 
 
 def write_corpus(path, records: list[CorpusRecord]) -> None:

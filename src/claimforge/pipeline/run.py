@@ -212,13 +212,13 @@ def claim_similarities(rec: CorpusRecord, prior_art: list[CorpusRecord],
 @no_grad()
 def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
                      models: PipelineModels, config: PipelineConfig,
-                     train_step: int = 0,
                      memo: StageOneMemo | None = None) -> tuple[dict, dict]:
     """Run stages 1-3 for one record; returns (report record, stage timings).
 
     ``memo`` carries encoder states, prior-art chunks and the stacked head
     projections across the records of one run; without it, a fresh one
-    serves this record alone. No autodiff tape is built.
+    serves this record alone. No autodiff tape is built. The report's
+    ``curriculum`` block is the schedule at step 0, where inference runs.
     """
     memo = StageOneMemo() if memo is None else memo
     timings = {}
@@ -239,8 +239,8 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
     t_start = time.perf_counter()
     desc_ids = models.vocab.encode_text(rec.description)
     schedule = config.curriculum()
-    tau = curriculum_progress(train_step, schedule)
-    level = difficulty_level(train_step, schedule)
+    tau = curriculum_progress(0, schedule)
+    level = difficulty_level(0, schedule)
     gen_ids, alpha, domain_label = generate(
         desc_ids, models.generator, models.adapter_bank, models.classifier,
         max_len=config.max_gen_len,
@@ -270,7 +270,7 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
         "top_similarity": top_sims,
         "domain_mixture": [float(x) for x in alpha],
         "domain_label": domain_label,
-        "curriculum": {"step": train_step, "tau": tau, "level": level},
+        "curriculum": {"step": 0, "tau": tau, "level": level},
         "generated_claims": [generated_text],
         "quality": quality.to_record(),
         "metrics": metrics,

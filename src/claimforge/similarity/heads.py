@@ -11,6 +11,7 @@ from claimforge.textcore import mean_pool
 
 NUM_HEADS = 8
 HEAD_DIM = 64
+PHI_HIDDEN = 128  # hidden width of the head-weight MLP
 
 # two heads per relationship group; order fixes argmax tie-breaking
 RELATIONSHIP_GROUPS: dict[str, tuple[int, int]] = {
@@ -28,13 +29,11 @@ class HeadBank:
 
     model_dim: int
     head_dim: int = HEAD_DIM
-    phi_hidden: int = 128
     params: dict[str, Tensor] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, model_dim: int, rng: Rng, head_dim: int = HEAD_DIM,
-             phi_hidden: int = 128) -> "HeadBank":
-        bank = cls(model_dim=model_dim, head_dim=head_dim, phi_hidden=phi_hidden)
+    def init(cls, model_dim: int, rng: Rng, head_dim: int = HEAD_DIM) -> "HeadBank":
+        bank = cls(model_dim=model_dim, head_dim=head_dim)
         p = bank.params
         scale = 1.0 / np.sqrt(model_dim)
         for h in range(1, NUM_HEADS + 1):
@@ -42,10 +41,10 @@ class HeadBank:
                 p[f"sim/h{h}/{proj}"] = Tensor(
                     rng.normal((model_dim, head_dim), scale), requires_grad=True
                 )
-        p["sim/phi/w1"] = Tensor(rng.normal((3 * model_dim, phi_hidden), scale), requires_grad=True)
-        p["sim/phi/b1"] = Tensor(np.zeros(phi_hidden), requires_grad=True)
+        p["sim/phi/w1"] = Tensor(rng.normal((3 * model_dim, PHI_HIDDEN), scale), requires_grad=True)
+        p["sim/phi/b1"] = Tensor(np.zeros(PHI_HIDDEN), requires_grad=True)
         p["sim/phi/w2"] = Tensor(
-            rng.normal((phi_hidden, NUM_HEADS), 1.0 / np.sqrt(phi_hidden)), requires_grad=True
+            rng.normal((PHI_HIDDEN, NUM_HEADS), 1.0 / np.sqrt(PHI_HIDDEN)), requires_grad=True
         )
         p["sim/phi/b2"] = Tensor(np.zeros(NUM_HEADS), requires_grad=True)
         return bank

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from claimforge.numerics import Tensor, backward, concat
 from claimforge.similarity.heads import (
     RELATIONSHIP_GROUPS,
@@ -30,7 +28,6 @@ class SimilarityTrainConfig:
     weight_decay: float = 0.01
     batch_size: int = 8
     epochs: int = 5
-    train_encoder: bool = True
     grad_clip: float = 1.0
 
 
@@ -58,13 +55,10 @@ def train_similarity(pairs: list[tuple[list[int], list[int], str | None]],
         raise ValueError("need at least 2 positive pairs per batch")
 
     # head projections get no gradient from either loss term; only the
-    # head-weight MLP and (optionally) the encoder are optimized
+    # head-weight MLP (when labels exist) and the encoder are optimized
     has_labels = any(label is not None for _, _, label in pairs)
     trainable = {k: v for k, v in bank.params.items() if k.startswith("sim/phi/")} if has_labels else {}
-    if train_cfg.train_encoder:
-        trainable.update(enc_params)
-    if not trainable:
-        raise ValueError("nothing to train: no labels and encoder training disabled")
+    trainable.update(enc_params)
     opt = AdamW(trainable, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
     history: list[float] = []
 

@@ -17,7 +17,6 @@ from claimforge.textcore.encoder import (
     KVCache,
     init_encoder_params,
     encode_sequence,
-    positional_encoding,
     mean_pool,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "KVCache",
     "init_encoder_params",
     "encode_sequence",
-    "positional_encoding",
     "mean_pool",
 ]

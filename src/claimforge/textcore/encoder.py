@@ -44,10 +44,6 @@ def _positional_encoding_cached(length: int, dim: int) -> np.ndarray:
     return pe
 
 
-def positional_encoding(length: int, dim: int) -> np.ndarray:
-    return _positional_encoding_cached(length, dim).copy()
-
-
 @dataclass
 class KVCache:
     """Per-layer attention keys and values of the positions encoded so far.

@@ -82,11 +82,8 @@ class Vocabulary:
     def decode(self, ids: list[int]) -> list[str]:
         return [self.token(i) for i in ids]
 
-    def decode_text(self, ids: list[int], strip_special: bool = True) -> str:
-        toks = self.decode(ids)
-        if strip_special:
-            toks = [t for t in toks if t not in _RESERVED_BY_NAME]
-        return detokenize(toks)
+    def decode_text(self, ids: list[int]) -> str:
+        return detokenize([t for t in self.decode(ids) if t not in _RESERVED_BY_NAME])
 
     # one token per line, line number = id - 5
     def save(self, path) -> None:

@@ -15,11 +15,10 @@ from claimforge.chunker import (
     complexity,
     count_claims,
     count_figures,
-    embed_chunk,
     target_size,
 )
 from claimforge.numerics import Rng
-from claimforge.textcore import Vocabulary, encode_sequence
+from claimforge.textcore import Vocabulary
 
 
 def make_doc(tokens, text="", claims=0, figures=0):
@@ -142,29 +141,3 @@ class TestChunkDocument:
         with pytest.raises(ValueError):
             Chunk("d", 5, 5)
 
-
-class TestEmbedChunk:
-    def test_single_token_equals_hidden_state(self, small_cfg, small_enc):
-        ids = [7]
-        emb = embed_chunk(ids, small_cfg, small_enc)
-        states = encode_sequence(ids, small_cfg, small_enc)
-        np.testing.assert_allclose(emb.data, states.data[0], atol=1e-12)
-
-    def test_deterministic(self, small_cfg, small_enc):
-        ids = [5, 6, 7]
-        a = embed_chunk(ids, small_cfg, small_enc).data
-        b = embed_chunk(ids, small_cfg, small_enc).data
-        assert np.array_equal(a, b)
-
-    def test_matches_accumulation_oracle(self, small_cfg, small_enc):
-        ids = [5, 9, 11, 6]
-        emb = embed_chunk(ids, small_cfg, small_enc).data
-        states = encode_sequence(ids, small_cfg, small_enc).data
-        acc = np.zeros(small_cfg.model_dim)
-        for row in states:
-            acc = acc + row
-        np.testing.assert_allclose(emb, acc / len(ids), atol=1e-12)
-
-    def test_empty_span_error(self, small_cfg, small_enc):
-        with pytest.raises(ValueError, match="empty"):
-            embed_chunk([], small_cfg, small_enc)

@@ -221,17 +221,21 @@ class TestGenerate:
         out, _, _ = generate([7, 9], model, bank, clf, max_len=1)
         assert len(out) <= 1
 
-    def test_sample_mode_needs_rng(self):
+    @pytest.mark.parametrize("max_len", [CFG.max_seq_len - 2, CFG.max_seq_len - 1,
+                                         CFG.max_seq_len])
+    def test_max_len_without_room_for_the_description_rejected(self, max_len):
+        # the prefix keeps max_seq_len - max_len - 2 description tokens: at 0
+        # the description is dropped, below 0 the slice cuts from its end
         model, bank = make_model(), make_bank()
         clf = DomainClassifier.init(CFG.model_dim, Rng(0, ("c",)))
-        with pytest.raises(ValueError, match="rng"):
-            generate([7], model, bank, clf, max_len=2, mode="sample")
+        with pytest.raises(ValueError, match="room for a description"):
+            generate([7, 9, 11], model, bank, clf, max_len=max_len)
 
-    def test_unknown_mode_rejected(self):
+    def test_longest_max_len_accepted(self):
         model, bank = make_model(), make_bank()
         clf = DomainClassifier.init(CFG.model_dim, Rng(0, ("c",)))
-        with pytest.raises(ValueError, match="mode"):
-            generate([7], model, bank, clf, max_len=2, mode="beam")
+        out, _, _ = generate([7, 9, 11], model, bank, clf, max_len=CFG.max_seq_len - 3)
+        assert len(out) <= CFG.max_seq_len - 3
 
     def test_empty_description_rejected(self):
         model, bank = make_model(), make_bank()

@@ -88,6 +88,27 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match="description"):
             CorpusRecord(id="x", description="")
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", 7),
+        ("description", ["a gear"]),
+        ("claims", "1. A gear assembly comprising a shaft."),
+        ("claims", ["1. A gear.", 2]),
+        ("figure_count", "3"),
+        ("figure_count", 2.0),
+        ("figure_count", True),
+        ("relationship_pairs", {"claim_text": "a", "doc_text": "b"}),
+        ("relationship_pairs", ["a"]),
+        ("corruption_tuples", [["a", "b", "c"]]),
+    ])
+    def test_wrongly_typed_field_rejected_with_location(self, tmp_path, field, value):
+        # a string of claims used to be read as one claim per character
+        row = {"id": "a", "description": "A gear.", field: value}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"id": "ok", "description": "ok"}) + "\n"
+                        + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=f":2: .*{field}"):
+            read_corpus(path)
+
 
 class TestPipelineConfig:
     def test_file_roundtrip(self, tmp_path):
@@ -188,7 +209,7 @@ class TestRunPipeline:
         assert counts["taped"] == 0
 
     def test_training_after_pipeline_gets_correct_gradients(self, tmp_path):
-        from claimforge.generator import GeneratorSample, GeneratorTrainConfig
+        from claimforge.generator import GeneratorSample
         from claimforge.generator.train import _sample_loss
         from claimforge.numerics import Rng, backward
         from claimforge.pipeline.run import build_models
@@ -217,7 +238,7 @@ class TestRunPipeline:
         )}
 
         def loss():
-            return _sample_loss(sample, model, bank, clf, GeneratorTrainConfig())
+            return _sample_loss(sample, model, bank, clf)
 
         grads = backward(loss(), checked)
         step = 1e-5

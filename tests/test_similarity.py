@@ -318,14 +318,6 @@ class TestTrainSimilarity:
                                    SimilarityTrainConfig(epochs=6, lr=1e-3))
         assert history[-1] < history[0]
 
-    def test_nothing_to_train_rejected(self, small_cfg, small_vocab):
-        enc = init_encoder_params(len(small_vocab), small_cfg, Rng(1, ("enc",)))
-        bank = HeadBank.init(small_cfg.model_dim, Rng(1, ("bank",)), head_dim=8)
-        pairs = [([5, 6], [7, 8], None), ([6, 7], [8, 9], None)]
-        with pytest.raises(ValueError, match="nothing to train"):
-            train_similarity(pairs, small_cfg, enc, bank,
-                             SimilarityTrainConfig(train_encoder=False))
-
     def test_too_few_pairs_rejected(self, small_cfg, small_vocab):
         enc = init_encoder_params(len(small_vocab), small_cfg, Rng(1, ("enc",)))
         bank = HeadBank.init(small_cfg.model_dim, Rng(1, ("bank",)), head_dim=8)

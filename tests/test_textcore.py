@@ -1,5 +1,7 @@
 """Tokenizer, sentence boundaries, vocabulary, and encoder behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from claimforge.textcore import (
     encode_sequence,
     init_encoder_params,
     mean_pool,
-    positional_encoding,
     sentence_boundaries,
     tokenize,
 )
@@ -148,6 +149,17 @@ class TestVocabulary:
         assert loaded.encode_text(text) == vocab.encode_text(text)
 
 
+def sinusoid_positions(length: int, dim: int) -> np.ndarray:
+    """Closed form: row p holds sin(p / 10000^(2i/dim)) at 2i and cos at 2i + 1."""
+    pe = np.zeros((length, dim))
+    for p in range(length):
+        for i in range(dim // 2):
+            angle = p / 10000.0 ** (2 * i / dim)
+            pe[p, 2 * i] = math.sin(angle)
+            pe[p, 2 * i + 1] = math.cos(angle)
+    return pe
+
+
 class TestEncoder:
     def test_config_validates_geometry(self):
         with pytest.raises(ValueError):
@@ -160,7 +172,7 @@ class TestEncoder:
                 t.data = np.zeros_like(t.data)
         ids = small_vocab.encode_text("w0 w1 w2 w3")
         out = encode_sequence(ids, small_cfg, params)
-        expected = params["enc/embed"].data[ids] + positional_encoding(
+        expected = params["enc/embed"].data[ids] + sinusoid_positions(
             len(ids), small_cfg.model_dim)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -172,7 +184,7 @@ class TestEncoder:
         # loop-based re-implementation of the single pre-norm block
         d, nh, hd = small_cfg.model_dim, small_cfg.num_heads, small_cfg.head_dim
         g = lambda n: small_enc[f"enc/{n}"].data
-        x = g("embed")[ids] + positional_encoding(len(ids), d)
+        x = g("embed")[ids] + sinusoid_positions(len(ids), d)
 
         def ln(mat, gain, bias, eps=1e-6):
             mu = mat.mean(axis=-1, keepdims=True)
