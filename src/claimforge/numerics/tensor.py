@@ -8,6 +8,7 @@ order and accumulates gradients into every ``requires_grad`` tensor.
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 
@@ -40,7 +41,7 @@ def no_grad():
 
 
 def _check_finite(data: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite value in {where}")
 
 
@@ -64,9 +65,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         _check_finite(self.data, "tensor construction")
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = (
-            np.zeros_like(self.data) if self.requires_grad else None
-        )
+        self.grad: np.ndarray | None = None  # allocated by the first backward that reaches it
         self._parents: tuple = ()
         self._backward = None
 
@@ -77,7 +76,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out.grad = np.zeros_like(data) if out.requires_grad else None
+        out.grad = None
         if out.requires_grad:
             out._parents = parents
             out._backward = backward_fn
@@ -104,7 +103,14 @@ class Tensor:
 
     @staticmethod
     def _wrap(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=np.float64))
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float)):
+            # the finite check of a Python scalar, without a 0-d array round trip
+            if not math.isfinite(other):
+                raise NonFiniteError("non-finite value in tensor construction")
+            return Tensor._from_op(np.asarray(other, dtype=np.float64), (), None)
+        return Tensor(np.asarray(other, dtype=np.float64))
 
     def __add__(self, other):
         other = self._wrap(other)
@@ -305,21 +311,19 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + np.ones_like(self.data)
+        ones = np.ones_like(self.data)
+        self.grad = ones if self.grad is None else self.grad + ones
         for node in reversed(order):
             if node._backward is None:
                 continue
             grads = node._backward(node.grad, node)
             for parent, g in zip(node._parents, grads):
                 if parent.requires_grad:
-                    parent.grad = parent.grad + g
+                    parent.grad = g if parent.grad is None else parent.grad + g
         return seen
 
     def zero_grad(self) -> None:
-        if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
+        self.grad = None
 
 
 def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:

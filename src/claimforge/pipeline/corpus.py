@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
+from claimforge.generator.adapters import DOMAINS
+
 
 @dataclass
 class CorpusRecord:
@@ -27,6 +29,9 @@ class CorpusRecord:
             raise ValueError(f"record {self.id}: description must be a nonempty string")
         if not _list_of(self.claims, str):
             raise ValueError(f"record {self.id}: claims must be a list of strings")
+        if self.domain is not None and self.domain not in DOMAINS:
+            raise ValueError(f"record {self.id}: domain must be one of {', '.join(DOMAINS)} "
+                             f"or null, got {self.domain!r}")
         if self.figure_count is not None and type(self.figure_count) is not int:  # not bool
             raise ValueError(f"record {self.id}: figure_count must be an integer or null, "
                              f"got {self.figure_count!r}")

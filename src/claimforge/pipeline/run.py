@@ -26,7 +26,15 @@ from claimforge.generator import (
 from claimforge.pipeline.config import PipelineConfig
 from claimforge.pipeline.corpus import CorpusRecord, read_corpus
 from claimforge.pipeline.metrics import bleu, rouge_l
-from claimforge.similarity import HeadBank, SimilarityReport, similarity
+from claimforge.similarity import (
+    ChunkFeatures,
+    ClaimFeatures,
+    HeadBank,
+    SimilarityReport,
+    chunk_features,
+    claim_features,
+    similarity,
+)
 from claimforge.textcore import (
     EncoderConfig,
     Vocabulary,
@@ -51,13 +59,18 @@ class PipelineModels:
 class StageOneMemo:
     """Stage-1 work shared by every record of one run, filled as records need it.
 
-    ``states`` maps a token tuple (a claim or a prior-art chunk) to its
-    encoder states; ``prior_art`` maps a prior-art record id to its document
-    and chunks; ``projections`` is the head bank's stacked projections.
-    Valid only for one set of models, config and prior-art records.
+    Kept for the whole run: ``states`` maps a claim's token tuple to its
+    encoder states; ``chunks`` maps a prior-art chunk's token tuple to its
+    ``ChunkFeatures`` (pooled states, per-head keys and values), which stand
+    in for its states; ``prior_art`` maps a prior-art record id to its
+    document and chunks; ``projections`` is the head bank's stacked
+    projections. A claim's own features (pooled states and queries) are
+    built once per record by ``claim_similarities`` and not kept. Valid only
+    for one set of models, config and prior-art records.
     """
 
     states: dict[tuple[int, ...], Tensor] = field(default_factory=dict)
+    chunks: dict[tuple[int, ...], ChunkFeatures] = field(default_factory=dict)
     prior_art: dict[str, tuple[Document, list[Chunk]]] = field(default_factory=dict)
     projections: np.ndarray | None = None
 
@@ -170,13 +183,25 @@ def chunk_record(rec: CorpusRecord, vocab: Vocabulary,
     return doc, kappa, size, chunk_document(doc, size)
 
 
-def _chunk_states(token_ids: list[int], models: PipelineModels, memo: StageOneMemo) -> Tensor:
+def _claim_features(token_ids: list[int], models: PipelineModels,
+                    memo: StageOneMemo) -> ClaimFeatures:
     key = tuple(token_ids)
     states = memo.states.get(key)
     if states is None:
         states = encode_sequence(token_ids, models.cfg, models.enc_params)
         memo.states[key] = states
-    return states
+    return claim_features(states.data, memo.projections)
+
+
+def _chunk_features(token_ids: list[int], models: PipelineModels,
+                    memo: StageOneMemo) -> ChunkFeatures:
+    key = tuple(token_ids)
+    features = memo.chunks.get(key)
+    if features is None:
+        states = encode_sequence(token_ids, models.cfg, models.enc_params)
+        features = chunk_features(states.data, memo.projections)
+        memo.chunks[key] = features
+    return features
 
 
 def claim_similarities(rec: CorpusRecord, prior_art: list[CorpusRecord],
@@ -184,27 +209,28 @@ def claim_similarities(rec: CorpusRecord, prior_art: list[CorpusRecord],
                        memo: StageOneMemo) -> list[SimilarityReport]:
     """Stage-1 similarity: one report per (claim, prior-art chunk) pair, in
     prior-art, claim, chunk order. A record without claims stands in with
-    its description."""
+    its description. Each claim's features are built once for this record,
+    each chunk's once for the run."""
+    if not prior_art:
+        return []
     if memo.projections is None:
         memo.projections = models.head_bank.stacked_projections()
     claim_ids_list = [models.vocab.encode_text(t) for t in rec.claims or [rec.description]]
+    claims = [(ci, _claim_features(ids, models, memo))
+              for ci, ids in enumerate(claim_ids_list) if ids]
     reports = []
     for pa in prior_art:
         if pa.id not in memo.prior_art:
             pa_doc, _, _, pa_chunks = chunk_record(pa, models.vocab, config)
             memo.prior_art[pa.id] = (pa_doc, pa_chunks)
         pa_doc, pa_chunks = memo.prior_art[pa.id]
-        for ci, claim_ids in enumerate(claim_ids_list):
-            if not claim_ids:
-                continue
-            claim_states = _chunk_states(claim_ids, models, memo)
+        for ci, claim in claims:
             for chunk in pa_chunks:
                 span = pa_doc.tokens[chunk.start_token:chunk.end_token]
                 reports.append(similarity(
                     f"{rec.id}/claim{ci}",
                     f"{pa.id}/[{chunk.start_token},{chunk.end_token})",
-                    claim_states, _chunk_states(span, models, memo),
-                    models.head_bank, memo.projections,
+                    claim, _chunk_features(span, models, memo), models.head_bank,
                 ))
     return reports
 
@@ -215,9 +241,9 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
                      memo: StageOneMemo | None = None) -> tuple[dict, dict]:
     """Run stages 1-3 for one record; returns (report record, stage timings).
 
-    ``memo`` carries encoder states, prior-art chunks and the stacked head
-    projections across the records of one run; without it, a fresh one
-    serves this record alone. No autodiff tape is built. The report's
+    ``memo`` carries claim states, prior-art chunks and their features and
+    the stacked head projections across the records of one run; without
+    it, a fresh one serves this record alone. No autodiff tape is built. The report's
     ``curriculum`` block is the schedule at step 0, where inference runs.
     """
     memo = StageOneMemo() if memo is None else memo

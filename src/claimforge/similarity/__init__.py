@@ -5,8 +5,12 @@ from claimforge.similarity.heads import (
     HEAD_DIM,
     RELATIONSHIP_GROUPS,
     RELATIONSHIP_ORDER,
+    ChunkFeatures,
+    ClaimFeatures,
     HeadBank,
     SimilarityReport,
+    chunk_features,
+    claim_features,
     head_weights,
     head_scores,
     similarity,
@@ -18,8 +22,12 @@ __all__ = [
     "HEAD_DIM",
     "RELATIONSHIP_GROUPS",
     "RELATIONSHIP_ORDER",
+    "ChunkFeatures",
+    "ClaimFeatures",
     "HeadBank",
     "SimilarityReport",
+    "chunk_features",
+    "claim_features",
     "head_weights",
     "head_scores",
     "similarity",

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from claimforge.numerics import NonFiniteError, Rng, Tensor, concat, softmax
-from claimforge.textcore import mean_pool
 
 NUM_HEADS = 8
 HEAD_DIM = 64
@@ -95,40 +94,92 @@ def head_weights(claim_repr: Tensor, doc_repr: Tensor, bank: HeadBank) -> Tensor
     return softmax(logits)
 
 
-def head_scores(claim_states: np.ndarray, doc_states: np.ndarray,
-                projections: np.ndarray) -> np.ndarray:
+def head_weight_array(claim_pooled: np.ndarray, doc_pooled: np.ndarray,
+                      bank: HeadBank) -> np.ndarray:
+    """``head_weights`` in plain numpy for inference, with the same ops in the
+    same order, so the same bits: concat, ``@ w1 + b1``, relu, ``@ w2 + b2``,
+    finite check, max-shifted softmax."""
+    p = bank.params
+    x = np.concatenate([claim_pooled, doc_pooled, claim_pooled * doc_pooled])
+    h = x @ p["sim/phi/w1"].data + p["sim/phi/b1"].data
+    logits = (h * (h > 0)) @ p["sim/phi/w2"].data + p["sim/phi/b2"].data
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("non-finite value in softmax input")
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _pool(x: np.ndarray, axis: int) -> np.ndarray:
+    # sum times 1/n, the way mean_pool does: np.mean divides, which can
+    # differ in the last bit and would move the report bytes
+    return x.sum(axis=axis) * (1.0 / x.shape[axis])
+
+
+def _check_states(states: np.ndarray) -> None:
+    if states.shape[0] == 0:
+        raise ValueError("empty states")
+
+
+@dataclass(frozen=True)
+class ClaimFeatures:
+    """What scoring needs of a claim's states, whatever the doc chunk: the
+    pooled states, the per-head queries ``q`` (NUM_HEADS, n, head_dim), their
+    pooled rows ``q_pooled`` and the norms of those."""
+
+    pooled: np.ndarray
+    q: np.ndarray
+    q_pooled: np.ndarray
+    q_norm: np.ndarray
+
+
+@dataclass(frozen=True)
+class ChunkFeatures:
+    """What scoring needs of a doc chunk's states, whatever the claim: the
+    pooled states and the per-head keys and values (NUM_HEADS, m, head_dim)."""
+
+    pooled: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+
+
+def claim_features(states: np.ndarray, projections: np.ndarray) -> ClaimFeatures:
+    """Features of (n, model_dim) claim states under ``HeadBank.stacked_projections``."""
+    _check_states(states)
+    q = states @ projections[0]
+    q_pooled = _pool(q, 1)
+    q_norm = np.sqrt((q_pooled * q_pooled).sum(axis=-1))
+    return ClaimFeatures(_pool(states, 0), q, q_pooled, q_norm)
+
+
+def chunk_features(states: np.ndarray, projections: np.ndarray) -> ChunkFeatures:
+    """Features of (m, model_dim) doc-chunk states under ``HeadBank.stacked_projections``."""
+    _check_states(states)
+    return ChunkFeatures(_pool(states, 0), states @ projections[1], states @ projections[2])
+
+
+def head_scores(claim: ClaimFeatures, doc: ChunkFeatures) -> np.ndarray:
     """Per-head cosine between the pooled attended output and the pooled query.
 
-    All heads at once over ``projections`` from ``HeadBank.stacked_projections``:
-    per head, scaled dot-product attention of the claim's queries over the
-    doc's keys and values, then mean pooling over rows. A head whose pooled
-    vectors have a norm below 1e-12 scores 0. Returns shape (NUM_HEADS,).
+    All heads at once: per head, scaled dot-product attention of the claim's
+    queries over the doc's keys and values, then mean pooling over rows. A
+    head whose pooled vectors have a norm below 1e-12 scores 0. Returns shape
+    (NUM_HEADS,). Pairs are scored one at a time: stacking rows of several
+    pairs into one product can change the last bits.
     """
-    if claim_states.shape[0] == 0 or doc_states.shape[0] == 0:
-        raise ValueError("empty states")
-    wq, wk, wv = projections
-    q = claim_states @ wq
-    k = doc_states @ wk
-    v = doc_states @ wv
-    scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
-    if not np.all(np.isfinite(scores)):
+    q = claim.q
+    scores = (q @ np.swapaxes(doc.k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    if not np.isfinite(scores).all():
         raise NonFiniteError("non-finite value in attention scores")
     e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    attended = (e / e.sum(axis=-1, keepdims=True)) @ v
-    # pool as sum times 1/n, the way mean_pool does: np.mean divides, which
-    # can differ in the last bit and would move the report bytes
-    n = q.shape[1]
-    a = attended.sum(axis=1) * (1.0 / n)
-    b = q.sum(axis=1) * (1.0 / n)
+    a = _pool((e / e.sum(axis=-1, keepdims=True)) @ doc.v, 1)
     norm_a = np.sqrt((a * a).sum(axis=-1))
-    norm_b = np.sqrt((b * b).sum(axis=-1))
     out = np.zeros(len(q))
-    ok = (norm_a >= 1e-12) & (norm_b >= 1e-12)
-    out[ok] = (a * b).sum(axis=-1)[ok] / (norm_a * norm_b)[ok]
+    ok = (norm_a >= 1e-12) & (claim.q_norm >= 1e-12)
+    out[ok] = (a * claim.q_pooled).sum(axis=-1)[ok] / (norm_a * claim.q_norm)[ok]
     return out
 
 
-def group_masses_from_weights(w: np.ndarray) -> dict[str, float]:
+def group_masses_from_weights(w: np.ndarray | list[float]) -> dict[str, float]:
     return {
         name: float(sum(w[h - 1] for h in heads))
         for name, heads in RELATIONSHIP_GROUPS.items()
@@ -145,24 +196,33 @@ def label_from_masses(masses: dict[str, float]) -> str:
 
 
 def similarity(claim_chunk_id: str, doc_chunk_id: str,
-               claim_states: Tensor, doc_states: Tensor,
+               claim: ClaimFeatures | Tensor, doc: ChunkFeatures | Tensor,
                bank: HeadBank, projections: np.ndarray | None = None) -> SimilarityReport:
     """Head-weighted similarity report for one (claim chunk, doc chunk) pair.
 
-    ``projections`` is ``bank.stacked_projections()``; a caller scoring many
-    pairs with one bank passes it, otherwise it is built for this pair.
+    ``claim`` and ``doc`` are the texts' features, from ``claim_features`` and
+    ``chunk_features``, or their raw encoder states, which are turned into
+    features here, for this pair only. A caller scoring many pairs builds
+    each text's features once and passes them. ``projections`` is
+    ``bank.stacked_projections()`` and is read only for raw states; without
+    it, it is built for this pair.
     """
-    if projections is None:
-        projections = bank.stacked_projections()
-    w = head_weights(mean_pool(claim_states), mean_pool(doc_states), bank)
-    w_np = w.data
-    score_np = head_scores(claim_states.data, doc_states.data, projections)
-    masses = group_masses_from_weights(w_np)
+    if isinstance(claim, Tensor) or isinstance(doc, Tensor):
+        if projections is None:
+            projections = bank.stacked_projections()
+        if isinstance(claim, Tensor):
+            claim = claim_features(claim.data, projections)
+        if isinstance(doc, Tensor):
+            doc = chunk_features(doc.data, projections)
+    w_np = head_weight_array(claim.pooled, doc.pooled, bank)
+    score_np = head_scores(claim, doc)
+    weights = w_np.tolist()
+    masses = group_masses_from_weights(weights)
     return SimilarityReport(
         claim_chunk_id=claim_chunk_id,
         doc_chunk_id=doc_chunk_id,
-        head_scores=[float(s) for s in score_np],
-        head_weights=[float(x) for x in w_np],
+        head_scores=score_np.tolist(),
+        head_weights=weights,
         similarity=float(np.dot(w_np, score_np)),
         relationship_label=label_from_masses(masses),
         group_masses=masses,

@@ -1,6 +1,5 @@
 """Shared fixtures: compact model geometry so tests stay fast."""
 
-import numpy as np
 import pytest
 
 from claimforge.numerics import Rng

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from claimforge.chunker import (
-    CHUNK_SIZE_SPAN,
     MAX_CHUNK_SIZE,
     MIN_CHUNK_SIZE,
     Chunk,

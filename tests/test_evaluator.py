@@ -8,11 +8,9 @@ import pytest
 from claimforge.evaluator import (
     ASPECTS,
     EvaluatorModel,
-    QualityReport,
     adaptive_margin,
     aspect_scores,
     encode_pair,
-    ordering_accuracy,
     overall_score,
     score_pair,
     train_evaluator,

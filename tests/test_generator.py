@@ -31,7 +31,6 @@ from claimforge.textcore import (
     SEP_ID,
     EncoderConfig,
     KVCache,
-    Vocabulary,
     encode_sequence,
 )
 from claimforge.training import CurriculumSchedule

@@ -1,5 +1,6 @@
 """Autodiff core: gradient checks, stabilized softmax, attention, checkpoints."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -140,6 +141,40 @@ class TestBackward:
         with pytest.warns(UserWarning, match="orphan"):
             backward(loss, params)
 
+    def test_unreachable_parameter_gets_zeros_and_warning(self):
+        params = {
+            "used": Tensor([1.0, 2.0], requires_grad=True),
+            "orphan": Tensor(np.ones((2, 3)), requires_grad=True),
+        }
+        loss = (params["used"] * params["used"]).sum()
+        with pytest.warns(UserWarning, match="'orphan' not reachable"):
+            grads = backward(loss, params)
+        assert np.array_equal(grads["orphan"], np.zeros((2, 3)))
+        assert params["orphan"].grad is None
+        np.testing.assert_array_equal(grads["used"], [2.0, 4.0])
+
+    def test_gradient_buffers_allocated_by_first_backward(self):
+        w = Tensor([1.0, -2.0], requires_grad=True)
+        assert w.grad is None
+        (w * 3.0).sum().backward()
+        np.testing.assert_array_equal(w.grad, [3.0, 3.0])
+        # a second backward accumulates; zero_grad frees the buffer
+        (w * w).sum().backward()
+        np.testing.assert_array_equal(w.grad, [5.0, -1.0])
+        w.zero_grad()
+        assert w.grad is None
+
+    def test_fresh_model_holds_no_gradient_buffer(self):
+        from claimforge.pipeline import PipelineConfig
+        from claimforge.pipeline.run import _param_tensors, build_models
+        from claimforge.textcore import Vocabulary
+        config = PipelineConfig(model_dim=16, num_heads=2, head_dim=8, num_layers=1,
+                                max_seq_len=64)
+        models = build_models(Vocabulary.build(["a b c d"], cap=64), config, seed=0)
+        params = _param_tensors(models)
+        assert params and all(p.requires_grad for p in params.values())
+        assert [name for name, p in params.items() if p.grad is not None] == []
+
     def test_composite_vs_finite_differences(self):
         rng = Rng(0, ("bw",))
         x0 = rng.normal((3, 3))
@@ -218,6 +253,26 @@ class TestTensorValidation:
             Tensor([1.0, float("inf")])
         with pytest.raises(NonFiniteError):
             Tensor([float("nan")])
+
+
+    @pytest.mark.parametrize("inference", [False, True])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_python_scalar_rejected(self, inference, bad):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with no_grad() if inference else contextlib.nullcontext():
+            with pytest.raises(NonFiniteError):
+                x * bad
+            with pytest.raises(NonFiniteError):
+                x + bad
+            with pytest.raises(NonFiniteError):
+                bad * x
+
+    def test_python_scalar_is_a_constant(self):
+        x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        y = x * 2 + 0.25
+        np.testing.assert_array_equal(y.data, [3.25, -3.75])
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
 class TestCheckpoint:

@@ -1,7 +1,6 @@
 """Synthetic corpus, config, orchestration, reports, and the CLI contract."""
 
 import json
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ from claimforge.pipeline import (
     synth_corpus,
     write_corpus,
 )
-from claimforge.pipeline.synth import DOMAIN_POOLS
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,6 +107,25 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match=f":2: .*{field}"):
             read_corpus(path)
 
+
+    @pytest.mark.parametrize("domain", ["aerospace", 7, "Mechanical"])
+    def test_unknown_domain_rejected_with_location(self, tmp_path, capsys, domain):
+        # train-gen used to die on such a record with a bare KeyError or
+        # tuple.index message, and pipeline to accept it
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"id": "ok", "description": "A gear.",
+                                    "domain": DOMAINS[0]}) + "\n"
+                        + json.dumps({"id": "a", "description": "A gear.",
+                                      "domain": domain}) + "\n")
+        with pytest.raises(ValueError, match=f":2: .*domain must be one of .*{domain!r}"):
+            read_corpus(path)
+        code = cli_main(["--out", str(tmp_path / "o"), "train-gen", "--corpus", str(path)])
+        assert code == 1
+        assert f"{path}:2:" in capsys.readouterr().err
+
+    def test_known_domains_and_null_accepted(self):
+        for domain in (*DOMAINS, None):
+            assert CorpusRecord(id="x", description="d", domain=domain).domain == domain
 
 class TestPipelineConfig:
     def test_file_roundtrip(self, tmp_path):

@@ -1,6 +1,7 @@
 """Relationship heads: weights, scores, labels, and contrastive training."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,19 +10,21 @@ from hypothesis import strategies as st
 
 from claimforge.numerics import Rng, Tensor, scaled_dot_attention
 from claimforge.similarity import (
-    HEAD_DIM,
     NUM_HEADS,
     RELATIONSHIP_GROUPS,
     RELATIONSHIP_ORDER,
     HeadBank,
+    SimilarityReport,
     SimilarityTrainConfig,
+    chunk_features,
+    claim_features,
     head_scores,
     head_weights,
     similarity,
     train_similarity,
 )
 from claimforge.similarity.heads import group_masses_from_weights, label_from_masses
-from claimforge.textcore import Vocabulary, init_encoder_params, encode_sequence, mean_pool
+from claimforge.textcore import init_encoder_params, encode_sequence, mean_pool
 from claimforge.training import contrastive_loss
 
 DIM = 16
@@ -29,6 +32,11 @@ DIM = 16
 
 def make_bank(seed=0, head_dim=8):
     return HeadBank.init(DIM, Rng(seed, ("bank",)), head_dim=head_dim)
+
+
+def scores_of(claim: np.ndarray, doc: np.ndarray, projections: np.ndarray) -> np.ndarray:
+    """``head_scores`` of raw (n, DIM) claim and doc states."""
+    return head_scores(claim_features(claim, projections), chunk_features(doc, projections))
 
 
 def softmax_np(x):
@@ -82,7 +90,7 @@ class TestHeadScore:
         # with V == Q == K the pooled vectors line up exactly when the chunk
         # is a single repeated row
         row = np.tile(Rng(4, ("r",)).normal((1, DIM)), (3, 1))
-        assert abs(head_scores(row, row, bank.stacked_projections())[0] - 1.0) < 1e-10
+        assert abs(scores_of(row, row, bank.stacked_projections())[0] - 1.0) < 1e-10
 
     def test_orthogonal_pools_score_zero(self):
         bank = HeadBank.init(DIM, Rng(0, ("b",)), head_dim=DIM)
@@ -91,14 +99,14 @@ class TestHeadScore:
         q = np.zeros((1, DIM)); q[0, 0] = 1.0
         v = np.zeros((1, DIM)); v[0, 1] = 1.0
         # single doc row: attended == projected doc value == e1, query pool e0
-        assert abs(head_scores(q, v, bank.stacked_projections())[0]) < 1e-12
+        assert abs(scores_of(q, v, bank.stacked_projections())[0]) < 1e-12
 
     def test_matches_brute_force_oracle(self):
         bank = make_bank(seed=0)
         rng = Rng(5, ("pair",))
         claim = rng.normal((4, DIM))
         doc = rng.normal((4, DIM))
-        got = head_scores(claim, doc, bank.stacked_projections())
+        got = scores_of(claim, doc, bank.stacked_projections())
         for h in range(1, NUM_HEADS + 1):
             q = claim @ bank.params[f"sim/h{h}/wq"].data
             k = doc @ bank.params[f"sim/h{h}/wk"].data
@@ -114,8 +122,10 @@ class TestHeadScore:
 
     def test_empty_states_error(self):
         projections = make_bank().stacked_projections()
-        with pytest.raises(ValueError):
-            head_scores(np.zeros((0, DIM)), np.ones((2, DIM)), projections)
+        with pytest.raises(ValueError, match="empty states"):
+            claim_features(np.zeros((0, DIM)), projections)
+        with pytest.raises(ValueError, match="empty states"):
+            chunk_features(np.zeros((0, DIM)), projections)
 
 
 def per_head_reference(claim: np.ndarray, doc: np.ndarray, bank: HeadBank) -> np.ndarray:
@@ -144,7 +154,7 @@ class TestHeadScores:
         rng = Rng(seed, ("states",))
         claim = rng.normal((n_claim, DIM), scale)
         doc = rng.normal((n_doc, DIM), scale)
-        got = head_scores(claim, doc, bank.stacked_projections())
+        got = scores_of(claim, doc, bank.stacked_projections())
         assert got.shape == (NUM_HEADS,)
         assert np.array_equal(got, per_head_reference(claim, doc, bank))
 
@@ -154,12 +164,12 @@ class TestHeadScores:
         rng = Rng(9, ("zero",))
         doc = rng.normal((3, DIM))
         # zero claim states: every pooled query is zero, so every head scores 0
-        zero = head_scores(np.zeros((2, DIM)), doc, bank.stacked_projections())
+        zero = scores_of(np.zeros((2, DIM)), doc, bank.stacked_projections())
         assert np.array_equal(zero, np.zeros(NUM_HEADS))
         # a zero query projection zeroes one head and leaves the others alone
         bank.params["sim/h3/wq"].data = np.zeros((DIM, head_dim))
         claim = rng.normal((2, DIM))
-        got = head_scores(claim, doc, bank.stacked_projections())
+        got = scores_of(claim, doc, bank.stacked_projections())
         assert got[2] == 0.0
         assert np.array_equal(got, per_head_reference(claim, doc, bank))
 
@@ -170,6 +180,103 @@ class TestHeadScores:
         for p, proj in enumerate(("wq", "wk", "wv")):
             for h in range(1, NUM_HEADS + 1):
                 assert np.array_equal(stacked[p, h - 1], bank.params[f"sim/h{h}/{proj}"].data)
+
+
+def per_pair_head_scores(claim: np.ndarray, doc: np.ndarray,
+                         projections: np.ndarray) -> np.ndarray:
+    """Head scores as the per-pair path computed them, projecting both texts
+    for every pair."""
+    if claim.shape[0] == 0 or doc.shape[0] == 0:
+        raise ValueError("empty states")
+    wq, wk, wv = projections
+    q = claim @ wq
+    k = doc @ wk
+    v = doc @ wv
+    scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    attended = (e / e.sum(axis=-1, keepdims=True)) @ v
+    n = q.shape[1]
+    a = attended.sum(axis=1) * (1.0 / n)
+    b = q.sum(axis=1) * (1.0 / n)
+    norm_a = np.sqrt((a * a).sum(axis=-1))
+    norm_b = np.sqrt((b * b).sum(axis=-1))
+    out = np.zeros(len(q))
+    ok = (norm_a >= 1e-12) & (norm_b >= 1e-12)
+    out[ok] = (a * b).sum(axis=-1)[ok] / (norm_a * norm_b)[ok]
+    return out
+
+
+def per_pair_similarity(claim_chunk_id: str, doc_chunk_id: str, claim: Tensor, doc: Tensor,
+                        bank: HeadBank) -> SimilarityReport:
+    """The report as the per-pair path built it: autodiff ``head_weights`` over
+    ``mean_pool`` of both texts, and ``per_pair_head_scores``."""
+    w = head_weights(mean_pool(claim), mean_pool(doc), bank).data
+    s = per_pair_head_scores(claim.data, doc.data, bank.stacked_projections())
+    masses = group_masses_from_weights(w)
+    return SimilarityReport(claim_chunk_id, doc_chunk_id, [float(x) for x in s],
+                            [float(x) for x in w], float(np.dot(w, s)),
+                            label_from_masses(masses), masses)
+
+
+class TestFeaturePathEqualsPerPairPath:
+    @pytest.mark.parametrize("head_dim", [8, 64])
+    @given(seed=st.integers(0, 2**31 - 1), n_claim=st.integers(1, 7),
+           n_doc=st.integers(1, 7), scale=st.sampled_from([1e-3, 1.0, 30.0]),
+           zero_query=st.sampled_from([None, "states", "head"]))
+    @settings(max_examples=25, deadline=None)
+    def test_reports_equal(self, head_dim, seed, n_claim, n_doc, scale, zero_query):
+        bank = make_bank(seed=seed % 1000, head_dim=head_dim)
+        rng = Rng(seed, ("feature-path",))
+        claim = rng.normal((n_claim, DIM), scale)
+        docs = [rng.normal((n_doc, DIM), scale), rng.normal((n_doc + 1, DIM), scale)]
+        if zero_query == "states":
+            claim = np.zeros_like(claim)  # every pooled query is zero
+        elif zero_query == "head":
+            bank.params["sim/h5/wq"].data = np.zeros((DIM, head_dim))  # one pooled query is zero
+        projections = bank.stacked_projections()
+        features = claim_features(claim, projections)
+        for doc in docs:
+            want = per_pair_similarity("c", "d", Tensor(claim), Tensor(doc), bank)
+            got = similarity("c", "d", features, chunk_features(doc, projections), bank)
+            assert got == want
+            # raw states go through the same feature builders
+            assert similarity("c", "d", Tensor(claim), Tensor(doc), bank) == want
+        if zero_query is not None:
+            assert want.head_scores[4] == 0.0
+
+    def test_golden_fixtures(self):
+        from claimforge.numerics import no_grad
+        from claimforge.pipeline import PipelineConfig, read_corpus
+        from claimforge.pipeline.run import (
+            StageOneMemo, chunk_record, claim_similarities, load_models, record_texts,
+        )
+        data = Path(__file__).parent / "data"
+        records = read_corpus(data / "golden_corpus.jsonl")
+        prior_art = read_corpus(data / "golden_prior_art.jsonl")
+        # the geometry tests/data/regenerate_golden.py writes the golden report with
+        config = PipelineConfig(model_dim=16, num_heads=2, head_dim=8, num_layers=1,
+                                max_seq_len=256, max_gen_len=8, top_k=3)
+        models = load_models(record_texts(records + prior_art), config, seed=0)
+        memo = StageOneMemo()
+        pairs = 0
+        with no_grad():
+            for rec in records:
+                want = []
+                for pa in prior_art:
+                    pa_doc, _, _, chunks = chunk_record(pa, models.vocab, config)
+                    for ci, text in enumerate(rec.claims):
+                        claim = encode_sequence(models.vocab.encode_text(text),
+                                                models.cfg, models.enc_params)
+                        for c in chunks:
+                            doc = encode_sequence(pa_doc.tokens[c.start_token:c.end_token],
+                                                  models.cfg, models.enc_params)
+                            want.append(per_pair_similarity(
+                                f"{rec.id}/claim{ci}",
+                                f"{pa.id}/[{c.start_token},{c.end_token})",
+                                claim, doc, models.head_bank))
+                assert claim_similarities(rec, prior_art, models, config, memo) == want
+                pairs += len(want)
+        assert pairs > 0
 
 
 class TestSimilarityReport:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from claimforge.numerics import Rng, Tensor, softmax
+from claimforge.numerics import Rng
 from claimforge.textcore import (
     BOS_ID,
     EOS_ID,
