@@ -23,8 +23,6 @@ class Document:
     tokens: list[int]
     claim_count: int
     figure_count: int
-    domain_label: str | None = None
-    jurisdiction: str | None = None
 
     def __post_init__(self):
         if self.claim_count < 0 or self.figure_count < 0:
@@ -32,17 +30,13 @@ class Document:
 
     @classmethod
     def from_text(cls, doc_id: str, text: str, vocab: Vocabulary,
-                  claim_count: int | None = None, figure_count: int | None = None,
-                  domain_label: str | None = None,
-                  jurisdiction: str | None = None) -> "Document":
+                  claim_count: int | None = None, figure_count: int | None = None) -> "Document":
         return cls(
             id=doc_id,
             text=text,
             tokens=vocab.encode_text(text),
             claim_count=count_claims(text) if claim_count is None else claim_count,
             figure_count=count_figures(text) if figure_count is None else figure_count,
-            domain_label=domain_label,
-            jurisdiction=jurisdiction,
         )
 
 
@@ -90,15 +84,12 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def target_size(kappa: float, centering: float = 0.0, scale: float = 1.0) -> int:
-    """Adaptive chunk size floor(256 + 768 * sigmoid(scale * (kappa - centering))).
-
-    Defaults reproduce the verbatim sizing rule; the centering/scale knobs let
-    corpus-standardized complexity reach the full 256..1024 range.
-    """
+def target_size(kappa: float) -> int:
+    """Adaptive chunk size floor(256 + 768 * sigmoid(kappa)); as kappa >= 0,
+    it lies in [640, 1024]."""
     if kappa < 0:
         raise ValueError("complexity must be non-negative")
-    s = int(math.floor(MIN_CHUNK_SIZE + CHUNK_SIZE_SPAN * _sigmoid(scale * (kappa - centering))))
+    s = int(math.floor(MIN_CHUNK_SIZE + CHUNK_SIZE_SPAN * _sigmoid(kappa)))
     return min(s, MAX_CHUNK_SIZE)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 from claimforge.numerics import NonFiniteError, Rng, CheckpointError, no_grad
 from claimforge.evaluator import EvaluatorTrainConfig, ordering_accuracy, score_pair, train_evaluator
 from claimforge.generator import (
+    DOMAINS,
     GeneratorSample,
     GeneratorTrainConfig,
     generate,
@@ -103,7 +104,10 @@ def _resolve_seed(args, config: PipelineConfig) -> int:
         return args.seed
     env = os.environ.get("CLAIMFORGE_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"CLAIMFORGE_SEED must be an integer, got {env!r}") from None
     return config.seed
 
 
@@ -139,7 +143,7 @@ def _cmd_chunk(args, config, seed) -> int:
     vocab = Vocabulary.build(record_texts(records), cap=config.vocab_cap)
     rows = []
     for rec in records:
-        _, kappa, size, chunks = chunk_record(rec, vocab, config)
+        _, kappa, size, chunks = chunk_record(rec, vocab)
         rows.append({"doc_id": rec.id, "complexity": kappa, "target_size": size,
                      "chunks": [[c.start_token, c.end_token] for c in chunks]})
     _write_jsonl(args.out / "chunks.jsonl", rows)
@@ -151,9 +155,9 @@ def _cmd_chunk(args, config, seed) -> int:
 def _cmd_similarity(args, config, seed) -> int:
     records, prior = read_corpus(args.corpus), read_corpus(args.prior_art)
     models = load_models(record_texts(records + prior), config, seed, args.checkpoint)
-    memo = StageOneMemo()
+    memo = StageOneMemo(models.head_bank.stacked_projections())
     rows = [report.to_record() for rec in records
-            for report in claim_similarities(rec, prior, models, config, memo)]
+            for report in claim_similarities(rec, prior, models, memo)]
     _write_jsonl(args.out / "similarity.jsonl", rows)
     print(f"wrote {len(rows)} similarity reports -> {args.out / 'similarity.jsonl'}")
     return EXIT_OK
@@ -262,15 +266,25 @@ def _cmd_generate(args, config, seed) -> int:
 
 
 def _read_pairs(path: Path) -> list[dict]:
+    """Rows with string ``reference`` and ``generated`` and an optional ``domain``
+    from ``DOMAINS``; a bad row is an error naming its ``path:lineno``."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            if "reference" not in row or "generated" not in row:
-                raise ValueError(f"{path}:{lineno}: pair needs 'reference' and 'generated'")
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from None
+            if not (isinstance(row, dict)
+                    and all(isinstance(row.get(k), str) for k in ("reference", "generated"))):
+                raise ValueError(f"{path}:{lineno}: a pair is a JSON object with string "
+                                 f"'reference' and 'generated'")
+            if row.get("domain", DOMAINS[0]) not in DOMAINS:
+                raise ValueError(f"{path}:{lineno}: domain must be one of {', '.join(DOMAINS)}, "
+                                 f"got {row['domain']!r}")
             pairs.append(row)
     return pairs
 
@@ -284,7 +298,7 @@ def _cmd_evaluate(args, config, seed) -> int:
 
     rows = []
     for pair in pairs:
-        alpha = domain_one_hot(pair.get("domain", "mechanical"))
+        alpha = domain_one_hot(pair.get("domain", DOMAINS[0]))
         report = score_pair(models.vocab.encode_text(pair["reference"]),
                             models.vocab.encode_text(pair["generated"]),
                             alpha, models.evaluator, models.enc_params)

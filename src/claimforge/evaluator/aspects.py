@@ -27,14 +27,11 @@ class EvaluatorModel:
     params: dict[str, Tensor] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, cfg: EncoderConfig, rng: Rng,
-             base_margins: np.ndarray | None = None,
-             adapt_strengths: np.ndarray | None = None) -> "EvaluatorModel":
+    def init(cls, cfg: EncoderConfig, rng: Rng) -> "EvaluatorModel":
         k = len(ASPECTS)
         d = cfg.model_dim
-        mu = np.full(k, DEFAULT_BASE_MARGIN) if base_margins is None else np.asarray(base_margins, float)
-        beta = np.full(k, DEFAULT_ADAPT_STRENGTH) if adapt_strengths is None else np.asarray(adapt_strengths, float)
-        model = cls(cfg=cfg, base_margins=mu, adapt_strengths=beta)
+        model = cls(cfg=cfg, base_margins=np.full(k, DEFAULT_BASE_MARGIN),
+                    adapt_strengths=np.full(k, DEFAULT_ADAPT_STRENGTH))
         # aspect queries start as rows of a random orthonormal matrix so the
         # five aspects are distinguishable from step 0
         q, _ = np.linalg.qr(rng.normal((d, d)))

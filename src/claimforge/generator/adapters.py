@@ -19,18 +19,16 @@ ADAPTED_PROJECTIONS = ("wq", "wv")
 class AdapterBank:
     """One (B, C) factor pair per domain per adapted projection.
 
-    The delta for domain d is B_d @ C_d^T, rank at most ``rank``. B starts at
-    zero so an untrained bank leaves the base model exactly unchanged.
+    The delta for domain d is B_d @ C_d^T, rank at most ``ADAPTER_RANK``. B
+    starts at zero so an untrained bank leaves the base model exactly unchanged.
     """
 
-    rank: int = ADAPTER_RANK
     params: dict[str, Tensor] = field(default_factory=dict)
     target_names: list[str] = field(default_factory=list)
 
     @classmethod
-    def init(cls, num_layers: int, model_dim: int, rng: Rng,
-             rank: int = ADAPTER_RANK) -> "AdapterBank":
-        bank = cls(rank=rank)
+    def init(cls, num_layers: int, model_dim: int, rng: Rng) -> "AdapterBank":
+        bank = cls()
         for layer in range(num_layers):
             for proj in ADAPTED_PROJECTIONS:
                 target = f"dec/l{layer}/attn/{proj}"
@@ -38,10 +36,10 @@ class AdapterBank:
                 for domain in DOMAINS:
                     base = f"adapter/{domain}/l{layer}/{proj}"
                     bank.params[f"{base}/B"] = Tensor(
-                        np.zeros((model_dim, rank)), requires_grad=True
+                        np.zeros((model_dim, ADAPTER_RANK)), requires_grad=True
                     )
                     bank.params[f"{base}/C"] = Tensor(
-                        rng.normal((model_dim, rank), 0.02), requires_grad=True
+                        rng.normal((model_dim, ADAPTER_RANK), 0.02), requires_grad=True
                     )
         return bank
 

@@ -374,7 +374,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if x.data.size == 0:
         raise ValueError("softmax of empty input")
     _check_finite(x.data, "softmax input")
-    shifted = x - Tensor(np.max(x.data, axis=axis, keepdims=True))
+    # the max of a finite input is finite: no second check
+    shifted = x - Tensor._from_op(np.max(x.data, axis=axis, keepdims=True), (), None)
     e = shifted.exp()
     return e / e.sum(axis=axis, keepdims=True)
 

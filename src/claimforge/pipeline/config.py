@@ -17,14 +17,10 @@ class PipelineConfig:
     num_layers: int = 2
     max_seq_len: int = 1024
     vocab_cap: int = 8192
-    # chunking
-    chunk_centering: float = 0.0
-    chunk_scale: float = 1.0
     # similarity
     sim_temperature: float = 0.1
     aux_weight: float = 0.5
     # generator
-    adapter_rank: int = 8
     max_gen_len: int = 32
     # training
     batch_size: int = 4
@@ -36,9 +32,6 @@ class PipelineConfig:
     t0: float = 5000.0
     level3_tau_threshold: float = 0.999
     verbatim_mode: bool = False
-    # evaluation
-    base_margin: float = 0.3
-    adapt_strength: float = 0.1
     # reporting
     top_k: int = 5
     seed: int = 0
@@ -85,7 +78,11 @@ class PipelineConfig:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in known:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                kwargs[key] = _parse(known[key], value, key)
+                try:
+                    kwargs[key] = _parse(known[key], value)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse "
+                                     f"{known[key]} from {value!r}") from None
         return cls(**kwargs)
 
     def to_file(self, path) -> None:
@@ -94,14 +91,14 @@ class PipelineConfig:
                 fh.write(f"{f.name} = {getattr(self, f.name)}\n")
 
 
-def _parse(type_name: str, value: str, key: str):
+def _parse(type_name: str, value: str):
     if type_name == "bool":
         low = value.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
-        raise ValueError(f"config key {key!r}: cannot parse bool from {value!r}")
+        raise ValueError(value)
     if type_name == "int":
         return int(value)
     if type_name == "float":

@@ -6,6 +6,11 @@ import json
 from dataclasses import dataclass, field, asdict
 
 from claimforge.generator.adapters import DOMAINS
+from claimforge.similarity.heads import RELATIONSHIP_GROUPS
+
+# the string entries each row of these record fields must carry
+_STRING_KEYS = {"relationship_pairs": ("claim_text", "doc_text"),
+                "corruption_tuples": ("reference", "better", "worse")}
 
 
 @dataclass
@@ -35,9 +40,19 @@ class CorpusRecord:
         if self.figure_count is not None and type(self.figure_count) is not int:  # not bool
             raise ValueError(f"record {self.id}: figure_count must be an integer or null, "
                              f"got {self.figure_count!r}")
-        for name in ("relationship_pairs", "corruption_tuples"):
-            if not _list_of(getattr(self, name), dict):
+        for name, keys in _STRING_KEYS.items():
+            rows = getattr(self, name)
+            if not _list_of(rows, dict):
                 raise ValueError(f"record {self.id}: {name} must be a list of objects")
+            for i, row in enumerate(rows):
+                if not all(isinstance(row.get(k), str) for k in keys):
+                    raise ValueError(f"record {self.id}: {name}[{i}] needs string "
+                                     f"{', '.join(keys)}")
+        for i, pair in enumerate(self.relationship_pairs):
+            if pair.get("label") not in (None, *RELATIONSHIP_GROUPS):
+                raise ValueError(f"record {self.id}: relationship_pairs[{i}] label must be "
+                                 f"one of {', '.join(RELATIONSHIP_GROUPS)} or null, "
+                                 f"got {pair['label']!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)

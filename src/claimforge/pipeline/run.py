@@ -16,7 +16,7 @@ import numpy as np
 
 from claimforge.numerics import Rng, Tensor, load_checkpoint, no_grad, save_checkpoint
 from claimforge.chunker import Chunk, Document, chunk_document, complexity, target_size
-from claimforge.evaluator import ASPECTS, EvaluatorModel, score_pair
+from claimforge.evaluator import EvaluatorModel, score_pair
 from claimforge.generator import (
     AdapterBank,
     DomainClassifier,
@@ -28,7 +28,6 @@ from claimforge.pipeline.corpus import CorpusRecord, read_corpus
 from claimforge.pipeline.metrics import bleu, rouge_l
 from claimforge.similarity import (
     ChunkFeatures,
-    ClaimFeatures,
     HeadBank,
     SimilarityReport,
     chunk_features,
@@ -57,22 +56,17 @@ class PipelineModels:
 
 @dataclass
 class StageOneMemo:
-    """Stage-1 work shared by every record of one run, filled as records need it.
+    """The stage-1 work that repeats across the records of one run: the prior art.
 
-    Kept for the whole run: ``states`` maps a claim's token tuple to its
-    encoder states; ``chunks`` maps a prior-art chunk's token tuple to its
-    ``ChunkFeatures`` (pooled states, per-head keys and values), which stand
-    in for its states; ``prior_art`` maps a prior-art record id to its
-    document and chunks; ``projections`` is the head bank's stacked
-    projections. A claim's own features (pooled states and queries) are
-    built once per record by ``claim_similarities`` and not kept. Valid only
-    for one set of models, config and prior-art records.
+    ``projections`` is the head bank's ``stacked_projections()``;
+    ``prior_art`` maps a prior-art record id to its chunks, as (chunk id,
+    ``ChunkFeatures``) pairs, filled by ``_prior_art_chunks`` the first time a
+    record needs them. Valid only for one set of models, config and
+    prior-art records.
     """
 
-    states: dict[tuple[int, ...], Tensor] = field(default_factory=dict)
-    chunks: dict[tuple[int, ...], ChunkFeatures] = field(default_factory=dict)
-    prior_art: dict[str, tuple[Document, list[Chunk]]] = field(default_factory=dict)
-    projections: np.ndarray | None = None
+    projections: np.ndarray
+    prior_art: dict[str, list[tuple[str, ChunkFeatures]]] = field(default_factory=dict)
 
 
 @dataclass
@@ -92,14 +86,9 @@ def build_models(vocab: Vocabulary, config: PipelineConfig, seed: int) -> Pipeli
     enc_params = init_encoder_params(len(vocab), cfg, rng.substream("enc"))
     head_bank = HeadBank.init(cfg.model_dim, rng.substream("sim"), head_dim=cfg.head_dim)
     generator = GeneratorModel.init(len(vocab), cfg, rng.substream("dec"))
-    adapter_bank = AdapterBank.init(cfg.num_layers, cfg.model_dim, rng.substream("bank"),
-                                    rank=config.adapter_rank)
+    adapter_bank = AdapterBank.init(cfg.num_layers, cfg.model_dim, rng.substream("bank"))
     classifier = DomainClassifier.init(cfg.model_dim, rng.substream("clf"))
-    evaluator = EvaluatorModel.init(
-        cfg, rng.substream("eval"),
-        base_margins=np.full(len(ASPECTS), config.base_margin),
-        adapt_strengths=np.full(len(ASPECTS), config.adapt_strength),
-    )
+    evaluator = EvaluatorModel.init(cfg, rng.substream("eval"))
     return PipelineModels(vocab, cfg, enc_params, head_bank, generator,
                           adapter_bank, classifier, evaluator)
 
@@ -165,8 +154,7 @@ def all_params(models: PipelineModels) -> dict[str, np.ndarray]:
     return {name: t.data for name, t in _param_tensors(models).items()}
 
 
-def chunk_record(rec: CorpusRecord, vocab: Vocabulary,
-                 config: PipelineConfig) -> tuple[Document, float, int, list[Chunk]]:
+def chunk_record(rec: CorpusRecord, vocab: Vocabulary) -> tuple[Document, float, int, list[Chunk]]:
     """Stage-1 chunking of a record (description, then its claims): the
     document, its complexity, the target chunk size and the chunks."""
     claims_text = "\n".join(rec.claims)
@@ -175,78 +163,60 @@ def chunk_record(rec: CorpusRecord, vocab: Vocabulary,
         rec.id, full, vocab,
         claim_count=len(rec.claims) if rec.claims else None,
         figure_count=rec.figure_count,
-        domain_label=rec.domain,
-        jurisdiction=rec.jurisdiction,
     )
     kappa = complexity(doc)
-    size = target_size(kappa, centering=config.chunk_centering, scale=config.chunk_scale)
+    size = target_size(kappa)
     return doc, kappa, size, chunk_document(doc, size)
 
 
-def _claim_features(token_ids: list[int], models: PipelineModels,
-                    memo: StageOneMemo) -> ClaimFeatures:
-    key = tuple(token_ids)
-    states = memo.states.get(key)
-    if states is None:
-        states = encode_sequence(token_ids, models.cfg, models.enc_params)
-        memo.states[key] = states
-    return claim_features(states.data, memo.projections)
-
-
-def _chunk_features(token_ids: list[int], models: PipelineModels,
-                    memo: StageOneMemo) -> ChunkFeatures:
-    key = tuple(token_ids)
-    features = memo.chunks.get(key)
-    if features is None:
-        states = encode_sequence(token_ids, models.cfg, models.enc_params)
-        features = chunk_features(states.data, memo.projections)
-        memo.chunks[key] = features
-    return features
+def _prior_art_chunks(pa: CorpusRecord, models: PipelineModels,
+                      memo: StageOneMemo) -> list[tuple[str, ChunkFeatures]]:
+    """A prior-art record's chunks as (chunk id, features) pairs: chunked and
+    encoded the first time, read from ``memo`` after that."""
+    chunks = memo.prior_art.get(pa.id)
+    if chunks is None:
+        doc, _, _, spans = chunk_record(pa, models.vocab)
+        chunks = [(f"{pa.id}/[{c.start_token},{c.end_token})",
+                   chunk_features(encode_sequence(doc.tokens[c.start_token:c.end_token],
+                                                  models.cfg, models.enc_params).data,
+                                  memo.projections))
+                  for c in spans]
+        memo.prior_art[pa.id] = chunks
+    return chunks
 
 
 def claim_similarities(rec: CorpusRecord, prior_art: list[CorpusRecord],
-                       models: PipelineModels, config: PipelineConfig,
-                       memo: StageOneMemo) -> list[SimilarityReport]:
+                       models: PipelineModels, memo: StageOneMemo) -> list[SimilarityReport]:
     """Stage-1 similarity: one report per (claim, prior-art chunk) pair, in
     prior-art, claim, chunk order. A record without claims stands in with
-    its description. Each claim's features are built once for this record,
-    each chunk's once for the run."""
+    its description. Each claim is encoded once for this record, each
+    prior-art chunk once for the run."""
     if not prior_art:
         return []
-    if memo.projections is None:
-        memo.projections = models.head_bank.stacked_projections()
-    claim_ids_list = [models.vocab.encode_text(t) for t in rec.claims or [rec.description]]
-    claims = [(ci, _claim_features(ids, models, memo))
-              for ci, ids in enumerate(claim_ids_list) if ids]
+    claim_ids = [models.vocab.encode_text(t) for t in rec.claims or [rec.description]]
+    claims = [(f"{rec.id}/claim{ci}",
+               claim_features(encode_sequence(ids, models.cfg, models.enc_params).data,
+                              memo.projections))
+              for ci, ids in enumerate(claim_ids) if ids]
     reports = []
     for pa in prior_art:
-        if pa.id not in memo.prior_art:
-            pa_doc, _, _, pa_chunks = chunk_record(pa, models.vocab, config)
-            memo.prior_art[pa.id] = (pa_doc, pa_chunks)
-        pa_doc, pa_chunks = memo.prior_art[pa.id]
-        for ci, claim in claims:
-            for chunk in pa_chunks:
-                span = pa_doc.tokens[chunk.start_token:chunk.end_token]
-                reports.append(similarity(
-                    f"{rec.id}/claim{ci}",
-                    f"{pa.id}/[{chunk.start_token},{chunk.end_token})",
-                    claim, _chunk_features(span, models, memo), models.head_bank,
-                ))
+        chunks = _prior_art_chunks(pa, models, memo)
+        reports.extend(similarity(claim_id, chunk_id, claim, chunk, models.head_bank)
+                       for claim_id, claim in claims for chunk_id, chunk in chunks)
     return reports
 
 
 @no_grad()
 def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
                      models: PipelineModels, config: PipelineConfig,
-                     memo: StageOneMemo | None = None) -> tuple[dict, dict]:
+                     memo: StageOneMemo) -> tuple[dict, dict]:
     """Run stages 1-3 for one record; returns (report record, stage timings).
 
-    ``memo`` carries claim states, prior-art chunks and their features and
-    the stacked head projections across the records of one run; without
-    it, a fresh one serves this record alone. No autodiff tape is built. The report's
-    ``curriculum`` block is the schedule at step 0, where inference runs.
+    ``memo`` carries the prior-art chunks' features and the stacked head
+    projections across the records of one run. No autodiff tape is built.
+    The report's ``curriculum`` block is the schedule at step 0, where
+    inference runs.
     """
-    memo = StageOneMemo() if memo is None else memo
     timings = {}
 
     def mark(stage: str, t_start: float) -> None:
@@ -255,8 +225,8 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
 
     # Stage 1: adaptive chunking + relationship-aware similarity
     t_start = time.perf_counter()
-    _, kappa, size, chunks = chunk_record(rec, models.vocab, config)
-    sim_reports = claim_similarities(rec, prior_art, models, config, memo)
+    _, kappa, size, chunks = chunk_record(rec, models.vocab)
+    sim_reports = claim_similarities(rec, prior_art, models, memo)
     sim_reports.sort(key=lambda r: (-r.similarity, r.claim_chunk_id, r.doc_chunk_id))
     top_sims = [r.to_record() for r in sim_reports[:config.top_k]]
     mark("stage1", t_start)
@@ -314,11 +284,11 @@ def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
 
     models = load_models(record_texts(records + prior_art), config, seed, checkpoint_path)
 
-    memo = StageOneMemo()
+    memo = StageOneMemo(models.head_bank.stacked_projections())
     reports, failures, timing_rows = [], [], []
     for rec in records:
         try:
-            report, timings = process_document(rec, prior_art, models, config, memo=memo)
+            report, timings = process_document(rec, prior_art, models, config, memo)
         except Exception as exc:  # failure isolation: one bad record skips one doc
             failures.append({"doc_id": rec.id, "error": str(exc)})
             continue

@@ -197,19 +197,16 @@ def label_from_masses(masses: dict[str, float]) -> str:
 
 def similarity(claim_chunk_id: str, doc_chunk_id: str,
                claim: ClaimFeatures | Tensor, doc: ChunkFeatures | Tensor,
-               bank: HeadBank, projections: np.ndarray | None = None) -> SimilarityReport:
+               bank: HeadBank) -> SimilarityReport:
     """Head-weighted similarity report for one (claim chunk, doc chunk) pair.
 
     ``claim`` and ``doc`` are the texts' features, from ``claim_features`` and
     ``chunk_features``, or their raw encoder states, which are turned into
     features here, for this pair only. A caller scoring many pairs builds
-    each text's features once and passes them. ``projections`` is
-    ``bank.stacked_projections()`` and is read only for raw states; without
-    it, it is built for this pair.
+    each text's features once and passes them.
     """
     if isinstance(claim, Tensor) or isinstance(doc, Tensor):
-        if projections is None:
-            projections = bank.stacked_projections()
+        projections = bank.stacked_projections()
         if isinstance(claim, Tensor):
             claim = claim_features(claim.data, projections)
         if isinstance(doc, Tensor):

@@ -42,9 +42,8 @@ def make_model(seed=0, vocab_size=48):
     return GeneratorModel.init(vocab_size, CFG, Rng(seed, ("gen",)))
 
 
-def make_bank(seed=0, rank=ADAPTER_RANK):
-    return AdapterBank.init(CFG.num_layers, CFG.model_dim, Rng(seed, ("bank",)),
-                            rank=rank)
+def make_bank(seed=0):
+    return AdapterBank.init(CFG.num_layers, CFG.model_dim, Rng(seed, ("bank",)))
 
 
 def randomize_bank(bank, seed=0):
@@ -142,7 +141,7 @@ class TestAdapterMixing:
         factors = [rng.normal((dim, rank)) for _ in range(2 * len(DOMAINS))]
 
         def build(ts):
-            bank = AdapterBank(rank=rank)
+            bank = AdapterBank()
             for d, domain in enumerate(DOMAINS):
                 bank.params[f"adapter/{domain}/l0/wv/B"] = ts[1 + 2 * d]
                 bank.params[f"adapter/{domain}/l0/wv/C"] = ts[2 + 2 * d]

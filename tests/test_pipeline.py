@@ -97,6 +97,12 @@ class TestCorpusIO:
         ("relationship_pairs", {"claim_text": "a", "doc_text": "b"}),
         ("relationship_pairs", ["a"]),
         ("corruption_tuples", [["a", "b", "c"]]),
+        ("relationship_pairs", [{"claim_text": "a"}]),
+        ("relationship_pairs", [{"claim_text": 7, "doc_text": "b"}]),
+        ("relationship_pairs", [{"claim_text": "a", "doc_text": "b", "label": "same"}]),
+        ("relationship_pairs", [{"claim_text": "a", "doc_text": "b", "label": ["x"]}]),
+        ("corruption_tuples", [{"reference": "a", "better": "b"}]),
+        ("corruption_tuples", [{"reference": "a", "better": 2, "worse": "c"}]),
     ])
     def test_wrongly_typed_field_rejected_with_location(self, tmp_path, field, value):
         # a string of claims used to be read as one claim per character
@@ -126,6 +132,14 @@ class TestCorpusIO:
     def test_known_domains_and_null_accepted(self):
         for domain in (*DOMAINS, None):
             assert CorpusRecord(id="x", description="d", domain=domain).domain == domain
+
+    def test_known_relationship_labels_and_null_accepted(self):
+        from claimforge.similarity import RELATIONSHIP_GROUPS
+        pairs = [{"claim_text": "a", "doc_text": "b", "label": label}
+                 for label in (*RELATIONSHIP_GROUPS, None)]
+        pairs.append({"claim_text": "a", "doc_text": "b"})
+        rec = CorpusRecord(id="x", description="d", relationship_pairs=pairs)
+        assert rec.relationship_pairs == pairs
 
 class TestPipelineConfig:
     def test_file_roundtrip(self, tmp_path):
@@ -171,6 +185,22 @@ class TestPipelineConfig:
         cfg = compact_config(max_seq_len=11, max_gen_len=8, top_k=0)
         assert (cfg.max_seq_len, cfg.max_gen_len, cfg.top_k) == (11, 8, 0)
 
+    @pytest.mark.parametrize("line", ["model_dim = abc", "lr = fast", "verbatim_mode = maybe"])
+    def test_unparsable_value_names_line_and_key(self, tmp_path, line):
+        path = tmp_path / "p.cfg"
+        path.write_text("# geometry\n" + line + "\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ValueError, match=f"p.cfg:2: config key '{key}': cannot parse"):
+            PipelineConfig.from_file(path)
+
+    @pytest.mark.parametrize("key", ["chunk_centering", "chunk_scale", "adapter_rank",
+                                     "base_margin", "adapt_strength"])
+    def test_deleted_keys_rejected(self, tmp_path, key):
+        path = tmp_path / "p.cfg"
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            PipelineConfig.from_file(path)
+
     def test_workers_key_rejected(self, tmp_path):
         path = tmp_path / "p.cfg"
         path.write_text("workers = 2\n")
@@ -204,6 +234,36 @@ class TestRunPipeline:
         assert result.report_path.read_bytes() == (DATA / "golden_report.jsonl").read_bytes()
         assert seen
         assert len(seen) == len(set(seen))
+
+    def test_memo_holds_only_prior_art(self, tmp_path, monkeypatch):
+        from claimforge.pipeline import run as pipeline_run
+        from claimforge.similarity import ChunkFeatures
+        memos = []
+        process = pipeline_run.process_document
+
+        def capturing(rec, prior_art, models, config, memo):
+            memos.append(memo)
+            return process(rec, prior_art, models, config, memo)
+
+        monkeypatch.setattr(pipeline_run, "process_document", capturing)
+        result = run_pipeline(DATA / "golden_corpus.jsonl",
+                              DATA / "golden_prior_art.jsonl",
+                              tmp_path, compact_config(), seed=0)
+        assert result.report_path.read_bytes() == (DATA / "golden_report.jsonl").read_bytes()
+        memo = memos[0]
+        assert all(m is memo for m in memos)
+        assert set(vars(memo)) == {"projections", "prior_art"}
+        prior_art = read_corpus(DATA / "golden_prior_art.jsonl")
+        assert list(memo.prior_art) == [pa.id for pa in prior_art]
+        seen_ids = {s["doc_chunk_id"] for r in result.reports for s in r["top_similarity"]}
+        chunk_ids = set()
+        for pa_id, chunks in memo.prior_art.items():
+            assert chunks
+            for chunk_id, features in chunks:
+                assert chunk_id.startswith(f"{pa_id}/[")
+                assert isinstance(features, ChunkFeatures)
+                chunk_ids.add(chunk_id)
+        assert seen_ids <= chunk_ids
 
     def test_inference_builds_no_tape(self, tmp_path, monkeypatch):
         from claimforge.numerics import Tensor
@@ -391,6 +451,30 @@ class TestCli:
         assert cli_main(["--out", str(out_b), "synth", "--size", "15"]) == 0
         assert (out_a / "corpus.jsonl").read_bytes() == \
             (out_b / "corpus.jsonl").read_bytes()
+
+    def test_non_integer_env_seed_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CLAIMFORGE_SEED", "seven")
+        assert cli_main(["--out", str(tmp_path), "synth", "--size", "15"]) == 1
+        assert "CLAIMFORGE_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "metrics"])
+    @pytest.mark.parametrize("line, match", [
+        ('{"reference": "a", "generated": "b"', "bad JSON"),
+        ('["a", "b"]', "JSON object with string"),
+        ('{"reference": "a"}', "JSON object with string"),
+        ('{"reference": 3, "generated": "b"}', "JSON object with string"),
+        ('{"reference": "a", "generated": ["b"]}', "JSON object with string"),
+        ('{"reference": "a", "generated": "b", "domain": "aerospace"}', "domain must be one of"),
+    ])
+    def test_bad_pairs_row_named_with_location(self, tmp_path, capsys, command, line, match):
+        # these used to exit with a bare JSON or tuple.index message, or a traceback
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"reference": "a b", "generated": "a c",
+                                     "domain": DOMAINS[1]}) + "\n" + line + "\n")
+        assert cli_main(["--out", str(tmp_path / "o"), command, "--pairs", str(pairs)]) == 1
+        err = capsys.readouterr().err
+        assert f"{pairs}:2: " in err
+        assert match in err
 
 
 def _write_config(path, **kw):

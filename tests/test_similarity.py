@@ -257,13 +257,13 @@ class TestFeaturePathEqualsPerPairPath:
         config = PipelineConfig(model_dim=16, num_heads=2, head_dim=8, num_layers=1,
                                 max_seq_len=256, max_gen_len=8, top_k=3)
         models = load_models(record_texts(records + prior_art), config, seed=0)
-        memo = StageOneMemo()
+        memo = StageOneMemo(models.head_bank.stacked_projections())
         pairs = 0
         with no_grad():
             for rec in records:
                 want = []
                 for pa in prior_art:
-                    pa_doc, _, _, chunks = chunk_record(pa, models.vocab, config)
+                    pa_doc, _, _, chunks = chunk_record(pa, models.vocab)
                     for ci, text in enumerate(rec.claims):
                         claim = encode_sequence(models.vocab.encode_text(text),
                                                 models.cfg, models.enc_params)
@@ -274,7 +274,7 @@ class TestFeaturePathEqualsPerPairPath:
                                 f"{rec.id}/claim{ci}",
                                 f"{pa.id}/[{c.start_token},{c.end_token})",
                                 claim, doc, models.head_bank))
-                assert claim_similarities(rec, prior_art, models, config, memo) == want
+                assert claim_similarities(rec, prior_art, models, memo) == want
                 pairs += len(want)
         assert pairs > 0
 
@@ -307,11 +307,12 @@ class TestSimilarityReport:
         r1 = similarity("c", "d", claim, doc, bank)
         # the label depends only on head weights, never on score magnitudes:
         # other score projections (new wq and wk, scaled wv) move every score
-        other = bank.stacked_projections().copy()
-        other[0] = rng.normal(other[0].shape)
-        other[1] = rng.normal(other[1].shape)
-        other[2] *= 3.0
-        r2 = similarity("c", "d", claim, doc, bank, other)
+        for h in range(1, NUM_HEADS + 1):
+            p = {proj: bank.params[f"sim/h{h}/{proj}"] for proj in ("wq", "wk", "wv")}
+            p["wq"].data = rng.normal(p["wq"].shape)
+            p["wk"].data = rng.normal(p["wk"].shape)
+            p["wv"].data = p["wv"].data * 3.0
+        r2 = similarity("c", "d", claim, doc, bank)
         assert not np.allclose(r1.head_scores, r2.head_scores)
         assert r2.relationship_label == r1.relationship_label
         assert r2.group_masses == r1.group_masses
