@@ -265,9 +265,10 @@ def _cmd_generate(args, config, seed) -> int:
     return EXIT_OK
 
 
-def _read_pairs(path: Path) -> list[dict]:
-    """Rows with string ``reference`` and ``generated`` and an optional ``domain``
-    from ``DOMAINS``; a bad row is an error naming its ``path:lineno``."""
+def _read_pairs(path: Path) -> list[tuple[int, dict]]:
+    """(line number, row) for rows with string ``reference`` and ``generated``
+    and an optional ``domain`` from ``DOMAINS``; a bad row is an error naming
+    its ``path:lineno``."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -285,28 +286,38 @@ def _read_pairs(path: Path) -> list[dict]:
             if row.get("domain", DOMAINS[0]) not in DOMAINS:
                 raise ValueError(f"{path}:{lineno}: domain must be one of {', '.join(DOMAINS)}, "
                                  f"got {row['domain']!r}")
-            pairs.append(row)
+            pairs.append((lineno, row))
     return pairs
 
 
 @no_grad()
 def _cmd_evaluate(args, config, seed) -> int:
+    """Scores every pair it can; a pair that cannot be scored is reported on
+    stderr as ``path:lineno: message``, and then the exit code is
+    EXIT_INPUT_ERROR, as for skipped pipeline records."""
     pairs = _read_pairs(args.pairs)
-    texts = [p["reference"] for p in pairs] + [p["generated"] for p in pairs]
+    texts = [p["reference"] for _, p in pairs] + [p["generated"] for _, p in pairs]
     models = load_models(texts, config, seed, args.checkpoint)
     from claimforge.evaluator.train import domain_one_hot
 
-    rows = []
-    for pair in pairs:
+    rows, skipped = [], 0
+    for lineno, pair in pairs:
         alpha = domain_one_hot(pair.get("domain", DOMAINS[0]))
-        report = score_pair(models.vocab.encode_text(pair["reference"]),
-                            models.vocab.encode_text(pair["generated"]),
-                            alpha, models.evaluator, models.enc_params)
+        try:
+            report = score_pair(models.vocab.encode_text(pair["reference"]),
+                                models.vocab.encode_text(pair["generated"]),
+                                alpha, models.evaluator, models.enc_params)
+        except NonFiniteError:
+            raise
+        except ValueError as exc:  # one bad pair skips that pair only
+            print(f"{args.pairs}:{lineno}: {exc}", file=sys.stderr)
+            skipped += 1
+            continue
         rows.append({"reference": pair["reference"], "generated": pair["generated"],
                      **report.to_record()})
     _write_jsonl(args.out / "quality.jsonl", rows)
-    print(f"scored {len(rows)} pairs -> {args.out / 'quality.jsonl'}")
-    return EXIT_OK
+    print(f"scored {len(rows)} pairs, skipped {skipped} -> {args.out / 'quality.jsonl'}")
+    return EXIT_OK if not skipped else EXIT_INPUT_ERROR
 
 
 def _cmd_pipeline(args, config, seed) -> int:
@@ -319,7 +330,7 @@ def _cmd_pipeline(args, config, seed) -> int:
 
 def _cmd_metrics(args, config, seed) -> int:
     rows = []
-    for pair in _read_pairs(args.pairs):
+    for _, pair in _read_pairs(args.pairs):
         ref = tokenize(pair["reference"])
         cand = tokenize(pair["generated"])
         p, r, f = rouge_l(ref, cand)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, no_grad, softmax
+from claimforge.numerics import Rng, Tensor, no_grad, scaled_dot_attention, softmax
 from claimforge.generator.adapters import DOMAINS
 from claimforge.textcore import BOS_ID, EOS_ID, SEP_ID, EncoderConfig, encode_sequence
 
@@ -91,10 +91,7 @@ def aspect_scores(h_shared: Tensor, model: EvaluatorModel) -> tuple[Tensor, np.n
     """
     if h_shared.shape[0] == 0:
         raise ValueError("empty shared encoding")
-    d = model.cfg.model_dim
-    queries = model.params["eval/queries"]
-    attn = softmax((queries @ h_shared.T) * (1.0 / np.sqrt(d)), axis=-1)
-    pooled = attn @ h_shared
+    pooled, attn = scaled_dot_attention(model.params["eval/queries"], h_shared, h_shared)
     logits = (pooled * model.params["eval/score_w"]).sum(axis=1) + model.params["eval/score_b"]
     return logits.sigmoid(), attn.data
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, concat
+from claimforge.numerics import Rng, Tensor
 
 DOMAINS = ("mechanical", "electrical", "software", "chemical", "biotech")
 ADAPTER_RANK = 8
@@ -57,23 +57,38 @@ class AdapterBank:
 
 def effective_projection(base: Tensor, bank: AdapterBank, alpha,
                          target_name: str) -> Tensor:
-    """base + sum_d alpha_d * B_d C_d^T for one projection matrix.
+    """base + sum_d alpha_d * B_d C_d^T for one projection matrix, one node.
 
     The domains' deltas are merged as one product,
-    [alpha_1 B_1, ..., alpha_D B_D] @ [C_1, ..., C_D]^T, whose inner
-    dimension is D * rank.
+    S @ C^T with S = [alpha_1 B_1, ..., alpha_D B_D] and C = [C_1, ..., C_D],
+    whose inner dimension is D * rank. The backward splits g @ C and
+    g^T @ S back into the domains' blocks: dB_d = alpha_d (g C)_d,
+    dalpha_d = sum((g C)_d * B_d), dC_d = (g^T S)_d.
     """
     alpha = alpha if isinstance(alpha, Tensor) else Tensor(np.asarray(alpha, dtype=np.float64))
-    scaled, factors_c = [], []
-    for d, domain in enumerate(DOMAINS):
+    bs, cs = [], []
+    for domain in DOMAINS:
         b, c = bank.factors(domain, target_name)
         if b.shape[0] != base.shape[0] or c.shape[0] != base.shape[1]:
             raise ValueError(
                 f"adapter shapes {b.shape} x {c.shape} incompatible with base {base.shape}"
             )
-        scaled.append(b * alpha[d])
-        factors_c.append(c)
-    return base + concat(scaled, axis=1) @ concat(factors_c, axis=1).T
+        bs.append(b)
+        cs.append(c)
+    a = alpha.data
+    scaled = np.concatenate([b.data * a[d] for d, b in enumerate(bs)], axis=1)
+    stacked_c = np.concatenate([c.data for c in cs], axis=1)
+
+    def bwd(g, out):
+        splits = np.cumsum([b.shape[1] for b in bs])[:-1]
+        g_scaled = np.split(g @ stacked_c, splits, axis=1)
+        g_c = np.split(g.T @ scaled, splits, axis=1)
+        g_alpha = np.array([(gs * b.data).sum() for gs, b in zip(g_scaled, bs)])
+        g_b = [gs * a[d] for d, gs in enumerate(g_scaled)]
+        return (g, g_alpha, *g_b, *g_c)
+
+    return Tensor._from_op(base.data + scaled @ stacked_c.T,
+                           (base, alpha, *bs, *cs), bwd)
 
 
 def effective_overrides(base_params: dict[str, Tensor], bank: AdapterBank,

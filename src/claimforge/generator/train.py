@@ -48,8 +48,8 @@ class GeneratorTrainConfig:
 
 def _sample_loss(sample: GeneratorSample, model: GeneratorModel,
                  bank: AdapterBank, classifier: DomainClassifier) -> Tensor:
-    pooled = pool_embedding(sample.description_ids, model.embed)
-    alpha = softmax(classifier.logits(pooled))
+    domain_logits = classifier.logits(pool_embedding(sample.description_ids, model.embed))
+    alpha = softmax(domain_logits)
     overrides = effective_overrides(model.params, bank, alpha)
 
     budget = model.cfg.max_seq_len - len(sample.claim_ids) - 3
@@ -59,8 +59,7 @@ def _sample_loss(sample: GeneratorSample, model: GeneratorModel,
     loss = sequence_cross_entropy(logits, seq[1:])
 
     if sample.domain_label is not None:
-        loss = loss + cross_entropy_logits(classifier.logits(pooled),
-                                           DOMAINS.index(sample.domain_label))
+        loss = loss + cross_entropy_logits(domain_logits, DOMAINS.index(sample.domain_label))
     return loss
 
 

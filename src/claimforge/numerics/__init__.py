@@ -1,4 +1,13 @@
-"""Dense float64 tensor core with reverse-mode gradient accumulation."""
+"""Dense float64 tensor core with reverse-mode gradient accumulation.
+
+The composite ops the trainers run most are fused: each tapes one node with
+an analytic backward, and its forward keeps the numpy expressions, in their
+order, of the composite it replaced, so inference gives the same bits. They
+are ``softmax``, ``log_softmax``, ``layer_norm`` (parents x, gain, bias),
+``scaled_dot_attention`` (parents q, k, v; an optional plain-array mask),
+``cross_entropy_logits`` and ``sequence_cross_entropy``. The adapter merge,
+``claimforge.generator.adapters.effective_projection``, is fused the same way.
+"""
 
 from claimforge.numerics.tensor import (
     Tensor,
@@ -12,6 +21,7 @@ from claimforge.numerics.tensor import (
     layer_norm,
     scaled_dot_attention,
     cross_entropy_logits,
+    sequence_cross_entropy,
 )
 from claimforge.numerics.rng import Rng
 from claimforge.numerics.checkpoint import save_checkpoint, load_checkpoint, CheckpointError
@@ -28,6 +38,7 @@ __all__ = [
     "layer_norm",
     "scaled_dot_attention",
     "cross_entropy_logits",
+    "sequence_cross_entropy",
     "Rng",
     "save_checkpoint",
     "load_checkpoint",

@@ -10,9 +10,11 @@ from claimforge.numerics.rng import Rng
 from claimforge.numerics.tensor import (
     Tensor,
     concat,
+    cross_entropy_logits,
     layer_norm,
     log_softmax,
     scaled_dot_attention,
+    sequence_cross_entropy,
     softmax,
     take_rows,
 )
@@ -113,13 +115,16 @@ def op_cases(rng: Rng) -> list[tuple[str, Callable, list[np.ndarray]]]:
     add_case("concat", [(2, 3), (2, 3)], lambda ts: _weighted(concat(ts, axis=0), w43))
     add_case("take_rows", [(5, 3)], lambda ts: _weighted(take_rows(ts[0], [0, 2]), w23))
 
+    # the fused ops, each one taped node with an analytic backward
     add_case("softmax", [(2, 3)], lambda ts: _weighted(softmax(ts[0], axis=-1), w23))
+    add_case("softmax_axis0", [(2, 3)], lambda ts: _weighted(softmax(ts[0], axis=0), w23))
     add_case("log_softmax", [(2, 3)], lambda ts: _weighted(log_softmax(ts[0], axis=-1), w23))
-    gln, bln = rng.normal((3,)), rng.normal((3,))
+    add_case("log_softmax_axis0", [(2, 3)],
+             lambda ts: _weighted(log_softmax(ts[0], axis=0), w23))
     add_case(
         "layer_norm",
-        [(2, 3)],
-        lambda ts: _weighted(layer_norm(ts[0], Tensor(gln), Tensor(bln)), w23),
+        [(2, 3), (3,), (3,)],
+        lambda ts: _weighted(layer_norm(ts[0], ts[1], ts[2]), w23),
     )
     w25 = wvec((2, 5))
     add_case(
@@ -127,6 +132,25 @@ def op_cases(rng: Rng) -> list[tuple[str, Callable, list[np.ndarray]]]:
         [(2, 3), (4, 3), (4, 5)],
         lambda ts: _weighted(scaled_dot_attention(ts[0], ts[1], ts[2])[0], w25),
     )
+    # (heads, n, d) with a causal mask; then two new positions after two
+    # cached ones, the mask the KV-cached decoder builds
+    causal = np.triu(np.full((3, 3), -1e9), k=1)
+    w235 = wvec((2, 3, 5))
+    add_case(
+        "attention_causal_heads",
+        [(2, 3, 4), (2, 3, 4), (2, 3, 5)],
+        lambda ts: _weighted(scaled_dot_attention(ts[0], ts[1], ts[2], causal)[0], w235),
+    )
+    offset = np.triu(np.full((2, 4), -1e9), k=3)
+    w225 = wvec((2, 2, 5))
+    add_case(
+        "attention_causal_offset",
+        [(2, 2, 4), (2, 4, 4), (2, 4, 5)],
+        lambda ts: _weighted(scaled_dot_attention(ts[0], ts[1], ts[2], offset)[0], w225),
+    )
+    add_case("cross_entropy_logits", [(5,)], lambda ts: cross_entropy_logits(ts[0], 3))
+    add_case("sequence_cross_entropy", [(4, 6)],
+             lambda ts: sequence_cross_entropy(ts[0], [5, 0, 2, 5]))
     add_case(
         "cosine",
         [(4,), (4,)],

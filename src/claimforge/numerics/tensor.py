@@ -8,9 +8,11 @@ order and accumulates gradients into every ``requires_grad`` tensor.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from contextlib import contextmanager
+from operator import attrgetter
 
 import numpy as np
 
@@ -20,6 +22,7 @@ class NonFiniteError(ValueError):
 
 
 _GRAD_ENABLED = True
+_next_seq = itertools.count(1).__next__
 
 
 @contextmanager
@@ -59,7 +62,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -68,6 +71,7 @@ class Tensor:
         self.grad: np.ndarray | None = None  # allocated by the first backward that reaches it
         self._parents: tuple = ()
         self._backward = None
+        self._seq = 0  # a leaf: no backward, so its place in the walk does not matter
 
     # -- construction helpers -------------------------------------------------
 
@@ -75,14 +79,19 @@ class Tensor:
     def _from_op(cls, data: np.ndarray, parents: tuple, backward_fn) -> "Tensor":
         out = cls.__new__(cls)
         out.data = data
-        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out.grad = None
-        if out.requires_grad:
-            out._parents = parents
-            out._backward = backward_fn
-        else:
-            out._parents = ()
-            out._backward = None
+        # creation order: every op node is made after its parents
+        out._seq = _next_seq()
+        if _GRAD_ENABLED:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = parents
+                    out._backward = backward_fn
+                    return out
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
         return out
 
     @property
@@ -174,18 +183,20 @@ class Tensor:
 
         def bwd(g, out):
             a, b = self.data, other.data
+            if a.ndim == 2 and b.ndim == 2:
+                return (g @ b.T, a.T @ g)
             if a.ndim == 1 and b.ndim == 1:
                 return (g * b, g * a)
             if a.ndim == 1:
-                ga = g @ np.swapaxes(b, -1, -2)
+                ga = g @ b.swapaxes(-1, -2)
                 gb = np.outer(a, g)
                 return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
             if b.ndim == 1:
                 ga = np.expand_dims(g, -1) * b
-                gb = np.swapaxes(a, -1, -2) @ g
+                gb = a.swapaxes(-1, -2) @ g
                 return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-            ga = g @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ g
+            ga = g @ b.swapaxes(-1, -2)
+            gb = a.swapaxes(-1, -2) @ g
             return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
         return Tensor._from_op(self.data @ other.data, (self, other), bwd)
@@ -270,9 +281,9 @@ class Tensor:
 
     def swapaxes(self, a: int, b: int):
         def bwd(g, out):
-            return (np.swapaxes(g, a, b),)
+            return (g.swapaxes(a, b),)
 
-        return Tensor._from_op(np.swapaxes(self.data, a, b), (self,), bwd)
+        return Tensor._from_op(self.data.swapaxes(a, b), (self,), bwd)
 
     def transpose(self):
         return self.swapaxes(-1, -2)
@@ -291,36 +302,29 @@ class Tensor:
 
     # -- backward -------------------------------------------------------------
 
-    def backward(self) -> set[int]:
+    def backward(self) -> dict[int, "Tensor"]:
         """Accumulate gradients of this scalar into all reachable parameters;
-        returns the ids of this tensor and of every tensor the walk reached."""
+        returns this tensor and every tensor the walk reached, keyed by id."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack = [(self, False)]
+        reached = {id(self): self}
+        stack = [self]
         while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
+            for p in stack.pop()._parents:
+                if p.requires_grad and id(p) not in reached:
+                    reached[id(p)] = p
+                    stack.append(p)
         ones = np.ones_like(self.data)
         self.grad = ones if self.grad is None else self.grad + ones
-        for node in reversed(order):
+        # reverse creation order is a reverse topological order of the graph
+        for node in sorted(reached.values(), key=attrgetter("_seq"), reverse=True):
             if node._backward is None:
                 continue
             grads = node._backward(node.grad, node)
             for parent, g in zip(node._parents, grads):
                 if parent.requires_grad:
                     parent.grad = g if parent.grad is None else parent.grad + g
-        return seen
+        return reached
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -342,7 +346,7 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return grads
 
 
-# -- composite ops -----------------------------------------------------------
+# -- composite and fused ops -------------------------------------------------
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -369,35 +373,96 @@ def take_rows(table: Tensor, ids) -> Tensor:
     return Tensor._from_op(table.data[idx].astype(np.float64), (table,), bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax (max subtraction is mandatory)."""
-    if x.data.size == 0:
+def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted softmax of a plain array (no tape); rejects an empty or
+    non-finite input.
+
+    ``x + (-max)``, exp, sum, divide: the ops and order of the composite
+    softmax this replaced, so the same bits.
+    """
+    if x.size == 0:
         raise ValueError("softmax of empty input")
-    _check_finite(x.data, "softmax input")
+    _check_finite(x, "softmax input")
     # the max of a finite input is finite: no second check
-    shifted = x - Tensor._from_op(np.max(x.data, axis=axis, keepdims=True), (), None)
-    e = shifted.exp()
+    e = np.exp(x + (-np.max(x, axis=axis, keepdims=True)))
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if x.data.size == 0:
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stabilized softmax (max subtraction is mandatory).
+
+    One node: the backward is y * (g - sum(g * y)) along ``axis``.
+    """
+
+    def bwd(g, out):
+        y = out.data
+        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+
+    return Tensor._from_op(_softmax_data(x.data, axis), (x,), bwd)
+
+
+def _log_softmax_parts(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward of ``log_softmax`` over a plain array, with what its backward needs.
+
+    Returns (log-probabilities, exp of the shifted input, their sum along
+    ``axis``); the probabilities are the last two divided.
+    """
+    if x.size == 0:
         raise ValueError("log_softmax of empty input")
-    shifted = x - Tensor(np.max(x.data, axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+    m = np.max(x, axis=axis, keepdims=True)
+    _check_finite(m, "log_softmax input")
+    shifted = x + (-m)
+    e = np.exp(shifted)
+    s = e.sum(axis=axis, keepdims=True)
+    return shifted + (-np.log(s)), e, s
+
+
+def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """One node: the backward is g - softmax * sum(g) along ``axis``."""
+    logp, e, s = _log_softmax_parts(x.data, axis)
+
+    def bwd(g, out):
+        return (g - (e / s) * g.sum(axis=axis, keepdims=True),)
+
+    return Tensor._from_op(logp, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gain + bias
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, one node.
+
+    The backward is the analytic layer-norm gradient (Ba et al. 2016):
+    dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sigma, with
+    dxhat = g * gain.
+    """
+    scale = 1.0 / x.shape[-1]
+    centered = x.data + (-(x.data.sum(axis=-1, keepdims=True) * scale))
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    sigma = np.sqrt(var + eps)
+    xhat = centered / sigma
+
+    def bwd(g, out):
+        gx = ggain = gbias = None
+        if x.requires_grad:
+            dxhat = g * gain.data
+            gx = (dxhat - dxhat.sum(axis=-1, keepdims=True) * scale
+                  - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) * scale)) / sigma
+        if gain.requires_grad:
+            ggain = _unbroadcast(g * xhat, gain.shape)
+        if bias.requires_grad:
+            gbias = _unbroadcast(g, bias.shape)
+        return (gx, ggain, gbias)
+
+    return Tensor._from_op(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """Attention(Q, K, V); returns (output, attention weights).
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
+                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Attention(Q, K, V) as one node; returns (output, attention weights).
 
-    Q is (..., n, d_k), K is (..., m, d_k), V is (..., m, d_v).
+    Q is (..., n, d_k), K is (..., m, d_k), V is (..., m, d_v). ``mask`` is a
+    plain array added to the scaled scores before the softmax (a large
+    negative entry hides a key); it gets no gradient. The weights come back
+    as a constant tensor: no gradient flows through them.
     """
     d_k = q.shape[-1]
     if k.shape[-1] != d_k:
@@ -406,11 +471,59 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tenso
         raise ValueError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
     if d_k <= 0:
         raise ValueError("head dimension must be positive")
-    scores = (q @ k.transpose()) * (1.0 / np.sqrt(d_k))
-    weights = softmax(scores, axis=-1)
-    return weights @ v, weights
+    scale = 1.0 / np.sqrt(d_k)
+    scores = (q.data @ k.data.swapaxes(-1, -2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    weights = _softmax_data(scores, -1)
+
+    def bwd(g, out):
+        gq = gk = gv = None
+        gw = g @ v.data.swapaxes(-1, -2)
+        gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            gq = _unbroadcast(gs @ k.data, q.shape)
+        if k.requires_grad:
+            gk = _unbroadcast(gs.swapaxes(-1, -2) @ q.data, k.shape)
+        if v.requires_grad:
+            gv = _unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape)
+        return (gq, gk, gv)
+
+    out = Tensor._from_op(weights @ v.data, (q, k, v), bwd)
+    return out, Tensor._from_op(weights, (), None)
 
 
 def cross_entropy_logits(logits: Tensor, target: int) -> Tensor:
-    """Negative log likelihood of ``target`` under softmax(logits); logits 1-D."""
-    return -log_softmax(logits)[int(target)]
+    """Negative log likelihood of ``target`` under softmax(logits); logits 1-D.
+
+    One node: the backward is g * (softmax(logits) - onehot(target)).
+    """
+    t = int(target)
+    logp, e, s = _log_softmax_parts(logits.data)
+
+    def bwd(g, out):
+        d = e / s
+        d[t] -= 1.0
+        return (g * d,)
+
+    return Tensor._from_op(-np.asarray(logp[t], dtype=np.float64), (logits,), bwd)
+
+
+def sequence_cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean next-token negative log likelihood; logits (len, vocab).
+
+    One node over the logits: the backward is
+    g / len * (softmax(row) - onehot(target)) for each row.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    rows = np.arange(len(targets))
+    logp, e, s = _log_softmax_parts(logits.data)
+    picked = logp[rows, targets]
+    scale = 1.0 / picked.size
+
+    def bwd(g, out):
+        d = e / s
+        d[rows, targets] -= 1.0
+        return (d * (g * scale),)
+
+    return Tensor._from_op(-(picked.sum() * scale), (logits,), bwd)

@@ -67,7 +67,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         known = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
+        kwargs, set_on = {}, {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -78,6 +78,10 @@ class PipelineConfig:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in known:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in set_on:
+                    raise ValueError(f"{path}:{lineno}: config key {key!r} is set again; "
+                                     f"line {set_on[key]} already sets it")
+                set_on[key] = lineno
                 try:
                     kwargs[key] = _parse(known[key], value)
                 except ValueError:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, layer_norm, softmax, take_rows
+from claimforge.numerics import Rng, Tensor, layer_norm, scaled_dot_attention, take_rows
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,8 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
     positions = _positional_encoding_cached(cfg.max_seq_len, cfg.model_dim)[offset:total]
     x = take_rows(embed, ids) + Tensor(positions)
 
-    mask = None
-    if causal:
-        mask = Tensor(np.triu(np.full((length, total), -1e9), k=offset + 1))
+    mask = np.triu(np.full((length, total), -1e9), k=offset + 1) if causal else None
 
-    scale = 1.0 / np.sqrt(cfg.head_dim)
     for layer in range(cfg.num_layers):
         p = f"l{layer}"
         h = layer_norm(x, get(f"{p}/ln1/g"), get(f"{p}/ln1/b"))
@@ -157,10 +154,7 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
         v = _split_heads(h @ get(f"{p}/attn/wv"), cfg.num_heads, cfg.head_dim)
         if cache is not None:
             k, v = _extend_cache(cache, layer, k, v)
-        scores = (q @ k.transpose()) * scale
-        if mask is not None:
-            scores = scores + mask
-        attended = softmax(scores, axis=-1) @ v
+        attended, _ = scaled_dot_attention(q, k, v, mask)
         x = x + _merge_heads(attended) @ get(f"{p}/attn/wo")
         h = layer_norm(x, get(f"{p}/ln2/g"), get(f"{p}/ln2/b"))
         inner = (h @ get(f"{p}/ffn/w1") + get(f"{p}/ffn/b1")).relu()

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from claimforge.numerics import Tensor, log_softmax
+# the token cross-entropy is a fused numerics op beside cross_entropy_logits;
+# it is re-exported here with the other losses
+from claimforge.numerics import Tensor, sequence_cross_entropy
 
 
 def contrastive_loss(sim_matrix: Tensor, temperature: float) -> Tensor:
@@ -18,20 +20,9 @@ def contrastive_loss(sim_matrix: Tensor, temperature: float) -> Tensor:
     n = sim_matrix.shape[0]
     if sim_matrix.shape != (n, n) or n < 1:
         raise ValueError(f"similarity matrix must be square and nonempty, got {sim_matrix.shape}")
-    logits = sim_matrix * (1.0 / temperature)
-    logp = log_softmax(logits, axis=-1)
-    diag = logp[np.arange(n), np.arange(n)]
-    return -diag.mean()
+    return sequence_cross_entropy(sim_matrix * (1.0 / temperature), np.arange(n))
 
 
 def margin_loss(margin: float, s_pos: float, s_neg: float) -> float:
     """Scalar hinge value, exactly zero when s_pos - s_neg >= margin."""
     return max(0.0, margin - s_pos + s_neg)
-
-
-def sequence_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean next-token negative log likelihood; logits (len, vocab)."""
-    targets = np.asarray(targets, dtype=np.int64)
-    logp = log_softmax(logits, axis=-1)
-    picked = logp[np.arange(len(targets)), targets]
-    return -picked.mean()

@@ -23,7 +23,8 @@ from claimforge.generator import (
     train_domain_classifier,
     train_generator,
 )
-from claimforge.numerics import Rng, Tensor
+from claimforge.generator.train import _sample_loss
+from claimforge.numerics import Rng, Tensor, concat
 from claimforge.numerics.gradcheck import check_op
 from claimforge.textcore import (
     BOS_ID,
@@ -136,19 +137,40 @@ class TestAdapterMixing:
         dim, rank, target = 4, 2, "dec/l0/attn/wv"
         rng = Rng(3, ("adapter-grad",))
         weights = rng.normal((dim, dim))
-        base = Tensor(rng.normal((dim, dim)))
+        base = rng.normal((dim, dim))
         alpha = rng.uniform((len(DOMAINS),))
         factors = [rng.normal((dim, rank)) for _ in range(2 * len(DOMAINS))]
 
         def build(ts):
             bank = AdapterBank()
             for d, domain in enumerate(DOMAINS):
-                bank.params[f"adapter/{domain}/l0/wv/B"] = ts[1 + 2 * d]
-                bank.params[f"adapter/{domain}/l0/wv/C"] = ts[2 + 2 * d]
-            return (effective_projection(base, bank, ts[0], target) * Tensor(weights)).sum()
+                bank.params[f"adapter/{domain}/l0/wv/B"] = ts[2 + 2 * d]
+                bank.params[f"adapter/{domain}/l0/wv/C"] = ts[3 + 2 * d]
+            return (effective_projection(ts[0], bank, ts[1], target) * Tensor(weights)).sum()
 
-        # alpha, then (B, C) for each domain
-        assert check_op(build, [alpha] + factors) < 1e-6
+        # base, alpha, then (B, C) for each domain
+        assert check_op(build, [base, alpha] + factors) < 1e-6
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**16), st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+           st.booleans())
+    def test_forward_bits_equal_the_composite_merge(self, seed, weights, grad):
+        # the merge as composite ops, before it was one node
+        def composite(base, bank, alpha, target_name):
+            scaled, factors_c = [], []
+            for d, domain in enumerate(DOMAINS):
+                b, c = bank.factors(domain, target_name)
+                scaled.append(b * alpha[d])
+                factors_c.append(c)
+            return base + concat(scaled, axis=1) @ concat(factors_c, axis=1).T
+
+        model, bank = make_model(seed % 7), make_bank(seed)
+        randomize_bank(bank, seed)
+        alpha = Tensor(np.array(weights), requires_grad=grad)
+        for target in bank.target_names:
+            base = model.params[target]
+            assert np.array_equal(effective_projection(base, bank, alpha, target).data,
+                                  composite(base, bank, alpha, target).data)
 
     def test_shape_mismatch_rejected(self):
         bank = make_bank()
@@ -380,3 +402,39 @@ class TestTrainGenerator:
             assert 0.0 <= row["tau"] <= 1.0
             assert np.isfinite(row["loss"])
             assert np.isfinite(row["grad_norm"])
+
+
+def taped_nodes(loss: Tensor) -> int:
+    """Non-leaf nodes of the tape reachable from ``loss``: those with a backward."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward is not None
+        stack.extend(node._parents)
+    return count
+
+
+class TestTapeSize:
+    """Fused layer norm, softmax, cross entropies, attention and adapter merge
+    each tape one node. Before them, by this count, a generator sample taped
+    122 nodes and an encoder call 53 (54 causal)."""
+
+    def test_generator_sample(self):
+        model, bank = make_model(), make_bank()
+        clf = DomainClassifier.init(CFG.model_dim, Rng(0, ("c",)))
+        sample = GeneratorSample(id="s", description_ids=[5, 6, 7, 8], claim_ids=[9, 10, 11],
+                                 domain_label="software")
+        count = taped_nodes(_sample_loss(sample, model, bank, clf))
+        assert count <= 0.6 * 122
+        assert count == 40
+
+    @pytest.mark.parametrize("causal, before", [(False, 53), (True, 54)])
+    def test_encoder_call(self, causal, before):
+        model = make_model()
+        count = taped_nodes(encode_sequence([5, 6, 7, 8, 9], CFG, model.params, prefix="dec",
+                                            causal=causal))
+        assert count <= 0.6 * before
+        assert count == 24

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from claimforge.numerics import (
     CheckpointError,
@@ -14,10 +15,14 @@ from claimforge.numerics import (
     Rng,
     Tensor,
     backward,
+    cross_entropy_logits,
+    layer_norm,
     load_checkpoint,
+    log_softmax,
     no_grad,
     save_checkpoint,
     scaled_dot_attention,
+    sequence_cross_entropy,
     softmax,
 )
 from claimforge.numerics.gradcheck import (
@@ -48,6 +53,146 @@ class TestGradientSuite:
             return (h @ ts[3]).sum()
 
         assert check_op(build, [x, w1, w2, w3]) < 1e-4
+
+
+FUSED_CASES = {
+    "softmax", "softmax_axis0", "log_softmax", "log_softmax_axis0", "layer_norm",
+    "attention", "attention_causal_heads", "attention_causal_offset",
+    "cross_entropy_logits", "sequence_cross_entropy",
+}
+
+
+class TestFusedOpGradients:
+    def test_every_fused_op_has_a_case(self):
+        # TestGradientSuite checks each case against central differences
+        cases = {name: inputs for name, _, inputs in op_cases(Rng(0, ("gradcheck",)))}
+        assert FUSED_CASES <= cases.keys()
+        # x, gain and bias are all differentiated, not gain and bias as constants
+        assert [x.shape for x in cases["layer_norm"]] == [(2, 3), (3,), (3,)]
+        assert cases["attention_causal_heads"][0].ndim == 3
+
+    def test_attention_gradient_reaches_a_shared_key_value_tensor(self):
+        # the evaluator passes its states as both K and V
+        rng = Rng(4, ("attn-shared",))
+        q, h, w = rng.normal((3, 4)), rng.normal((5, 4)), rng.normal((3, 4))
+
+        def build(ts):
+            return (scaled_dot_attention(ts[0], ts[1], ts[1])[0] * Tensor(w)).sum()
+
+        assert check_op(build, [q, h]) < 1e-6
+
+
+# -- the composite forwards the fused ops replaced: the forward-bits oracle ---
+
+
+def composite_softmax(x, axis=-1):
+    shifted = x - Tensor(np.max(x.data, axis=axis, keepdims=True))
+    e = shifted.exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def composite_log_softmax(x, axis=-1):
+    shifted = x - Tensor(np.max(x.data, axis=axis, keepdims=True))
+    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def composite_layer_norm(x, gain, bias, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt() * gain + bias
+
+
+def composite_attention(q, k, v, mask=None):
+    # the encoder's inline attention, mask tensor included
+    scores = (q @ k.transpose()) * (1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    weights = composite_softmax(scores, axis=-1)
+    return weights @ v, weights
+
+
+def composite_cross_entropy(logits, target):
+    return -composite_log_softmax(logits)[int(target)]
+
+
+def composite_sequence_cross_entropy(logits, targets):
+    targets = np.asarray(targets, dtype=np.int64)
+    logp = composite_log_softmax(logits, axis=-1)
+    return -logp[np.arange(len(targets)), targets].mean()
+
+
+def same_bits(fused: Tensor, reference: Tensor) -> bool:
+    return np.array_equal(np.asarray(fused.data), np.asarray(reference.data))
+
+
+FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=6):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    x = draw(hnp.arrays(np.float64, (rows, cols), elements=FINITE))
+    if draw(st.booleans()):
+        x[0] = x[0, 0]  # a constant row
+    return x
+
+
+class TestFusedForwardBits:
+    """Each fused forward equals its composite bit for bit, with or without a tape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.sampled_from([0, -1]), st.booleans())
+    @example(np.array([[2.5]]), -1, True)  # a single-element axis
+    def test_softmax_and_log_softmax(self, x, axis, grad):
+        t = Tensor(x, requires_grad=grad)
+        assert same_bits(softmax(t, axis=axis), composite_softmax(t, axis=axis))
+        assert same_bits(log_softmax(t, axis=axis), composite_log_softmax(t, axis=axis))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), matrices(), st.booleans())
+    @example(None, np.full((2, 5), 7.25), True)  # constant rows: zero variance
+    @example(None, np.array([[3.0], [-1.0]]), False)  # a single-element axis
+    def test_layer_norm(self, data, x, grad):
+        cols = x.shape[1]
+        if data is None:
+            gain, bias = np.linspace(0.5, 1.5, cols), np.linspace(-1.0, 1.0, cols)
+        else:
+            gain = data.draw(hnp.arrays(np.float64, (cols,), elements=FINITE))
+            bias = data.draw(hnp.arrays(np.float64, (cols,), elements=FINITE))
+        ts = [Tensor(a, requires_grad=grad) for a in (x, gain, bias)]
+        assert same_bits(layer_norm(*ts), composite_layer_norm(*ts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_masked_attention(self, data):
+        heads, n, d, dv = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)),
+                           data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)))
+        m = n + data.draw(st.integers(0, 3))  # keys already cached before the queries
+        small = st.floats(min_value=-10, max_value=10, allow_nan=False)
+        q, k, v = (Tensor(data.draw(hnp.arrays(np.float64, shape, elements=small)),
+                          requires_grad=data.draw(st.booleans()))
+                   for shape in ((heads, n, d), (heads, m, d), (heads, m, dv)))
+        mask = None
+        if data.draw(st.booleans()):
+            mask = np.triu(np.full((n, m), -1e9), k=m - n + 1)
+        out, weights = scaled_dot_attention(q, k, v, mask)
+        ref_out, ref_weights = composite_attention(q, k, v, mask)
+        assert same_bits(out, ref_out)
+        assert same_bits(weights, ref_weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.data())
+    def test_cross_entropies(self, x, data):
+        rows, cols = x.shape
+        targets = data.draw(st.lists(st.integers(0, cols - 1), min_size=rows, max_size=rows))
+        t = Tensor(x, requires_grad=True)
+        assert same_bits(sequence_cross_entropy(t, targets),
+                         composite_sequence_cross_entropy(t, targets))
+        row = Tensor(x[0], requires_grad=True)
+        assert same_bits(cross_entropy_logits(row, targets[0]),
+                         composite_cross_entropy(row, targets[0]))
 
 
 class TestSoftmax:

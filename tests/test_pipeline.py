@@ -201,6 +201,16 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             PipelineConfig.from_file(path)
 
+    def test_key_set_twice_names_both_lines(self, tmp_path):
+        # the last value used to win without a word: this file loaded model_dim 32
+        path = tmp_path / "p.cfg"
+        path.write_text("model_dim = 16\n# geometry\nnum_heads = 2\nmodel_dim = 32\n")
+        with pytest.raises(ValueError) as exc:
+            PipelineConfig.from_file(path)
+        message = str(exc.value)
+        assert message.startswith(f"{path}:4: config key 'model_dim'")
+        assert "line 1" in message
+
     def test_workers_key_rejected(self, tmp_path):
         path = tmp_path / "p.cfg"
         path.write_text("workers = 2\n")
@@ -523,6 +533,23 @@ class TestModelCheckpoints:
 
 
 class TestCliStages:
+    def test_evaluate_skips_only_the_pair_it_cannot_score(self, tmp_path, capsys):
+        # an unscorable pair used to end the run before any row was written
+        pairs = tmp_path / "pairs.jsonl"
+        good = {"reference": "a first claim", "generated": "a second claim",
+                "domain": DOMAINS[2]}
+        pairs.write_text(json.dumps(good) + "\n"
+                         + json.dumps({"reference": "", "generated": ""}) + "\n")
+        code = cli_main(["--config", str(_write_config(tmp_path / "c.cfg")), "--seed", "0",
+                         "--out", str(tmp_path / "o"), "evaluate", "--pairs", str(pairs)])
+        assert code == 1
+        assert f"{pairs}:2: empty claim pair" in capsys.readouterr().err
+        rows = [json.loads(line)
+                for line in (tmp_path / "o" / "quality.jsonl").read_text().splitlines()]
+        assert [(r["reference"], r["generated"]) for r in rows] == \
+            [(good["reference"], good["generated"])]
+        assert len(rows[0]["aspect_scores"]) == 5
+
     def test_trained_checkpoints_reach_the_pipeline(self, tmp_path):
         cfg = str(_write_config(tmp_path / "c.cfg"))
 
