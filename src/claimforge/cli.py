@@ -175,11 +175,14 @@ def _cmd_train_sim(args, config, seed) -> int:
                 pairs.append((claim_ids, doc_ids, pair.get("label")))
     if not pairs:
         raise ValueError("corpus has no relationship-labeled pairs")
+    log_rows = []
     history = train_similarity(
         pairs, models.cfg, models.enc_params, models.head_bank,
         SimilarityTrainConfig(temperature=config.sim_temperature,
                               aux_weight=config.aux_weight, epochs=args.epochs),
+        log_fn=log_rows.append,
     )
+    _write_jsonl(args.out / "train_log.jsonl", log_rows)
     ckpt = save_models(models, args.out)
     print(f"trained similarity on {len(pairs)} pairs; "
           f"loss {history[0]:.4f} -> {history[-1]:.4f}; checkpoint {ckpt}")
@@ -235,8 +238,10 @@ def _cmd_train_eval(args, config, seed) -> int:
             ))
     if not tuples:
         raise ValueError("corpus has no corruption tuples")
+    log_rows = []
     history = train_evaluator(tuples, models.evaluator, models.enc_params,
-                              EvaluatorTrainConfig(epochs=args.epochs))
+                              EvaluatorTrainConfig(epochs=args.epochs), log_fn=log_rows.append)
+    _write_jsonl(args.out / "train_log.jsonl", log_rows)
     acc = ordering_accuracy(tuples, models.evaluator, models.enc_params)
     ckpt = save_models(models, args.out)
     print(f"trained evaluator on {len(tuples)} tuples; loss {history[0]:.4f} -> "

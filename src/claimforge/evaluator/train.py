@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,11 +47,13 @@ def _tuple_loss(ref_ids, better_ids, worse_ids, alpha,
 
 def train_evaluator(tuples: list[tuple[list[int], list[int], list[int], str]],
                     model: EvaluatorModel, enc_params: dict[str, Tensor],
-                    train_cfg: EvaluatorTrainConfig = EvaluatorTrainConfig()) -> list[float]:
+                    train_cfg: EvaluatorTrainConfig = EvaluatorTrainConfig(),
+                    log_fn: Callable[[dict], None] | None = None) -> list[float]:
     """Minimize the summed per-aspect hinge over better/worse score gaps.
 
     Each tuple is (reference ids, better generation ids, worse generation ids,
-    domain label). Degenerate tuples (better == worse) are skipped.
+    domain label). Degenerate tuples (better == worse) are skipped. ``log_fn``,
+    if given, gets {step, loss, grad_norm} after every step.
     """
     if not tuples:
         raise ValueError("empty corpus")
@@ -80,9 +83,11 @@ def train_evaluator(tuples: list[tuple[list[int], list[int], list[int], str]],
                 loss = term if loss is None else loss + term
             loss = loss * (1.0 / len(batch))
             grads = backward(loss, trainable)
-            clip_grad_norm(grads, train_cfg.grad_clip)
+            norm = clip_grad_norm(grads, train_cfg.grad_clip)
             opt.step(grads)
             history.append(loss.item())
+            if log_fn is not None:
+                log_fn({"step": len(history) - 1, "loss": history[-1], "grad_norm": norm})
     return history
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,7 +53,9 @@ def _sample_loss(sample: GeneratorSample, model: GeneratorModel,
     alpha = softmax(domain_logits)
     overrides = effective_overrides(model.params, bank, alpha)
 
-    budget = model.cfg.max_seq_len - len(sample.claim_ids) - 3
+    # the room the claim, BOS, SEP and EOS leave; none when the claim fills it
+    # (train_generator skips a claim that cannot fit at all)
+    budget = max(0, model.cfg.max_seq_len - len(sample.claim_ids) - 3)
     seq = ([BOS_ID] + sample.description_ids[:budget] + [SEP_ID]
            + sample.claim_ids + [EOS_ID])
     logits = decoder_logits(seq[:-1], model, overrides)
@@ -71,6 +74,17 @@ def train_generator(samples: list[GeneratorSample], model: GeneratorModel,
     """Next-token training with curriculum batch sampling; returns loss history."""
     if not samples:
         raise ValueError("empty corpus")
+    usable = []
+    for s in samples:
+        # the decoder input holds at least BOS, SEP and the claim
+        if len(s.claim_ids) >= model.cfg.max_seq_len - 1:
+            warnings.warn(f"skipping sample {s.id!r}: its claim of {len(s.claim_ids)} tokens "
+                          f"leaves no room within max_seq_len {model.cfg.max_seq_len}")
+            continue
+        usable.append(s)
+    if not usable:
+        raise ValueError("no usable samples after skipping claims too long to fit")
+    samples = usable
     if all(s.domain_label is None for s in samples):
         raise ValueError("corpus has no domain labels to train the classifier on")
 

@@ -5,7 +5,10 @@ an analytic backward, and its forward keeps the numpy expressions, in their
 order, of the composite it replaced, so inference gives the same bits. They
 are ``softmax``, ``log_softmax``, ``layer_norm`` (parents x, gain, bias),
 ``scaled_dot_attention`` (parents q, k, v; an optional plain-array mask),
-``cross_entropy_logits`` and ``sequence_cross_entropy``. The adapter merge,
+the encoder's two pre-norm residual blocks, ``attention_sublayer`` (parents
+x, layer-norm gain and bias, wq, wk, wv, wo) and ``ffn_sublayer`` (parents x,
+layer-norm gain and bias, w1, b1, w2, b2), ``cross_entropy_logits`` and
+``sequence_cross_entropy``. The adapter merge,
 ``claimforge.generator.adapters.effective_projection``, is fused the same way.
 """
 
@@ -20,6 +23,8 @@ from claimforge.numerics.tensor import (
     log_softmax,
     layer_norm,
     scaled_dot_attention,
+    attention_sublayer,
+    ffn_sublayer,
     cross_entropy_logits,
     sequence_cross_entropy,
 )
@@ -37,6 +42,8 @@ __all__ = [
     "log_softmax",
     "layer_norm",
     "scaled_dot_attention",
+    "attention_sublayer",
+    "ffn_sublayer",
     "cross_entropy_logits",
     "sequence_cross_entropy",
     "Rng",

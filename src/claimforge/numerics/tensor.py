@@ -427,6 +427,34 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(logp, (x,), bwd)
 
 
+def _layer_norm_parts(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward of ``layer_norm`` over plain arrays: (output, xhat, sigma)."""
+    scale = 1.0 / x.shape[-1]
+    centered = x + (-(x.sum(axis=-1, keepdims=True) * scale))
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    sigma = np.sqrt(var + eps)
+    xhat = centered / sigma
+    return xhat * gain + bias, xhat, sigma
+
+
+def _layer_norm_grads(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
+                      xhat: np.ndarray, sigma: np.ndarray) -> tuple:
+    """Backward of ``layer_norm``: the gradients of (x, gain, bias), each None
+    where that parent needs none."""
+    gx = ggain = gbias = None
+    if x.requires_grad:
+        scale = 1.0 / x.shape[-1]
+        dxhat = g * gain.data
+        gx = (dxhat - dxhat.sum(axis=-1, keepdims=True) * scale
+              - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) * scale)) / sigma
+    if gain.requires_grad:
+        ggain = _unbroadcast(g * xhat, gain.shape)
+    if bias.requires_grad:
+        gbias = _unbroadcast(g, bias.shape)
+    return gx, ggain, gbias
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, one node.
 
@@ -434,25 +462,40 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sigma, with
     dxhat = g * gain.
     """
-    scale = 1.0 / x.shape[-1]
-    centered = x.data + (-(x.data.sum(axis=-1, keepdims=True) * scale))
-    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
-    sigma = np.sqrt(var + eps)
-    xhat = centered / sigma
+    out, xhat, sigma = _layer_norm_parts(x.data, gain.data, bias.data, eps)
 
     def bwd(g, out):
-        gx = ggain = gbias = None
-        if x.requires_grad:
-            dxhat = g * gain.data
-            gx = (dxhat - dxhat.sum(axis=-1, keepdims=True) * scale
-                  - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) * scale)) / sigma
-        if gain.requires_grad:
-            ggain = _unbroadcast(g * xhat, gain.shape)
-        if bias.requires_grad:
-            gbias = _unbroadcast(g, bias.shape)
-        return (gx, ggain, gbias)
+        return _layer_norm_grads(g, x, gain, bias, xhat, sigma)
 
-    return Tensor._from_op(xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    return Tensor._from_op(out, (x, gain, bias), bwd)
+
+
+def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Forward of ``scaled_dot_attention`` over plain arrays: (output, weights, scale)."""
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    weights = _softmax_data(scores, -1)
+    return weights @ v, weights, scale
+
+
+def _attention_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     weights: np.ndarray, scale: float, wanted: tuple[bool, bool, bool]
+                     ) -> tuple:
+    """Backward of ``_attention_parts``: the gradients of (Q, K, V) from the
+    output gradient ``g``, each None where ``wanted`` says it is not needed.
+
+    With gs the gradient of the scaled scores, they are gs @ K, gs^T @ Q and
+    weights^T @ g.
+    """
+    gw = g @ v.swapaxes(-1, -2)
+    gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
+    want_q, want_k, want_v = wanted
+    return (gs @ k if want_q else None,
+            gs.swapaxes(-1, -2) @ q if want_k else None,
+            weights.swapaxes(-1, -2) @ g if want_v else None)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
@@ -471,26 +514,101 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ValueError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
     if d_k <= 0:
         raise ValueError("head dimension must be positive")
-    scale = 1.0 / np.sqrt(d_k)
-    scores = (q.data @ k.data.swapaxes(-1, -2)) * scale
-    if mask is not None:
-        scores = scores + mask
-    weights = _softmax_data(scores, -1)
+    out, weights, scale = _attention_parts(q.data, k.data, v.data, mask)
 
     def bwd(g, out):
-        gq = gk = gv = None
-        gw = g @ v.data.swapaxes(-1, -2)
-        gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
-        if q.requires_grad:
-            gq = _unbroadcast(gs @ k.data, q.shape)
-        if k.requires_grad:
-            gk = _unbroadcast(gs.swapaxes(-1, -2) @ q.data, k.shape)
-        if v.requires_grad:
-            gv = _unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape)
-        return (gq, gk, gv)
+        grads = _attention_grads(g, q.data, k.data, v.data, weights, scale,
+                                 (q.requires_grad, k.requires_grad, v.requires_grad))
+        return tuple(None if gp is None else _unbroadcast(gp, p.shape)
+                     for gp, p in zip(grads, (q, k, v)))
 
-    out = Tensor._from_op(weights @ v.data, (q, k, v), bwd)
-    return out, Tensor._from_op(weights, (), None)
+    return Tensor._from_op(out, (q, k, v), bwd), Tensor._from_op(weights, (), None)
+
+
+def _to_heads(a: np.ndarray, num_heads: int) -> np.ndarray:
+    """(length, dim) -> (num_heads, length, dim // num_heads)."""
+    length, dim = a.shape
+    return a.reshape(length, num_heads, dim // num_heads).swapaxes(0, 1)
+
+
+def _from_heads(a: np.ndarray) -> np.ndarray:
+    """(num_heads, length, head_dim) -> (length, num_heads * head_dim)."""
+    num_heads, length, head_dim = a.shape
+    return a.swapaxes(0, 1).reshape(length, num_heads * head_dim)
+
+
+def _residual_grads(g: np.ndarray, gh: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
+                    xhat: np.ndarray, sigma: np.ndarray) -> tuple:
+    """Gradients of (x, gain, bias) for a pre-norm residual sublayer x + f(layer_norm(x)):
+    ``g`` reaches x through the residual, then ``gh`` through the layer norm."""
+    gx, ggain, gbias = _layer_norm_grads(gh, x, gain, bias, xhat, sigma)
+    return (g if gx is None else g + gx), ggain, gbias
+
+
+# A backward closure here captures fewer than 20 names: CPython 3.11 keeps
+# every freed 20-item tuple (such as a closure's cells) on a free list that it
+# never allocates from, so each call of a 20-name closure would strand 184
+# bytes, up to 2000 times per process.
+
+
+def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor,
+                       wv: Tensor, wo: Tensor, num_heads: int, mask: np.ndarray | None,
+                       extend_kv=None) -> Tensor:
+    """x + attention(layer_norm(x)) @ wo, a pre-norm attention block, as one node.
+
+    Parents x (length, dim), the layer-norm gain and bias, wq, wk, wv and wo.
+    Layer norm, then Q, K and V split into ``num_heads`` heads, masked
+    softmax attention (``mask`` is a plain array added to the scaled scores),
+    the heads merged and projected by wo, and the residual add; the numpy
+    expressions and their order are those of the per-op composite. With
+    ``extend_kv``, a function that takes this call's K and V (heads, length,
+    head_dim) and returns the keys and values to attend to (a KV cache: the
+    earlier ones, then these), K and V are plain arrays, so wk and wv get no
+    gradient from the call.
+    """
+    h, xhat, sigma = _layer_norm_parts(x.data, gain.data, bias.data)
+    q, k, v = (_to_heads(h @ w.data, num_heads) for w in (wq, wk, wv))
+    if extend_kv is not None:
+        k, v = extend_kv(k, v)
+    attended, weights, scale = _attention_parts(q, k, v, mask)
+    merged = _from_heads(attended)
+    trains_kv = extend_kv is None
+
+    def bwd(g, out):
+        gq, gk, gv = (None if gp is None else _from_heads(gp) for gp in _attention_grads(
+            _to_heads(g @ wo.data.T, num_heads), q, k, v, weights, scale,
+            (True, trains_kv, trains_kv)))
+        gh = gq @ wq.data.T
+        gwk = gwv = None
+        if trains_kv:
+            # v, then k, then q: the order a per-op tape sums them in, so the same bits
+            gh = (gv @ wv.data.T + gk @ wk.data.T) + gh
+            gwk, gwv = h.T @ gk, h.T @ gv
+        return _residual_grads(g, gh, x, gain, bias, xhat, sigma) + (
+            h.T @ gq, gwk, gwv, merged.T @ g)
+
+    return Tensor._from_op(x.data + merged @ wo.data, (x, gain, bias, wq, wk, wv, wo), bwd)
+
+
+def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor) -> Tensor:
+    """x + relu(layer_norm(x) @ w1 + b1) @ w2 + b2, a pre-norm MLP block, as one node.
+
+    Parents x, the layer-norm gain and bias, w1, b1, w2 and b2. The numpy
+    expressions and their order are those of the per-op composite.
+    """
+    h, xhat, sigma = _layer_norm_parts(x.data, gain.data, bias.data)
+    pre = h @ w1.data + b1.data
+    active = pre > 0
+    inner = pre * active
+
+    def bwd(g, out):
+        g_pre = (g @ w2.data.T) * active
+        return _residual_grads(g, g_pre @ w1.data.T, x, gain, bias, xhat, sigma) + (
+            h.T @ g_pre, _unbroadcast(g_pre, b1.shape), inner.T @ g, _unbroadcast(g, b2.shape))
+
+    return Tensor._from_op((x.data + inner @ w2.data) + b2.data,
+                           (x, gain, bias, w1, b1, w2, b2), bwd)
 
 
 def cross_entropy_logits(logits: Tensor, target: int) -> Tensor:

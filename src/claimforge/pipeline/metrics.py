@@ -20,8 +20,8 @@ def _lcs_length(a: list, b: list) -> int:
     return prev[-1]
 
 
-def rouge_l(reference: list, candidate: list, beta: float = 1.2) -> tuple[float, float, float]:
-    """LCS-based (precision, recall, F); zeros when either side is empty."""
+def rouge_l(reference: list, candidate: list) -> tuple[float, float, float]:
+    """LCS-based (precision, recall, F with beta 1.2); zeros when either side is empty."""
     if not reference or not candidate:
         return 0.0, 0.0, 0.0
     lcs = _lcs_length(reference, candidate)
@@ -29,7 +29,7 @@ def rouge_l(reference: list, candidate: list, beta: float = 1.2) -> tuple[float,
     precision = lcs / len(candidate)
     if precision + recall == 0:
         return precision, recall, 0.0
-    b2 = beta * beta
+    b2 = 1.2 * 1.2
     f = (1 + b2) * precision * recall / (recall + b2 * precision)
     return precision, recall, f
 

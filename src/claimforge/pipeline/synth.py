@@ -77,8 +77,9 @@ def _sentence(rng: Rng, pool: list[str]) -> str:
     return forms[int(rng.integers(0, len(forms)))]
 
 
-def _corrupt(tokens: list[str], rng: Rng, dropout: float = 0.2) -> list[str]:
-    kept = [t for t in tokens if rng.uniform(()) >= dropout]
+def _corrupt(tokens: list[str], rng: Rng) -> list[str]:
+    # each token is dropped with probability 0.2
+    kept = [t for t in tokens if rng.uniform(()) >= 0.2]
     if not kept:
         kept = tokens[:1]
     rng.shuffle(kept)
@@ -137,9 +138,9 @@ def _make_record(doc_id: str, domain: str, jurisdiction: str, rng: Rng) -> Corpu
     )
 
 
-def synth_corpus(seed: int, size: int, domains: int = 5,
-                 prior_art_per_domain: int = 1) -> SynthCorpus:
-    """Template-generated patent-like corpus; fully deterministic per seed."""
+def synth_corpus(seed: int, size: int, domains: int = 5) -> SynthCorpus:
+    """Template-generated patent-like corpus, with one prior-art record per
+    domain; fully deterministic per seed."""
     if size < 15:
         raise ValueError(f"size {size} too small: need at least 15 (3 per domain)")
     if not (1 <= domains <= len(DOMAINS)):
@@ -155,11 +156,6 @@ def synth_corpus(seed: int, size: int, domains: int = 5,
             jur = _JURISDICTIONS[idx % len(_JURISDICTIONS)]
             records.append(_make_record(f"doc{idx:04d}", domain, jur, rng.substream(f"rec{idx}")))
             idx += 1
-    prior_art = []
-    for d, domain in enumerate(active):
-        for j in range(prior_art_per_domain):
-            prior_art.append(
-                _make_record(f"prior{d}{j:02d}", domain, "USPTO",
-                             rng.substream(f"prior{d}-{j}"))
-            )
+    prior_art = [_make_record(f"prior{d}00", domain, "USPTO", rng.substream(f"prior{d}-0"))
+                 for d, domain in enumerate(active)]
     return SynthCorpus(records=records, prior_art=prior_art)

@@ -9,6 +9,7 @@ head pair, enforcing the specialization the head groups name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from claimforge.numerics import Tensor, backward, concat
 from claimforge.similarity.heads import (
@@ -43,11 +44,13 @@ def _row_normalize(z: Tensor, eps: float = 1e-12) -> Tensor:
 def train_similarity(pairs: list[tuple[list[int], list[int], str | None]],
                      cfg: EncoderConfig, enc_params: dict[str, Tensor],
                      bank: HeadBank,
-                     train_cfg: SimilarityTrainConfig = SimilarityTrainConfig()) -> list[float]:
+                     train_cfg: SimilarityTrainConfig = SimilarityTrainConfig(),
+                     log_fn: Callable[[dict], None] | None = None) -> list[float]:
     """Minimize in-batch contrastive loss (+ auxiliary group supervision).
 
     ``pairs`` holds (claim token ids, doc token ids, relationship label or
     None). Returns the per-step loss history; parameters update in place.
+    ``log_fn``, if given, gets {step, loss, grad_norm} after every step.
     """
     if train_cfg.temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -91,7 +94,9 @@ def train_similarity(pairs: list[tuple[list[int], list[int], str | None]],
                 loss = loss + (train_cfg.aux_weight / len(aux_terms)) * aux
 
             grads = backward(loss, trainable)
-            clip_grad_norm(grads, train_cfg.grad_clip)
+            norm = clip_grad_norm(grads, train_cfg.grad_clip)
             opt.step(grads)
             history.append(loss.item())
+            if log_fn is not None:
+                log_fn({"step": len(history) - 1, "loss": history[-1], "grad_norm": norm})
     return history

@@ -4,16 +4,23 @@ Full attention stands in for the long-context encoder: desk-scale sequences
 stay under ``max_seq_len`` tokens, where full attention is exact. Positions
 are fixed sinusoidal. Residual blocks are pre-norm, so zeroing every layer
 weight matrix reduces the stack to token + positional embeddings.
+
+Each residual block is one autodiff node with an analytic backward, the
+numerics kernels ``attention_sublayer`` (layer norm, multi-head attention,
+output projection, residual) and ``ffn_sublayer`` (layer norm, relu MLP,
+residual), so an encoder call tapes the embedding lookup, the position add
+and two nodes per layer. Training and inference run the same code; under
+``no_grad()`` the nodes record nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, layer_norm, scaled_dot_attention, take_rows
+from claimforge.numerics import Rng, Tensor, attention_sublayer, ffn_sublayer, take_rows
 
 
 @dataclass(frozen=True)
@@ -90,16 +97,6 @@ def init_encoder_params(vocab_size: int, cfg: EncoderConfig, rng: Rng,
     return params
 
 
-def _split_heads(x: Tensor, num_heads: int, head_dim: int) -> Tensor:
-    length = x.shape[0]
-    return x.reshape(length, num_heads, head_dim).swapaxes(0, 1)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    num_heads, length, head_dim = x.shape
-    return x.swapaxes(0, 1).reshape(length, num_heads * head_dim)
-
-
 def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
                     prefix: str = "enc", causal: bool = False,
                     weight_overrides: dict[str, Tensor] | None = None,
@@ -148,29 +145,25 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
 
     for layer in range(cfg.num_layers):
         p = f"l{layer}"
-        h = layer_norm(x, get(f"{p}/ln1/g"), get(f"{p}/ln1/b"))
-        q = _split_heads(h @ get(f"{p}/attn/wq"), cfg.num_heads, cfg.head_dim)
-        k = _split_heads(h @ get(f"{p}/attn/wk"), cfg.num_heads, cfg.head_dim)
-        v = _split_heads(h @ get(f"{p}/attn/wv"), cfg.num_heads, cfg.head_dim)
-        if cache is not None:
-            k, v = _extend_cache(cache, layer, k, v)
-        attended, _ = scaled_dot_attention(q, k, v, mask)
-        x = x + _merge_heads(attended) @ get(f"{p}/attn/wo")
-        h = layer_norm(x, get(f"{p}/ln2/g"), get(f"{p}/ln2/b"))
-        inner = (h @ get(f"{p}/ffn/w1") + get(f"{p}/ffn/b1")).relu()
-        x = x + inner @ get(f"{p}/ffn/w2") + get(f"{p}/ffn/b2")
+        x = attention_sublayer(
+            x, get(f"{p}/ln1/g"), get(f"{p}/ln1/b"), get(f"{p}/attn/wq"), get(f"{p}/attn/wk"),
+            get(f"{p}/attn/wv"), get(f"{p}/attn/wo"), cfg.num_heads, mask,
+            None if cache is None else partial(_extend_cache, cache, layer))
+        x = ffn_sublayer(x, get(f"{p}/ln2/g"), get(f"{p}/ln2/b"), get(f"{p}/ffn/w1"),
+                         get(f"{p}/ffn/b1"), get(f"{p}/ffn/w2"), get(f"{p}/ffn/b2"))
     return x
 
 
-def _extend_cache(cache: KVCache, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+def _extend_cache(cache: KVCache, layer: int, k: np.ndarray,
+                  v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Append one layer's new keys and values; return that layer's full K and V."""
     if layer == len(cache.keys):
-        cache.keys.append(k.data)
-        cache.values.append(v.data)
+        cache.keys.append(k)
+        cache.values.append(v)
     else:
-        cache.keys[layer] = np.concatenate([cache.keys[layer], k.data], axis=1)
-        cache.values[layer] = np.concatenate([cache.values[layer], v.data], axis=1)
-    return Tensor(cache.keys[layer]), Tensor(cache.values[layer])
+        cache.keys[layer] = np.concatenate([cache.keys[layer], k], axis=1)
+        cache.values[layer] = np.concatenate([cache.values[layer], v], axis=1)
+    return cache.keys[layer], cache.values[layer]
 
 
 def mean_pool(states: Tensor) -> Tensor:

@@ -1,0 +1,87 @@
+"""tools/bench_ab.py: the run record it keeps and the summary it writes.
+
+The tool is imported by path; its parser and summary are fed the standard
+output that ``bench/run.py`` prints, so no benchmark runs here.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "tools" / "bench_ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_ab = load_tool()
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def stdout(ops: float, rss: float, setup: float, errors=(), correct=True, failed=0) -> str:
+    """What bench/run.py prints for an untraced train-mix run, shortened."""
+    lines = ['env {"nproc": 2, "seed": 300, "src_sha256": "abc"}',
+             "check golden_report: ok sha256=d16b",
+             "check loss_history_sha256 repeat 0: c976 ok",
+             "check loss_history_sha256 repeat 1: c976 ok"]
+    lines += [f"check repeat 1: {e}" for e in errors]
+    lines += ["repeats 2, operations per repeat 90", f"metric peak_rss_mb = {rss} MB",
+              "metric fail_ratio = 0 (failed 0 of 180)"]
+    lines.append(json.dumps({"correct": correct, "attempted": 180, "failed": failed, "metrics": {
+        "ops_per_s": {"value": ops, "unit": "1/s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+        "setup_s": {"value": setup, "unit": "s"}}}))
+    return "\n".join(lines) + "\n"
+
+
+def pairs(values):
+    """Run records for (parent, change) ops_per_s values; the other metrics fixed."""
+    return [{"pair": i, "first": "parent",
+             "parent": bench_ab.parse_run(stdout(p, 50.0, 0.12)),
+             "change": bench_ab.parse_run(stdout(c, 49.0, 0.12))}
+            for i, (p, c) in enumerate(values, start=1)]
+
+
+def test_parse_run_keeps_the_checks_and_the_errors():
+    record = bench_ab.parse_run(stdout(100.0, 49.5, 0.12, errors=["aspect scores off"]))
+    assert record["golden_check"] == ["golden_report: ok sha256=d16b"]
+    assert record["output_sha256"] == ["c976"]
+    assert (record["repeats_checked"], record["repeats_ok"]) == (2, True)
+    assert record["errors"] == ["repeat 1: aspect scores off"]
+    assert record["env"]["src_sha256"] == "abc"
+    assert record["result"]["metrics"]["ops_per_s"]["value"] == 100.0
+
+
+def test_parse_run_needs_the_final_json_line():
+    with pytest.raises(ValueError, match="no final JSON line"):
+        bench_ab.parse_run("env {}\ncheck golden_report: ok sha256=d16b\n")
+
+
+def test_summary_quartiles_pairs_and_parent_iqr():
+    runs = pairs([(90.0, 100.0), (100.0, 95.0), (110.0, 130.0), (80.0, 120.0), (120.0, 140.0)])
+    summary = bench_ab.summarize(runs, SPEC, traced=False)
+    ops = summary["ops_per_s"]
+    # inclusive quartiles of 80, 90, 100, 110, 120 and of 95, 100, 120, 130, 140
+    assert ops["parent"] == {"q1": 90.0, "median": 100.0, "q3": 110.0}
+    assert ops["change"] == {"q1": 100.0, "median": 120.0, "q3": 130.0}
+    assert ops["parent_iqr"] == 20.0
+    assert ops["median_ratio_change_over_parent"] == 1.2
+    assert ops["pairs_change_better"] == "4/5"  # pair 2 is slower
+    # lower is better for memory: 49 < 50 in every pair; setup ties count as not better
+    assert summary["peak_rss_mb"]["pairs_change_better"] == "5/5"
+    assert summary["setup_s"]["pairs_change_better"] == "0/5"
+
+
+def test_summary_refuses_an_incorrect_run():
+    runs = pairs([(90.0, 100.0), (100.0, 95.0)])
+    runs[1]["change"] = bench_ab.parse_run(
+        stdout(95.0, 49.0, 0.12, errors=["no generated claims"], correct=False, failed=3))
+    with pytest.raises(ValueError, match="pair 2, change: correct=False, failed 3 of 180; "
+                                         "repeat 1: no generated claims"):
+        bench_ab.summarize(runs, SPEC, traced=False)

@@ -18,7 +18,7 @@ from claimforge.evaluator import (
 from claimforge.evaluator.train import EvaluatorTrainConfig, domain_one_hot
 from claimforge.generator import DOMAINS
 from claimforge.numerics import Rng, Tensor
-from claimforge.textcore import BOS_ID, EOS_ID, SEP_ID, encode_sequence
+from claimforge.textcore import BOS_ID, EOS_ID, SEP_ID, encode_sequence, init_encoder_params
 from claimforge.training import margin_loss
 
 
@@ -223,6 +223,21 @@ class TestTrainEvaluator:
         history = train_evaluator(tuples, model, small_enc,
                                   EvaluatorTrainConfig(epochs=25, lr=1e-3))
         assert history[-1] < history[0]
+
+    def test_log_fn_gets_every_step(self, small_cfg, small_vocab):
+        def run(log_fn):
+            enc = init_encoder_params(len(small_vocab), small_cfg, Rng(0, ("test-enc",)))
+            return train_evaluator(self._tuples(small_vocab, 5), make_eval(small_cfg), enc,
+                                   EvaluatorTrainConfig(epochs=2, batch_size=2),
+                                   log_fn=log_fn)
+
+        rows = []
+        history = run(rows.append)
+        assert history == run(None)  # logging changes no loss
+        assert [row["step"] for row in rows] == list(range(len(history))) == list(range(6))
+        assert [row["loss"] for row in rows] == history
+        assert all(set(row) == {"step", "loss", "grad_norm"} for row in rows)
+        assert all(math.isfinite(row["grad_norm"]) for row in rows)
 
     def test_degenerate_tuples_skipped_with_warning(self, small_cfg, small_vocab,
                                                     small_enc):

@@ -259,6 +259,29 @@ class TestAttention:
                                     Tensor(rng.normal((7, 4))))
         np.testing.assert_allclose(w.data.sum(axis=-1), np.ones(5), atol=1e-12)
 
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_gradients_match_the_softmax_jacobian(self, causal):
+        # every attention backward (this op's and the encoder sublayer's)
+        # runs one Q/K/V step; check it against the softmax Jacobian written
+        # out row by row, to a tolerance no central difference reaches
+        rng = Rng(5, ("attn-jacobian",))
+        q, k, v, g = (rng.normal(shape) for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 3), (2, 3, 3)))
+        mask = np.triu(np.full((3, 5), -1e9), k=3) if causal else None
+        ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out, w = scaled_dot_attention(*ts, mask)
+        (out * Tensor(g)).sum().backward()
+        gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+        for h in range(2):
+            for i in range(3):
+                p = w.data[h, i]
+                jacobian = np.diag(p) - np.outer(p, p)
+                gs = jacobian @ (v[h] @ g[h, i]) / math.sqrt(4)
+                gq[h, i] = gs @ k[h]
+                gk[h] += np.outer(gs, q[h, i])
+                gv[h] += np.outer(p, g[h, i])
+        for t, want in zip(ts, (gq, gk, gv)):
+            np.testing.assert_allclose(t.grad, want, rtol=1e-12, atol=1e-14)
+
 
 class TestBackward:
     def test_sigmoid_grad_at_zero(self):

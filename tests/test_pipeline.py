@@ -49,6 +49,11 @@ class TestSynthCorpus:
                 overlap = len(set(pools[a]) & set(pools[b]))
                 assert overlap < 0.2 * len(pools[a])
 
+    def test_one_prior_art_record_per_domain(self):
+        corpus = synth_corpus(0, 15, domains=3)
+        assert [rec.id for rec in corpus.prior_art] == ["prior000", "prior100", "prior200"]
+        assert [rec.domain for rec in corpus.prior_art] == list(DOMAINS[:3])
+
     def test_size_too_small_rejected(self):
         with pytest.raises(ValueError, match="size"):
             synth_corpus(0, 14)
@@ -549,6 +554,22 @@ class TestCliStages:
         assert [(r["reference"], r["generated"]) for r in rows] == \
             [(good["reference"], good["generated"])]
         assert len(rows[0]["aspect_scores"]) == 5
+
+    @pytest.mark.parametrize("command", ["train-sim", "train-eval"])
+    def test_trainer_writes_its_loss_curve(self, tmp_path, capsys, command):
+        cfg = str(_write_config(tmp_path / "c.cfg"))
+        corpus = str(tmp_path / "syn" / "corpus.jsonl")
+        assert cli_main(["--config", cfg, "--seed", "0", "--out", str(tmp_path / "syn"),
+                         "synth", "--size", "15"]) == 0
+        assert cli_main(["--config", cfg, "--seed", "0", "--out", str(tmp_path / "t"),
+                         command, "--corpus", corpus, "--epochs", "1"]) == 0
+        rows = [json.loads(line)
+                for line in (tmp_path / "t" / "train_log.jsonl").read_text().splitlines()]
+        assert rows and [row["step"] for row in rows] == list(range(len(rows)))
+        assert all(set(row) == {"step", "loss", "grad_norm"} for row in rows)
+        # the printed curve runs from the first logged loss to the last
+        printed = capsys.readouterr().out
+        assert f"loss {rows[0]['loss']:.4f} -> {rows[-1]['loss']:.4f}" in printed
 
     def test_trained_checkpoints_reach_the_pipeline(self, tmp_path):
         cfg = str(_write_config(tmp_path / "c.cfg"))

@@ -426,6 +426,25 @@ class TestTrainSimilarity:
                                    SimilarityTrainConfig(epochs=6, lr=1e-3))
         assert history[-1] < history[0]
 
+    def test_log_fn_gets_every_step(self, small_cfg, small_vocab):
+        def run(log_fn):
+            enc = init_encoder_params(len(small_vocab), small_cfg, Rng(2, ("enc",)))
+            bank = HeadBank.init(small_cfg.model_dim, Rng(2, ("bank",)), head_dim=8)
+            pairs = [(small_vocab.encode_text(f"w{i} w{i + 1}"),
+                      small_vocab.encode_text(f"w{i + 2} w{i + 3} w{i + 4}"),
+                      RELATIONSHIP_ORDER[i % 4]) for i in range(6)]
+            return train_similarity(pairs, small_cfg, enc, bank,
+                                    SimilarityTrainConfig(epochs=2, batch_size=4),
+                                    log_fn=log_fn)
+
+        rows = []
+        history = run(rows.append)
+        assert history == run(None)  # logging changes no loss
+        assert [row["step"] for row in rows] == list(range(len(history))) == [0, 1, 2, 3]
+        assert [row["loss"] for row in rows] == history
+        assert all(set(row) == {"step", "loss", "grad_norm"} for row in rows)
+        assert all(math.isfinite(row["grad_norm"]) and row["grad_norm"] > 0 for row in rows)
+
     def test_too_few_pairs_rejected(self, small_cfg, small_vocab):
         enc = init_encoder_params(len(small_vocab), small_cfg, Rng(1, ("enc",)))
         bank = HeadBank.init(small_cfg.model_dim, Rng(1, ("bank",)), head_dim=8)

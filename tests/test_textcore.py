@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from claimforge.numerics import Rng
+from claimforge.numerics import (Rng, Tensor, attention_sublayer, ffn_sublayer, layer_norm, no_grad,
+                                 scaled_dot_attention, take_rows)
+from claimforge.numerics.gradcheck import check_op
 from claimforge.textcore import (
     BOS_ID,
     EOS_ID,
@@ -14,6 +18,7 @@ from claimforge.textcore import (
     SEP_ID,
     UNK_ID,
     EncoderConfig,
+    KVCache,
     Vocabulary,
     encode_sequence,
     init_encoder_params,
@@ -21,6 +26,7 @@ from claimforge.textcore import (
     sentence_boundaries,
     tokenize,
 )
+from claimforge.textcore.encoder import _positional_encoding_cached
 
 FIXTURE_40_WORDS = (
     "The rotary valve assembly includes a housing, a shaft, and a bearing "
@@ -250,3 +256,184 @@ class TestEncoder:
         states = encode_sequence(ids, small_cfg, small_enc)
         np.testing.assert_allclose(mean_pool(states).data,
                                    states.data.mean(axis=0), atol=1e-12)
+
+
+# -- the per-op encoder the fused sublayers replaced: the bits oracle ---------
+
+
+def composite_split_heads(x, num_heads, head_dim):
+    return x.reshape(x.shape[0], num_heads, head_dim).swapaxes(0, 1)
+
+
+def composite_merge_heads(x):
+    num_heads, length, head_dim = x.shape
+    return x.swapaxes(0, 1).reshape(length, num_heads * head_dim)
+
+
+def composite_extend_cache(cache, layer, k, v):
+    if layer == len(cache.keys):
+        cache.keys.append(k.data)
+        cache.values.append(v.data)
+    else:
+        cache.keys[layer] = np.concatenate([cache.keys[layer], k.data], axis=1)
+        cache.values[layer] = np.concatenate([cache.values[layer], v.data], axis=1)
+    return Tensor(cache.keys[layer]), Tensor(cache.values[layer])
+
+
+def composite_encode(ids, cfg, params, causal=False, cache=None):
+    """``encode_sequence`` as it was: one taped node per op of each sublayer."""
+    g = lambda name: params[f"enc/{name}"]
+    offset = cache.length if cache is not None else 0
+    total = offset + len(ids)
+    positions = _positional_encoding_cached(cfg.max_seq_len, cfg.model_dim)[offset:total]
+    x = take_rows(g("embed"), ids) + Tensor(positions)
+    mask = np.triu(np.full((len(ids), total), -1e9), k=offset + 1) if causal else None
+    for layer in range(cfg.num_layers):
+        p = f"l{layer}"
+        h = layer_norm(x, g(f"{p}/ln1/g"), g(f"{p}/ln1/b"))
+        q = composite_split_heads(h @ g(f"{p}/attn/wq"), cfg.num_heads, cfg.head_dim)
+        k = composite_split_heads(h @ g(f"{p}/attn/wk"), cfg.num_heads, cfg.head_dim)
+        v = composite_split_heads(h @ g(f"{p}/attn/wv"), cfg.num_heads, cfg.head_dim)
+        if cache is not None:
+            k, v = composite_extend_cache(cache, layer, k, v)
+        attended, _ = scaled_dot_attention(q, k, v, mask)
+        x = x + composite_merge_heads(attended) @ g(f"{p}/attn/wo")
+        h = layer_norm(x, g(f"{p}/ln2/g"), g(f"{p}/ln2/b"))
+        inner = (h @ g(f"{p}/ffn/w1") + g(f"{p}/ffn/b1")).relu()
+        x = x + inner @ g(f"{p}/ffn/w2") + g(f"{p}/ffn/b2")
+    return x
+
+
+FUSED_CFG = EncoderConfig(model_dim=8, num_heads=2, head_dim=4, num_layers=2, max_seq_len=16)
+
+
+def random_encoder(seed: int) -> dict[str, Tensor]:
+    """Encoder parameters with every gain, bias and weight drawn at random, so
+    no layer norm is the identity and the relu masks are mixed."""
+    rng = Rng(seed, ("fused-enc",))
+    params = init_encoder_params(24, FUSED_CFG, rng)
+    for t in params.values():
+        t.data = rng.normal(t.data.shape, 0.5)
+    return params
+
+
+def encoder_grads(encode, ids, params, causal, seed):
+    for t in params.values():
+        t.zero_grad()
+    w = Rng(seed, ("fused-loss",)).normal((len(ids), FUSED_CFG.model_dim))
+    (encode(ids, FUSED_CFG, params, causal=causal) * Tensor(w)).sum().backward()
+    return {name: t.grad for name, t in params.items()}
+
+
+class TestFusedSublayers:
+    """``encode_sequence`` tapes one node per sublayer and equals the per-op
+    encoder bit for bit: forward, the KV-cached forward and every gradient."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.lists(st.integers(0, 23), min_size=1, max_size=9),
+           st.booleans(), st.booleans())
+    def test_forward_equals_the_composite(self, seed, ids, causal, grad):
+        params = random_encoder(seed)
+        for t in params.values():
+            t.requires_grad = grad
+        fused = encode_sequence(ids, FUSED_CFG, params, causal=causal)
+        assert np.array_equal(fused.data, composite_encode(ids, FUSED_CFG, params, causal).data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.lists(st.integers(0, 23), min_size=1, max_size=6),
+           st.lists(st.lists(st.integers(0, 23), min_size=1, max_size=3), max_size=3))
+    def test_cached_steps_equal_the_composite(self, seed, prefix, steps):
+        # a prefix, then steps of one to three tokens at growing offsets,
+        # each attending to the keys and values cached before it
+        params = random_encoder(seed)
+        fused_cache, ref_cache = KVCache(), KVCache()
+        with no_grad():
+            for ids in [prefix] + steps:
+                fused = encode_sequence(ids, FUSED_CFG, params, prefix="enc", causal=True,
+                                        cache=fused_cache)
+                ref = composite_encode(ids, FUSED_CFG, params, causal=True, cache=ref_cache)
+                assert np.array_equal(fused.data, ref.data)
+        for mine, theirs in ((fused_cache.keys, ref_cache.keys),
+                             (fused_cache.values, ref_cache.values)):
+            assert all(np.array_equal(a, b) for a, b in zip(mine, theirs, strict=True))
+
+    def test_single_token(self):
+        params = random_encoder(3)
+        for causal in (False, True):
+            fused = encode_sequence([7], FUSED_CFG, params, causal=causal)
+            assert np.array_equal(fused.data, composite_encode([7], FUSED_CFG, params, causal).data)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.lists(st.integers(0, 23), min_size=1, max_size=7),
+           st.booleans())
+    def test_gradients_equal_the_composite(self, seed, ids, causal):
+        params = random_encoder(seed)
+        fused = encoder_grads(encode_sequence, ids, params, causal, seed)
+        ref = encoder_grads(composite_encode, ids, params, causal, seed)
+        for name in params:
+            assert np.array_equal(fused[name], ref[name]), name
+
+    def test_one_node_per_sublayer(self):
+        params = random_encoder(0)
+        out = encode_sequence([3, 4, 5], FUSED_CFG, params, causal=True)
+        # embedding lookup, + positions, then attention and FFN per layer
+        seen, stack, nodes = set(), [out], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes += node._backward is not None
+                stack.extend(node._parents)
+        assert nodes == 2 + 2 * FUSED_CFG.num_layers
+
+    def test_cached_keys_and_values_carry_no_gradient(self):
+        # as before the fusion: under a cache K and V are plain arrays, so
+        # wk and wv get nothing from this call and wq does
+        params = random_encoder(5)
+        cache = KVCache()
+        with no_grad():
+            encode_sequence([1, 2], FUSED_CFG, params, causal=True, cache=cache)
+        out = encode_sequence([3], FUSED_CFG, params, causal=True, cache=cache)
+        out.sum().backward()
+        assert params["enc/l1/attn/wk"].grad is None
+        assert params["enc/l1/attn/wv"].grad is None
+        assert np.abs(params["enc/l1/attn/wq"].grad).sum() > 0
+
+
+def _sublayer_inputs(seed, n):
+    rng = Rng(seed, ("sublayer",))
+    d = 4
+    attention = [rng.normal((n, d)), 1.0 + rng.normal((d,), 0.3), rng.normal((d,), 0.3)]
+    attention += [rng.normal((d, d), 0.7) for _ in range(4)]
+    ffn = [rng.normal((n, d)), 1.0 + rng.normal((d,), 0.3), rng.normal((d,), 0.3),
+           rng.normal((d, 12), 0.7), rng.normal((12,), 0.3), rng.normal((12, d), 0.7),
+           rng.normal((d,), 0.3)]
+    return attention, ffn, rng.normal((n, d))
+
+
+class TestSublayerGradients:
+    """Each sublayer's analytic backward against central differences, for
+    every parent: x, the layer-norm gain and bias and the weights."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_attention(self, seed, causal):
+        attention, _, w = _sublayer_inputs(seed, 3)
+        mask = np.triu(np.full((3, 3), -1e9), k=1) if causal else None
+        err = check_op(lambda ts: (attention_sublayer(*ts, 2, mask) * Tensor(w)).sum(),
+                       attention)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ffn(self, seed):
+        _, ffn, w = _sublayer_inputs(seed, 3)
+        assert check_op(lambda ts: (ffn_sublayer(*ts) * Tensor(w)).sum(), ffn) < 1e-6
+
+    def test_no_tape_under_no_grad(self):
+        attention, ffn, _ = _sublayer_inputs(2, 2)
+        with no_grad():
+            outs = [attention_sublayer(*[Tensor(a, requires_grad=True) for a in attention], 2,
+                                       None),
+                    ffn_sublayer(*[Tensor(a, requires_grad=True) for a in ffn])]
+        assert all(not o.requires_grad and o._backward is None and not o._parents
+                   for o in outs)

@@ -236,6 +236,74 @@ class TestAdamW:
         assert np.array_equal(run(), run())
 
 
+class PerParameterAdamW:
+    """AdamW as it was, one parameter at a time: the oracle of the flat update."""
+
+    def __init__(self, params, lr, betas, eps, weight_decay):
+        self.params, self.lr, (self.beta1, self.beta2) = params, lr, betas
+        self.eps, self.weight_decay, self.t = eps, weight_decay, 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+
+    def step(self, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, g in grads.items():
+            p = self.params[name]
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            p.data = p.data - self.lr * (
+                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
+            )
+
+
+class TestFlatAdamW:
+    SHAPES = {"w": (3, 4), "b": (4,), "s": (), "t": (2, 1, 3)}
+
+    def _params(self):
+        rng = Rng(21, ("flat-adamw",))
+        return {name: Tensor(rng.normal(shape), requires_grad=True)
+                for name, shape in self.SHAPES.items()}
+
+    def test_equals_the_per_parameter_update_bit_for_bit(self):
+        flat_params, ref_params = self._params(), self._params()
+        settings = dict(lr=3e-2, betas=(0.8, 0.95), eps=1e-8, weight_decay=0.05)
+        flat = AdamW(flat_params, **settings)
+        ref = PerParameterAdamW(ref_params, **settings)
+        rng = Rng(22, ("flat-adamw-grads",))
+        for _ in range(50):
+            # gradients of every scale, zeros included
+            grads = {name: rng.normal(shape) * 10.0 ** float(rng.integers(-6, 3))
+                     for name, shape in self.SHAPES.items()}
+            grads["b"][0] = 0.0
+            flat.step({name: g.copy() for name, g in grads.items()})
+            ref.step(grads)
+            for name in self.SHAPES:
+                assert flat_params[name].data.shape == self.SHAPES[name]
+                assert np.array_equal(flat_params[name].data, ref_params[name].data), name
+
+    def test_missing_gradient_is_a_key_error_and_changes_nothing(self):
+        params = self._params()
+        before = {name: p.data.copy() for name, p in params.items()}
+        opt = AdamW(params, lr=1e-2)
+        grads = {name: np.ones(shape) for name, shape in self.SHAPES.items() if name != "s"}
+        with pytest.raises(KeyError, match="'s'"):
+            opt.step(grads)
+        assert opt.t == 0
+        for name, p in params.items():
+            assert np.array_equal(p.data, before[name])
+
+    def test_non_finite_gradient_names_its_parameter(self):
+        opt = AdamW(self._params())
+        grads = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
+        grads["t"][1, 0, 2] = np.inf
+        with pytest.raises(ValueError, match="'t'"):
+            opt.step(grads)
+
+
 class TestClipGradNorm:
     def test_small_gradients_untouched(self):
         grads = {"w": np.array([0.3, 0.4])}
