@@ -8,7 +8,8 @@ import numpy as np
 
 from claimforge.numerics import Rng, Tensor, no_grad, scaled_dot_attention, softmax
 from claimforge.generator.adapters import DOMAINS
-from claimforge.textcore import BOS_ID, EOS_ID, SEP_ID, EncoderConfig, encode_sequence
+from claimforge.textcore import (BOS_ID, EOS_ID, SEP_ID, EncoderConfig, encode_sequence,
+                                 key_padding_mask)
 
 ASPECTS = ("completeness", "clarity", "terminology", "logic", "overall")
 
@@ -68,9 +69,8 @@ class QualityReport:
         }
 
 
-def encode_pair(ref_ids: list[int], gen_ids: list[int], cfg: EncoderConfig,
-                enc_params: dict[str, Tensor]) -> Tensor:
-    """Encoder states over [BOS] reference [SEP] generated [EOS]."""
+def _pair_ids(ref_ids: list[int], gen_ids: list[int], cfg: EncoderConfig) -> list[int]:
+    """[BOS] reference [SEP] generated [EOS], checked against ``max_seq_len``."""
     if not ref_ids and not gen_ids:
         raise ValueError("empty claim pair")
     total = len(ref_ids) + len(gen_ids) + 3
@@ -80,19 +80,42 @@ def encode_pair(ref_ids: list[int], gen_ids: list[int], cfg: EncoderConfig,
             f"claim pair length {total} exceeds max_seq_len {cfg.max_seq_len}; "
             f"truncate inputs by {excess} tokens total"
         )
-    ids = [BOS_ID] + list(ref_ids) + [SEP_ID] + list(gen_ids) + [EOS_ID]
-    return encode_sequence(ids, cfg, enc_params)
+    return [BOS_ID] + list(ref_ids) + [SEP_ID] + list(gen_ids) + [EOS_ID]
 
 
-def aspect_scores(h_shared: Tensor, model: EvaluatorModel) -> tuple[Tensor, np.ndarray]:
+def encode_pair(ref_ids: list[int], gen_ids: list[int], cfg: EncoderConfig,
+                enc_params: dict[str, Tensor]) -> Tensor:
+    """Encoder states over [BOS] reference [SEP] generated [EOS]."""
+    return encode_sequence(_pair_ids(ref_ids, gen_ids, cfg), cfg, enc_params)
+
+
+def encode_pairs(pairs: list[tuple[list[int], list[int]]], cfg: EncoderConfig,
+                 enc_params: dict[str, Tensor]) -> tuple[Tensor, list[int]]:
+    """``encode_pair`` of every (reference, generated) pair in one encoder call.
+
+    Returns the padded (len(pairs), longest, model_dim) states and each
+    pair's length, for ``aspect_scores``.
+    """
+    seqs = [_pair_ids(ref, gen, cfg) for ref, gen in pairs]
+    lengths = [len(ids) for ids in seqs]
+    states = encode_sequence([t for ids in seqs for t in ids], cfg, enc_params, lengths=lengths)
+    return states, lengths
+
+
+def aspect_scores(h_shared: Tensor, model: EvaluatorModel,
+                  lengths: list[int] | None = None) -> tuple[Tensor, np.ndarray]:
     """Sigmoid scores per aspect via single-query cross-attention over h_shared.
 
     Returns (scores tensor of shape (5,), attention weight matrix (5, len)).
+    With ``lengths``, h_shared is a padded (batch, len, d) stack from
+    ``encode_pairs``, each pair attends to its own first lengths[i] rows only,
+    and the scores are (batch, 5) and the weights (batch, 5, len).
     """
-    if h_shared.shape[0] == 0:
+    if h_shared.shape[-2] == 0:
         raise ValueError("empty shared encoding")
-    pooled, attn = scaled_dot_attention(model.params["eval/queries"], h_shared, h_shared)
-    logits = (pooled * model.params["eval/score_w"]).sum(axis=1) + model.params["eval/score_b"]
+    mask = None if lengths is None else key_padding_mask(lengths)[:, None, :]
+    pooled, attn = scaled_dot_attention(model.params["eval/queries"], h_shared, h_shared, mask)
+    logits = (pooled * model.params["eval/score_w"]).sum(axis=-1) + model.params["eval/score_b"]
     return logits.sigmoid(), attn.data
 
 
@@ -105,11 +128,12 @@ def overall_score(scores: Tensor, aspect_logits: Tensor) -> tuple[Tensor, np.nda
 def adaptive_margin(alpha, model: EvaluatorModel) -> Tensor:
     """Per-aspect margin mu_k + beta_k * tanh(row_k of domain projection).
 
-    ``alpha`` is the domain mixture; the domain embedding is its soft mixture
-    over the embedding table, so margins stay within mu_k +/- beta_k.
+    ``alpha`` is the domain mixture, or a (batch, domains) stack of them for
+    (batch, 5) margins; the domain embedding is its soft mixture over the
+    embedding table, so margins stay within mu_k +/- beta_k.
     """
     alpha = alpha if isinstance(alpha, Tensor) else Tensor(np.asarray(alpha, float))
-    if alpha.shape != (len(DOMAINS),):
+    if alpha.shape[-1:] != (len(DOMAINS),) or len(alpha.shape) > 2:
         raise ValueError(f"domain mixture must have {len(DOMAINS)} entries")
     d_embed = alpha @ model.params["eval/margin/e_dom"]
     z = d_embed @ model.params["eval/margin/w"] + model.params["eval/margin/b"]

@@ -14,6 +14,7 @@ from claimforge.evaluator.aspects import (
     adaptive_margin,
     aspect_scores,
     encode_pair,
+    encode_pairs,
     overall_score,
 )
 from claimforge.generator.adapters import DOMAINS
@@ -35,14 +36,17 @@ def domain_one_hot(domain: str) -> np.ndarray:
     return alpha
 
 
-def _tuple_loss(ref_ids, better_ids, worse_ids, alpha,
-                model: EvaluatorModel, enc_params) -> Tensor:
-    h_better = encode_pair(ref_ids, better_ids, model.cfg, enc_params)
-    h_worse = encode_pair(ref_ids, worse_ids, model.cfg, enc_params)
-    s_better, _ = aspect_scores(h_better, model)
-    s_worse, _ = aspect_scores(h_worse, model)
-    margins = adaptive_margin(alpha, model)
-    return (margins - s_better + s_worse).relu().sum()
+def _batch_loss(batch: list[tuple[list[int], list[int], list[int], str]],
+                model: EvaluatorModel, enc_params: dict[str, Tensor]) -> Tensor:
+    """Batch mean of each tuple's summed per-aspect hinge; the better and the
+    worse pair of every tuple go through the encoder in one call."""
+    n = len(batch)
+    pairs = [(ref, better) for ref, better, _, _ in batch]
+    pairs += [(ref, worse) for ref, _, worse, _ in batch]
+    states, lengths = encode_pairs(pairs, model.cfg, enc_params)
+    scores, _ = aspect_scores(states, model, lengths)
+    margins = adaptive_margin(np.stack([domain_one_hot(d) for *_, d in batch]), model)
+    return (margins - scores[:n] + scores[n:]).relu().sum() * (1.0 / n)
 
 
 def train_evaluator(tuples: list[tuple[list[int], list[int], list[int], str]],
@@ -75,13 +79,7 @@ def train_evaluator(tuples: list[tuple[list[int], list[int], list[int], str]],
     history: list[float] = []
     for _ in range(train_cfg.epochs):
         for start in range(0, len(usable), train_cfg.batch_size):
-            batch = usable[start:start + train_cfg.batch_size]
-            loss = None
-            for ref, better, worse, domain in batch:
-                term = _tuple_loss(ref, better, worse, domain_one_hot(domain),
-                                   model, enc_params)
-                loss = term if loss is None else loss + term
-            loss = loss * (1.0 / len(batch))
+            loss = _batch_loss(usable[start:start + train_cfg.batch_size], model, enc_params)
             grads = backward(loss, trainable)
             norm = clip_grad_norm(grads, train_cfg.grad_clip)
             opt.step(grads)

@@ -7,7 +7,8 @@ are ``softmax``, ``log_softmax``, ``layer_norm`` (parents x, gain, bias),
 ``scaled_dot_attention`` (parents q, k, v; an optional plain-array mask),
 the encoder's two pre-norm residual blocks, ``attention_sublayer`` (parents
 x, layer-norm gain and bias, wq, wk, wv, wo) and ``ffn_sublayer`` (parents x,
-layer-norm gain and bias, w1, b1, w2, b2), ``cross_entropy_logits`` and
+layer-norm gain and bias, w1, b1, w2, b2), both over one sequence or a
+padded batch of them, ``cross_entropy_logits`` and
 ``sequence_cross_entropy``. The adapter merge,
 ``claimforge.generator.adapters.effective_projection``, is fused the same way.
 """

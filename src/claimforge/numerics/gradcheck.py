@@ -9,8 +9,10 @@ import numpy as np
 from claimforge.numerics.rng import Rng
 from claimforge.numerics.tensor import (
     Tensor,
+    attention_sublayer,
     concat,
     cross_entropy_logits,
+    ffn_sublayer,
     layer_norm,
     log_softmax,
     scaled_dot_attention,
@@ -147,6 +149,21 @@ def op_cases(rng: Rng) -> list[tuple[str, Callable, list[np.ndarray]]]:
         "attention_causal_offset",
         [(2, 2, 4), (2, 4, 4), (2, 4, 5)],
         lambda ts: _weighted(scaled_dot_attention(ts[0], ts[1], ts[2], offset)[0], w225),
+    )
+    # the encoder's two sublayers over a padded (2, 3, 4) stack whose second
+    # sequence is 2 long: its third key is masked out, and the loss skips its
+    # third row, so that row gets no gradient
+    padding = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1e9]])
+    w234 = wvec((2, 3, 4)) * (padding == 0.0)[:, :, None]
+    add_case(
+        "attention_sublayer_padded",
+        [(2, 3, 4), (4,), (4,), (4, 4), (4, 4), (4, 4), (4, 4)],
+        lambda ts: _weighted(attention_sublayer(*ts, 2, padding[:, None, None, :]), w234),
+    )
+    add_case(
+        "ffn_sublayer_padded",
+        [(2, 3, 4), (4,), (4,), (4, 8), (8,), (8, 4), (4,)],
+        lambda ts: _weighted(ffn_sublayer(*ts), w234),
     )
     add_case("cross_entropy_logits", [(5,)], lambda ts: cross_entropy_logits(ts[0], 3))
     add_case("sequence_cross_entropy", [(4, 6)],

@@ -526,15 +526,21 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 def _to_heads(a: np.ndarray, num_heads: int) -> np.ndarray:
-    """(length, dim) -> (num_heads, length, dim // num_heads)."""
-    length, dim = a.shape
-    return a.reshape(length, num_heads, dim // num_heads).swapaxes(0, 1)
+    """(..., length, dim) -> (..., num_heads, length, dim // num_heads)."""
+    *lead, length, dim = a.shape
+    return a.reshape(*lead, length, num_heads, dim // num_heads).swapaxes(-3, -2)
 
 
 def _from_heads(a: np.ndarray) -> np.ndarray:
-    """(num_heads, length, head_dim) -> (length, num_heads * head_dim)."""
-    num_heads, length, head_dim = a.shape
-    return a.swapaxes(0, 1).reshape(length, num_heads * head_dim)
+    """(..., num_heads, length, head_dim) -> (..., length, num_heads * head_dim)."""
+    *lead, num_heads, length, head_dim = a.shape
+    return a.swapaxes(-3, -2).reshape(*lead, length, num_heads * head_dim)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The rows of every sequence of a (..., length, dim) stack as one
+    (rows, dim) matrix; a 2-D array comes back as it is."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def _residual_grads(g: np.ndarray, gh: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
@@ -556,15 +562,17 @@ def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Te
                        extend_kv=None) -> Tensor:
     """x + attention(layer_norm(x)) @ wo, a pre-norm attention block, as one node.
 
-    Parents x (length, dim), the layer-norm gain and bias, wq, wk, wv and wo.
-    Layer norm, then Q, K and V split into ``num_heads`` heads, masked
-    softmax attention (``mask`` is a plain array added to the scaled scores),
-    the heads merged and projected by wo, and the residual add; the numpy
-    expressions and their order are those of the per-op composite. With
-    ``extend_kv``, a function that takes this call's K and V (heads, length,
-    head_dim) and returns the keys and values to attend to (a KV cache: the
-    earlier ones, then these), K and V are plain arrays, so wk and wv get no
-    gradient from the call.
+    Parents x (length, dim), or a padded (batch, length, dim) stack, the
+    layer-norm gain and bias, wq, wk, wv and wo. Layer norm, then Q, K and V
+    split into ``num_heads`` heads, masked softmax attention (``mask`` is a
+    plain array added to the (..., heads, length, keys) scaled scores, such as
+    a (batch, 1, 1, keys) key-padding mask), the heads merged and projected by
+    wo, and the residual add; the numpy expressions and their order are those
+    of the per-op composite. The weight gradients sum over the rows of every
+    sequence at once. With ``extend_kv``, a function that takes this call's K
+    and V (heads, length, head_dim) and returns the keys and values to attend
+    to (a KV cache: the earlier ones, then these), K and V are plain arrays,
+    so wk and wv get no gradient from the call.
     """
     h, xhat, sigma = _layer_norm_parts(x.data, gain.data, bias.data)
     q, k, v = (_to_heads(h @ w.data, num_heads) for w in (wq, wk, wv))
@@ -579,13 +587,14 @@ def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Te
             _to_heads(g @ wo.data.T, num_heads), q, k, v, weights, scale,
             (True, trains_kv, trains_kv)))
         gh = gq @ wq.data.T
+        h_rows = _rows(h)
         gwk = gwv = None
         if trains_kv:
             # v, then k, then q: the order a per-op tape sums them in, so the same bits
             gh = (gv @ wv.data.T + gk @ wk.data.T) + gh
-            gwk, gwv = h.T @ gk, h.T @ gv
+            gwk, gwv = h_rows.T @ _rows(gk), h_rows.T @ _rows(gv)
         return _residual_grads(g, gh, x, gain, bias, xhat, sigma) + (
-            h.T @ gq, gwk, gwv, merged.T @ g)
+            h_rows.T @ _rows(gq), gwk, gwv, _rows(merged).T @ _rows(g))
 
     return Tensor._from_op(x.data + merged @ wo.data, (x, gain, bias, wq, wk, wv, wo), bwd)
 
@@ -594,8 +603,9 @@ def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
                  w2: Tensor, b2: Tensor) -> Tensor:
     """x + relu(layer_norm(x) @ w1 + b1) @ w2 + b2, a pre-norm MLP block, as one node.
 
-    Parents x, the layer-norm gain and bias, w1, b1, w2 and b2. The numpy
-    expressions and their order are those of the per-op composite.
+    Parents x (length, dim) or (batch, length, dim), the layer-norm gain and
+    bias, w1, b1, w2 and b2. The numpy expressions and their order are those
+    of the per-op composite.
     """
     h, xhat, sigma = _layer_norm_parts(x.data, gain.data, bias.data)
     pre = h @ w1.data + b1.data
@@ -605,7 +615,8 @@ def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     def bwd(g, out):
         g_pre = (g @ w2.data.T) * active
         return _residual_grads(g, g_pre @ w1.data.T, x, gain, bias, xhat, sigma) + (
-            h.T @ g_pre, _unbroadcast(g_pre, b1.shape), inner.T @ g, _unbroadcast(g, b2.shape))
+            _rows(h).T @ _rows(g_pre), _unbroadcast(g_pre, b1.shape), _rows(inner).T @ _rows(g),
+            _unbroadcast(g, b2.shape))
 
     return Tensor._from_op((x.data + inner @ w2.data) + b2.data,
                            (x, gain, bias, w1, b1, w2, b2), bwd)

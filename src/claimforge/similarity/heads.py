@@ -82,13 +82,17 @@ class SimilarityReport:
 
 
 def head_weights(claim_repr: Tensor, doc_repr: Tensor, bank: HeadBank) -> Tensor:
-    """Softmax over 8 logits from MLP([claim; doc; claim * doc])."""
-    if claim_repr.shape != (bank.model_dim,) or doc_repr.shape != (bank.model_dim,):
+    """Softmax over 8 logits from MLP([claim; doc; claim * doc]).
+
+    The representations are (model_dim,) vectors, or (pairs, model_dim)
+    stacks of them for (pairs, 8) weights.
+    """
+    if claim_repr.shape[-1:] != (bank.model_dim,) or doc_repr.shape != claim_repr.shape:
         raise ValueError(
             f"pooled representations must have dim {bank.model_dim}, "
             f"got {claim_repr.shape} and {doc_repr.shape}"
         )
-    x = concat([claim_repr, doc_repr, claim_repr * doc_repr])
+    x = concat([claim_repr, doc_repr, claim_repr * doc_repr], axis=-1)
     h = (x @ bank.params["sim/phi/w1"] + bank.params["sim/phi/b1"]).relu()
     logits = h @ bank.params["sim/phi/w2"] + bank.params["sim/phi/b2"]
     return softmax(logits)

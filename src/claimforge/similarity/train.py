@@ -11,8 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from claimforge.numerics import Tensor, backward, concat
+import numpy as np
+
+from claimforge.numerics import Tensor, backward
 from claimforge.similarity.heads import (
+    NUM_HEADS,
     RELATIONSHIP_GROUPS,
     HeadBank,
     head_weights,
@@ -32,13 +35,40 @@ class SimilarityTrainConfig:
     grad_clip: float = 1.0
 
 
-def _stack_pooled(vectors: list[Tensor]) -> Tensor:
-    return concat([v.reshape(1, -1) for v in vectors], axis=0)
-
-
 def _row_normalize(z: Tensor, eps: float = 1e-12) -> Tensor:
     norms = ((z * z).sum(axis=1, keepdims=True) + eps).sqrt()
     return z / norms
+
+
+def _batch_loss(batch: list[tuple[list[int], list[int], str | None]], cfg: EncoderConfig,
+                enc_params: dict[str, Tensor], bank: HeadBank,
+                train_cfg: SimilarityTrainConfig) -> Tensor:
+    """In-batch contrastive loss of one batch, plus the auxiliary group term
+    over its labeled pairs; the batch's claims, then its docs, go through the
+    encoder in one call."""
+    seqs = [claim_ids for claim_ids, _, _ in batch] + [doc_ids for _, doc_ids, _ in batch]
+    lengths = [len(ids) for ids in seqs]
+    pooled = mean_pool(encode_sequence([t for ids in seqs for t in ids], cfg, enc_params,
+                                       lengths=lengths), lengths)
+    n = len(batch)
+    loss = contrastive_loss(_row_normalize(pooled[:n]) @ _row_normalize(pooled[n:]).T,
+                            train_cfg.temperature)
+
+    # the labeled pairs' head weights in one pass; each row's mass on the two
+    # heads of its label
+    labeled = [i for i, (_, _, label) in enumerate(batch) if label is not None]
+    if not labeled:
+        return loss
+    groups = np.zeros((len(labeled), NUM_HEADS))
+    for row, i in enumerate(labeled):
+        label = batch[i][2]
+        if label not in RELATIONSHIP_GROUPS:
+            raise ValueError(f"unknown relationship label {label!r}")
+        groups[row, [h - 1 for h in RELATIONSHIP_GROUPS[label]]] = 1.0
+    rows = np.array(labeled)
+    mass = (head_weights(pooled[rows], pooled[rows + n], bank) * Tensor(groups)).sum(axis=1)
+    aux = (-(mass + 1e-12).log()).sum()
+    return loss + (train_cfg.aux_weight / len(labeled)) * aux
 
 
 def train_similarity(pairs: list[tuple[list[int], list[int], str | None]],
@@ -70,29 +100,7 @@ def train_similarity(pairs: list[tuple[list[int], list[int], str | None]],
             batch = pairs[start:start + train_cfg.batch_size]
             if len(batch) < 2:
                 continue
-            claim_pools, doc_pools = [], []
-            for claim_ids, doc_ids, _ in batch:
-                claim_pools.append(mean_pool(encode_sequence(claim_ids, cfg, enc_params)))
-                doc_pools.append(mean_pool(encode_sequence(doc_ids, cfg, enc_params)))
-            zc = _row_normalize(_stack_pooled(claim_pools))
-            zd = _row_normalize(_stack_pooled(doc_pools))
-            loss = contrastive_loss(zc @ zd.T, train_cfg.temperature)
-
-            aux_terms = []
-            for (claim_ids, doc_ids, label), cp, dp in zip(batch, claim_pools, doc_pools):
-                if label is None:
-                    continue
-                if label not in RELATIONSHIP_GROUPS:
-                    raise ValueError(f"unknown relationship label {label!r}")
-                w = head_weights(cp, dp, bank)
-                mass = sum(w[h - 1] for h in RELATIONSHIP_GROUPS[label])
-                aux_terms.append(-(mass + 1e-12).log())
-            if aux_terms:
-                aux = aux_terms[0]
-                for term in aux_terms[1:]:
-                    aux = aux + term
-                loss = loss + (train_cfg.aux_weight / len(aux_terms)) * aux
-
+            loss = _batch_loss(batch, cfg, enc_params, bank, train_cfg)
             grads = backward(loss, trainable)
             norm = clip_grad_norm(grads, train_cfg.grad_clip)
             opt.step(grads)

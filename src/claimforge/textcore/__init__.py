@@ -17,6 +17,7 @@ from claimforge.textcore.encoder import (
     KVCache,
     init_encoder_params,
     encode_sequence,
+    key_padding_mask,
     mean_pool,
 )
 
@@ -35,5 +36,6 @@ __all__ = [
     "KVCache",
     "init_encoder_params",
     "encode_sequence",
+    "key_padding_mask",
     "mean_pool",
 ]

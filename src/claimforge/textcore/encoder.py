@@ -10,7 +10,9 @@ numerics kernels ``attention_sublayer`` (layer norm, multi-head attention,
 output projection, residual) and ``ffn_sublayer`` (layer norm, relu MLP,
 residual), so an encoder call tapes the embedding lookup, the position add
 and two nodes per layer. Training and inference run the same code; under
-``no_grad()`` the nodes record nothing.
+``no_grad()`` the nodes record nothing. The similarity and evaluator trainers
+encode a whole batch in one call, as a padded (batch, length, dim) stack under
+a key-padding mask; inference and the generator encode one sequence a call.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from claimforge.numerics import Rng, Tensor, attention_sublayer, ffn_sublayer, take_rows
+from claimforge.textcore.vocab import PAD_ID
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ def init_encoder_params(vocab_size: int, cfg: EncoderConfig, rng: Rng,
 def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
                     prefix: str = "enc", causal: bool = False,
                     weight_overrides: dict[str, Tensor] | None = None,
-                    cache: KVCache | None = None) -> Tensor:
+                    cache: KVCache | None = None, lengths: list[int] | None = None) -> Tensor:
     """Run the transformer stack over a token id sequence.
 
     ``weight_overrides`` maps full parameter names to replacement tensors
@@ -113,14 +116,30 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
     keys and values are appended to the cache. The result holds the new rows
     only. The cache is for inference: cached keys and values are plain
     arrays, so no gradient flows into earlier positions through them.
+
+    With ``lengths`` (bidirectional, no cache), ``ids`` is the concatenation
+    of ``len(lengths)`` sequences, each encoded as if alone but all in one
+    pass: the result is the (len(lengths), max(lengths), model_dim) stack of
+    their states, each sequence padded with ``PAD_ID`` after its own ids, and
+    no position attends to padding. Padded rows hold states of their own;
+    a loss that skips them, as ``mean_pool(states, lengths)`` does, sends
+    them no gradient.
     """
     ids = list(ids)
     if not ids:
         raise ValueError("empty sequence")
     if cache is not None and not causal:
         raise ValueError("a KV cache needs causal attention")
+    if lengths is not None:
+        if causal:
+            raise ValueError("a padded batch needs bidirectional attention, without a KV cache")
+        lengths = list(lengths)
+        if min(lengths) < 1 or sum(lengths) != len(ids):
+            raise ValueError(f"lengths {lengths} must be positive and sum to the "
+                             f"{len(ids)} ids given")
     offset = cache.length if cache is not None else 0
-    total = offset + len(ids)
+    length = len(ids) if lengths is None else max(lengths)
+    total = offset + length
     if total > cfg.max_seq_len:
         raise ValueError(f"sequence length {total} exceeds max_seq_len {cfg.max_seq_len}")
     overrides = weight_overrides or {}
@@ -136,12 +155,20 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
     if min(ids) < 0 or max(ids) >= vocab_size:
         raise ValueError(f"token id out of vocabulary range [0, {vocab_size})")
 
-    length = len(ids)
+    if lengths is None:
+        tokens = ids
+        mask = None
+        # a single new position may attend to every key: its causal mask is all zeros
+        if causal and length > 1:
+            mask = np.triu(np.full((length, total), -1e9), k=offset + 1)
+    else:
+        mask = key_padding_mask(lengths)
+        tokens = np.full(mask.shape, PAD_ID)
+        tokens[mask == 0.0] = ids  # each sequence at the start of its own row
+        mask = mask[:, None, None, :]
     # Rows of one table per geometry: each row depends only on its position.
     positions = _positional_encoding_cached(cfg.max_seq_len, cfg.model_dim)[offset:total]
-    x = take_rows(embed, ids) + Tensor(positions)
-
-    mask = np.triu(np.full((length, total), -1e9), k=offset + 1) if causal else None
+    x = take_rows(embed, tokens) + Tensor(positions)
 
     for layer in range(cfg.num_layers):
         p = f"l{layer}"
@@ -152,6 +179,13 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
         x = ffn_sublayer(x, get(f"{p}/ln2/g"), get(f"{p}/ln2/b"), get(f"{p}/ffn/w1"),
                          get(f"{p}/ffn/b1"), get(f"{p}/ffn/w2"), get(f"{p}/ffn/b2"))
     return x
+
+
+def key_padding_mask(lengths: list[int]) -> np.ndarray:
+    """(len(lengths), max(lengths)) additive attention mask of a padded stack:
+    0 at each sequence's first lengths[i] positions, -1e9 at its padding."""
+    lengths = np.asarray(lengths)
+    return np.where(np.arange(lengths.max()) < lengths[:, None], 0.0, -1e9)
 
 
 def _extend_cache(cache: KVCache, layer: int, k: np.ndarray,
@@ -166,6 +200,16 @@ def _extend_cache(cache: KVCache, layer: int, k: np.ndarray,
     return cache.keys[layer], cache.values[layer]
 
 
-def mean_pool(states: Tensor) -> Tensor:
-    """Column mean of a (len, dim) hidden-state matrix."""
-    return states.mean(axis=0)
+def mean_pool(states: Tensor, lengths: list[int] | None = None) -> Tensor:
+    """Column mean of a (len, dim) hidden-state matrix.
+
+    With ``lengths``, the (batch, dim) means of a padded (batch, len, dim)
+    stack, each over its sequence's first lengths[i] rows: padded rows add
+    zeros to the sum and get no gradient.
+    """
+    if lengths is None:
+        return states.mean(axis=0)
+    lengths = np.asarray(lengths)
+    valid = np.arange(states.shape[1]) < lengths[:, None]
+    return ((states * Tensor(valid[:, :, None].astype(np.float64))).sum(axis=1)
+            * Tensor(1.0 / lengths[:, None]))

@@ -24,12 +24,13 @@ bench_ab = load_tool()
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def stdout(ops: float, rss: float, setup: float, errors=(), correct=True, failed=0) -> str:
+def stdout(ops: float, rss: float, setup: float, errors=(), correct=True, failed=0,
+           sha="c976") -> str:
     """What bench/run.py prints for an untraced train-mix run, shortened."""
     lines = ['env {"nproc": 2, "seed": 300, "src_sha256": "abc"}',
              "check golden_report: ok sha256=d16b",
-             "check loss_history_sha256 repeat 0: c976 ok",
-             "check loss_history_sha256 repeat 1: c976 ok"]
+             f"check loss_history_sha256 repeat 0: {sha} ok",
+             f"check loss_history_sha256 repeat 1: {sha} ok"]
     lines += [f"check repeat 1: {e}" for e in errors]
     lines += ["repeats 2, operations per repeat 90", f"metric peak_rss_mb = {rss} MB",
               "metric fail_ratio = 0 (failed 0 of 180)"]
@@ -40,11 +41,11 @@ def stdout(ops: float, rss: float, setup: float, errors=(), correct=True, failed
     return "\n".join(lines) + "\n"
 
 
-def pairs(values):
+def pairs(values, change_sha="c976"):
     """Run records for (parent, change) ops_per_s values; the other metrics fixed."""
     return [{"pair": i, "first": "parent",
              "parent": bench_ab.parse_run(stdout(p, 50.0, 0.12)),
-             "change": bench_ab.parse_run(stdout(c, 49.0, 0.12))}
+             "change": bench_ab.parse_run(stdout(c, 49.0, 0.12, sha=change_sha))}
             for i, (p, c) in enumerate(values, start=1)]
 
 
@@ -85,3 +86,19 @@ def test_summary_refuses_an_incorrect_run():
     with pytest.raises(ValueError, match="pair 2, change: correct=False, failed 3 of 180; "
                                          "repeat 1: no generated claims"):
         bench_ab.summarize(runs, SPEC, traced=False)
+
+
+def test_summary_records_both_sides_output_and_whether_it_held():
+    held = bench_ab.summarize(pairs([(90.0, 100.0), (100.0, 95.0)]), SPEC, traced=False)
+    assert held["output_sha256"] == {"parent": ["c976"], "change": ["c976"]}
+    assert held["same_output"] is True
+    moved = bench_ab.summarize(pairs([(90.0, 100.0), (100.0, 95.0)], change_sha="d4c2"), SPEC,
+                               traced=False)
+    assert moved["output_sha256"] == {"parent": ["c976"], "change": ["d4c2"]}
+    assert moved["same_output"] is False
+    # a side whose runs disagree with each other is not the same output either
+    runs = pairs([(90.0, 100.0), (100.0, 95.0)])
+    runs[1]["change"] = bench_ab.parse_run(stdout(95.0, 49.0, 0.12, sha="d4c2"))
+    mixed = bench_ab.summarize(runs, SPEC, traced=False)
+    assert mixed["output_sha256"]["change"] == ["c976", "d4c2"]
+    assert mixed["same_output"] is False

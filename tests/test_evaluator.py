@@ -15,10 +15,15 @@ from claimforge.evaluator import (
     score_pair,
     train_evaluator,
 )
-from claimforge.evaluator.train import EvaluatorTrainConfig, domain_one_hot
+from claimforge.evaluator.aspects import encode_pairs
+from claimforge.evaluator.train import EvaluatorTrainConfig, _batch_loss, domain_one_hot
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from claimforge.generator import DOMAINS
 from claimforge.numerics import Rng, Tensor
-from claimforge.textcore import BOS_ID, EOS_ID, SEP_ID, encode_sequence, init_encoder_params
+from claimforge.textcore import (BOS_ID, EOS_ID, SEP_ID, EncoderConfig, encode_sequence,
+                                 init_encoder_params)
 from claimforge.training import margin_loss
 
 
@@ -276,3 +281,79 @@ class TestScorePair:
                 10.0 * report.aspect_scores[a])
         assert abs(sum(report.aspect_weights.values()) - 1.0) < 1e-12
         assert len(report.domain_mixture) == len(DOMAINS)
+
+
+# -- the per-tuple training step the batched one replaced: the loss oracle ----
+
+
+def per_tuple_batch_loss(batch, model, enc):
+    """One step's loss as the per-tuple trainer built it: an encoder call and
+    an aspect cross-attention per pair, a margin per tuple."""
+    loss = None
+    for ref, better, worse, domain in batch:
+        s_better, _ = aspect_scores(encode_pair(ref, better, model.cfg, enc), model)
+        s_worse, _ = aspect_scores(encode_pair(ref, worse, model.cfg, enc), model)
+        term = (adaptive_margin(domain_one_hot(domain), model) - s_better + s_worse).relu().sum()
+        loss = term if loss is None else loss + term
+    return loss * (1.0 / len(batch))
+
+
+def loss_and_grads(build, params):
+    for t in params.values():
+        t.zero_grad()
+    loss = build()
+    loss.backward()
+    return loss.item(), {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                         for n, t in params.items()}
+
+
+EVAL_CFG = EncoderConfig(model_dim=16, num_heads=2, head_dim=8, num_layers=1, max_seq_len=64)
+token_ids = st.lists(st.integers(5, 44), max_size=12)
+
+
+class TestBatchLoss:
+    """The evaluator step encodes a batch's 2B pairs in one padded call and
+    scores them in one cross-attention; its loss and gradients equal the
+    per-tuple step's."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6),
+           st.lists(st.tuples(token_ids.filter(bool), token_ids, token_ids,
+                              st.sampled_from(DOMAINS)).filter(lambda t: t[1] != t[2]),
+                    min_size=1, max_size=8))
+    def test_equals_the_per_tuple_step(self, seed, batch):
+        cfg = EVAL_CFG
+        enc = init_encoder_params(45, cfg, Rng(seed, ("enc",)))
+        model = make_eval(cfg, seed)
+        # big score weights, so the hinge is active for some aspects and not others
+        model.params["eval/score_w"].data *= 20.0
+        params = {**enc, **{k: v for k, v in model.params.items() if k != "eval/aspect_logits"}}
+        loss, grads = loss_and_grads(lambda: _batch_loss(batch, model, enc), params)
+        want_loss, want = loss_and_grads(lambda: per_tuple_batch_loss(batch, model, enc), params)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        # relative to the step's largest gradient entry: a parameter whose
+        # gradient cancels to nearly zero keeps the rounding of its terms
+        scale = max(np.max(np.abs(g)) for g in want.values())
+        for name in params:
+            assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * scale, name
+
+    def test_batched_scores_equal_the_per_pair_scores(self, small_cfg, small_enc):
+        model = make_eval(small_cfg)
+        pairs = [([5, 6, 7], [8]), ([9], [10, 11, 12, 13, 14]), ([15, 16], [])]
+        states, lengths = encode_pairs(pairs, small_cfg, small_enc)
+        assert lengths == [7, 9, 5] and states.shape == (3, 9, small_cfg.model_dim)
+        scores, attn = aspect_scores(states, model, lengths)
+        for i, (ref, gen) in enumerate(pairs):
+            want, want_attn = aspect_scores(encode_pair(ref, gen, small_cfg, small_enc), model)
+            np.testing.assert_allclose(scores.data[i], want.data, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(attn[i, :, :lengths[i]], want_attn, rtol=1e-13, atol=1e-300)
+            assert np.all(attn[i, :, lengths[i]:] == 0.0)
+
+    def test_a_stack_of_mixtures_gives_each_its_margins(self, small_cfg):
+        model = make_eval(small_cfg)
+        alphas = np.stack([domain_one_hot(d) for d in DOMAINS] + [np.full(len(DOMAINS), 0.2)])
+        stacked = adaptive_margin(alphas, model).data
+        for alpha, row in zip(alphas, stacked):
+            np.testing.assert_allclose(row, adaptive_margin(alpha, model).data, rtol=1e-14)
+        with pytest.raises(ValueError, match="domain mixture"):
+            adaptive_margin(np.ones((2, 2, len(DOMAINS))), model)

@@ -59,6 +59,7 @@ FUSED_CASES = {
     "softmax", "softmax_axis0", "log_softmax", "log_softmax_axis0", "layer_norm",
     "attention", "attention_causal_heads", "attention_causal_offset",
     "cross_entropy_logits", "sequence_cross_entropy",
+    "attention_sublayer_padded", "ffn_sublayer_padded",
 }
 
 
@@ -70,6 +71,17 @@ class TestFusedOpGradients:
         # x, gain and bias are all differentiated, not gain and bias as constants
         assert [x.shape for x in cases["layer_norm"]] == [(2, 3), (3,), (3,)]
         assert cases["attention_causal_heads"][0].ndim == 3
+        assert cases["attention_sublayer_padded"][0].ndim == 3
+        assert cases["ffn_sublayer_padded"][0].ndim == 3
+
+    @pytest.mark.parametrize("name", ["attention_sublayer_padded", "ffn_sublayer_padded"])
+    def test_padded_row_gets_no_gradient(self, name):
+        build, inputs = next((fn, inputs) for case, fn, inputs in op_cases(Rng(0, ("gradcheck",)))
+                             if case == name)
+        tensors = [Tensor(x, requires_grad=True) for x in inputs]
+        build(tensors).backward()
+        assert np.all(tensors[0].grad[1, 2] == 0.0)
+        assert np.all(np.abs(tensors[0].grad[1, :2]).sum(axis=-1) > 0)
 
     def test_attention_gradient_reaches_a_shared_key_value_tensor(self):
         # the evaluator passes its states as both K and V

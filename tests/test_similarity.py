@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimforge.numerics import Rng, Tensor, scaled_dot_attention
+from claimforge.numerics import Rng, Tensor, concat, scaled_dot_attention
 from claimforge.similarity import (
     NUM_HEADS,
     RELATIONSHIP_GROUPS,
@@ -24,7 +24,8 @@ from claimforge.similarity import (
     train_similarity,
 )
 from claimforge.similarity.heads import group_masses_from_weights, label_from_masses
-from claimforge.textcore import init_encoder_params, encode_sequence, mean_pool
+from claimforge.similarity.train import _batch_loss
+from claimforge.textcore import EncoderConfig, init_encoder_params, encode_sequence, mean_pool
 from claimforge.training import contrastive_loss
 
 DIM = 16
@@ -450,3 +451,79 @@ class TestTrainSimilarity:
         bank = HeadBank.init(small_cfg.model_dim, Rng(1, ("bank",)), head_dim=8)
         with pytest.raises(ValueError):
             train_similarity([([5], [6], None)], small_cfg, enc, bank)
+
+
+# -- the per-pair training step the batched one replaced: the loss oracle -----
+
+
+def per_pair_batch_loss(batch, cfg, enc, bank, train_cfg):
+    """One step's loss as the per-pair trainer built it: an encoder call per
+    text, the pooled rows stacked, a head-weight pass per labeled pair."""
+    claim_pools = [mean_pool(encode_sequence(c, cfg, enc)) for c, _, _ in batch]
+    doc_pools = [mean_pool(encode_sequence(d, cfg, enc)) for _, d, _ in batch]
+
+    def unit_rows(pools):
+        z = concat([p.reshape(1, -1) for p in pools], axis=0)
+        return z / ((z * z).sum(axis=1, keepdims=True) + 1e-12).sqrt()
+
+    loss = contrastive_loss(unit_rows(claim_pools) @ unit_rows(doc_pools).T,
+                            train_cfg.temperature)
+    aux_terms = []
+    for (_, _, label), cp, dp in zip(batch, claim_pools, doc_pools):
+        if label is not None:
+            w = head_weights(cp, dp, bank)
+            aux_terms.append(-(sum(w[h - 1] for h in RELATIONSHIP_GROUPS[label]) + 1e-12).log())
+    if aux_terms:
+        aux = aux_terms[0]
+        for term in aux_terms[1:]:
+            aux = aux + term
+        loss = loss + (train_cfg.aux_weight / len(aux_terms)) * aux
+    return loss
+
+
+def loss_and_grads(build, params):
+    for t in params.values():
+        t.zero_grad()
+    loss = build()
+    loss.backward()
+    return loss.item(), {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                         for n, t in params.items()}
+
+
+BATCH_CFG = EncoderConfig(model_dim=DIM, num_heads=2, head_dim=8, num_layers=1, max_seq_len=64)
+token_ids = st.lists(st.integers(5, 44), min_size=1, max_size=20)
+
+
+class TestBatchLoss:
+    """The similarity step encodes its batch in one padded call and runs the
+    head-weight MLP once; its loss and gradients equal the per-pair step's."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6),
+           st.lists(st.tuples(token_ids, token_ids, st.sampled_from((None,) + RELATIONSHIP_ORDER)),
+                    min_size=2, max_size=8)
+           # with every doc, or every claim, the same text, the in-batch loss
+           # is constant: a stationary point, where every gradient is zero
+           .filter(lambda batch: all(len({tuple(pair[i]) for pair in batch}) > 1
+                                     for i in (0, 1))))
+    def test_equals_the_per_pair_step(self, seed, batch):
+        enc = init_encoder_params(45, BATCH_CFG, Rng(seed, ("enc",)))
+        bank = make_bank(seed)
+        params = {**enc, **{k: v for k, v in bank.params.items() if k.startswith("sim/phi/")}}
+        train_cfg = SimilarityTrainConfig()
+        loss, grads = loss_and_grads(
+            lambda: _batch_loss(batch, BATCH_CFG, enc, bank, train_cfg), params)
+        want_loss, want = loss_and_grads(
+            lambda: per_pair_batch_loss(batch, BATCH_CFG, enc, bank, train_cfg), params)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        # relative to the step's largest gradient entry: a parameter whose
+        # gradient cancels to nearly zero keeps the rounding of its terms
+        scale = max(np.max(np.abs(g)) for g in want.values())
+        for name in params:
+            assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * scale, name
+
+    def test_unknown_label_rejected(self):
+        enc = init_encoder_params(45, BATCH_CFG, Rng(0, ("enc",)))
+        batch = [([5, 6], [7], None), ([8], [9, 10], "synonym")]
+        with pytest.raises(ValueError, match="unknown relationship label 'synonym'"):
+            _batch_loss(batch, BATCH_CFG, enc, make_bank(), SimilarityTrainConfig())

@@ -22,6 +22,7 @@ from claimforge.textcore import (
     Vocabulary,
     encode_sequence,
     init_encoder_params,
+    key_padding_mask,
     mean_pool,
     sentence_boundaries,
     tokenize,
@@ -398,6 +399,136 @@ class TestFusedSublayers:
         assert params["enc/l1/attn/wk"].grad is None
         assert params["enc/l1/attn/wv"].grad is None
         assert np.abs(params["enc/l1/attn/wq"].grad).sum() > 0
+
+
+# -- padded batches: one encoder call for several sequences --------------------
+
+
+BATCH_CFG = EncoderConfig(model_dim=8, num_heads=2, head_dim=4, num_layers=2, max_seq_len=32)
+
+
+def batched(ids, cfg, params, causal=False):
+    """``encode_sequence`` of ``ids`` as a padded batch of one."""
+    return encode_sequence(ids, cfg, params, lengths=[len(ids)])
+
+
+def pooled_loss_and_grads(build, params):
+    for t in params.values():
+        t.zero_grad()
+    loss = build()
+    loss.backward()
+    return loss.item(), {name: t.grad.copy() for name, t in params.items()}
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest entry of |got - want| over the largest entry of |want|."""
+    scale = np.max(np.abs(want))
+    return float(np.max(np.abs(got - want)) / scale) if scale else float(np.max(np.abs(got)))
+
+
+class TestPaddedBatch:
+    """``encode_sequence(..., lengths=...)`` against one call per sequence."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.lists(st.integers(0, 23), min_size=1, max_size=16))
+    def test_batch_of_one_equals_the_single_call(self, seed, ids):
+        params = random_encoder(seed)
+        one = batched(ids, FUSED_CFG, params)
+        assert one.shape == (1, len(ids), FUSED_CFG.model_dim)
+        assert np.array_equal(one.data[0], encode_sequence(ids, FUSED_CFG, params).data)
+        assert np.array_equal(mean_pool(one, [len(ids)]).data[0],
+                              mean_pool(encode_sequence(ids, FUSED_CFG, params)).data)
+        single = encoder_grads(encode_sequence, ids, params, False, seed)
+        padded = encoder_grads(batched, ids, params, False, seed)
+        for name in params:
+            assert np.array_equal(padded[name], single[name]), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6),
+           st.lists(st.lists(st.integers(0, 23), min_size=1, max_size=32), min_size=1,
+                    max_size=8))
+    def test_loss_and_gradients_equal_the_sum_over_sequences(self, seed, seqs):
+        params = random_encoder(seed)
+        lengths = [len(ids) for ids in seqs]
+        w = Rng(seed, ("batch-loss",)).normal((len(seqs), BATCH_CFG.model_dim))
+
+        def one_call():
+            states = encode_sequence([t for ids in seqs for t in ids], BATCH_CFG, params,
+                                     lengths=lengths)
+            return (mean_pool(states, lengths) * Tensor(w)).sum()
+
+        def per_sequence():
+            total = None
+            for ids, row in zip(seqs, w):
+                term = (mean_pool(encode_sequence(ids, BATCH_CFG, params)) * Tensor(row)).sum()
+                total = term if total is None else total + term
+            return total
+
+        loss, grads = pooled_loss_and_grads(one_call, params)
+        want_loss, want_grads = pooled_loss_and_grads(per_sequence, params)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for name in params:
+            assert relative_gap(grads[name], want_grads[name]) <= 1e-12, name
+
+    def test_padding_gets_no_gradient_and_moves_no_state(self):
+        params = random_encoder(7)
+        seqs = [[3, 4, 5, 6, 7], [8], [9, 10, 11]]  # no PAD_ID among them
+        lengths = [len(ids) for ids in seqs]
+        flat = [t for ids in seqs for t in ids]
+        states = encode_sequence(flat, BATCH_CFG, params, lengths=lengths)
+        assert states.shape == (3, 5, BATCH_CFG.model_dim)
+        w = Rng(7, ("pad-loss",)).normal((3, BATCH_CFG.model_dim))
+        (mean_pool(states, lengths) * Tensor(w)).sum().backward()
+        assert np.all(params["enc/embed"].grad[PAD_ID] == 0.0)
+        assert np.abs(params["enc/embed"].grad[flat]).sum(axis=1).min() > 0
+        # another PAD_ID embedding changes no state of a real position
+        table = params["enc/embed"].data.copy()
+        table[PAD_ID] += 5.0
+        moved = encode_sequence(flat, BATCH_CFG, {**params, "enc/embed": Tensor(table)},
+                                lengths=lengths)
+        real = key_padding_mask(lengths) == 0.0
+        assert np.array_equal(moved.data[real], states.data[real])
+        assert not np.array_equal(moved.data[~real], states.data[~real])
+
+    def test_mean_pool_skips_padded_rows(self):
+        states = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        pooled = mean_pool(states, [3, 1])
+        assert np.array_equal(pooled.data, [[4.0, 5.0, 6.0, 7.0], [12.0, 13.0, 14.0, 15.0]])
+        pooled.sum().backward()
+        assert np.array_equal(states.grad[:, :, 0], [[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0]])
+
+    def test_key_padding_mask(self):
+        assert np.array_equal(key_padding_mask([2, 3, 1]),
+                              [[0.0, 0.0, -1e9], [0.0, 0.0, 0.0], [0.0, -1e9, -1e9]])
+
+    def test_invalid_lengths_rejected(self):
+        params = random_encoder(0)
+        for kwargs in ({"causal": True}, {"causal": True, "cache": KVCache()}):
+            with pytest.raises(ValueError, match="bidirectional attention, without a KV cache"):
+                encode_sequence([1, 2], BATCH_CFG, params, lengths=[2], **kwargs)
+        with pytest.raises(ValueError, match="a KV cache needs causal attention"):
+            encode_sequence([1, 2], BATCH_CFG, params, cache=KVCache(), lengths=[2])
+        for lengths in ([1, 2], [2, 0], [3, -1]):
+            with pytest.raises(ValueError, match="must be positive and sum to the 2 ids"):
+                encode_sequence([1, 2], BATCH_CFG, params, lengths=lengths)
+        with pytest.raises(ValueError, match="sequence length 33 exceeds max_seq_len 32"):
+            encode_sequence([1] * 34, BATCH_CFG, params, lengths=[33, 1])
+
+
+def test_single_new_position_builds_no_causal_mask(monkeypatch):
+    # its causal mask would be all zeros: one new position may see every key
+    triu_calls = []
+    triu = np.triu
+    monkeypatch.setattr(np, "triu", lambda *a, **k: triu_calls.append(a[0].shape) or triu(*a, **k))
+    params = random_encoder(1)
+    cache = KVCache()
+    with no_grad():
+        encode_sequence([1, 2, 3], FUSED_CFG, params, causal=True, cache=cache)
+        step = encode_sequence([4], FUSED_CFG, params, causal=True, cache=cache)
+        full = encode_sequence([1, 2, 3, 4], FUSED_CFG, params, causal=True)
+        encode_sequence([5], FUSED_CFG, params, causal=True)
+    assert triu_calls == [(3, 3), (4, 4)]
+    np.testing.assert_allclose(step.data[0], full.data[3], rtol=0, atol=1e-12)
 
 
 def _sublayer_inputs(seed, n):

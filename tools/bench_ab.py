@@ -109,8 +109,9 @@ def _quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], spec: dict, traced: bool) -> dict:
-    """Per metric: medians (traced), or quartiles, the median ratio, the pairs
-    in which the change was better and the parent's IQR (untraced).
+    """Each side's output SHA-256s and whether they are the same; then per
+    metric: medians (traced), or quartiles, the median ratio, the pairs in
+    which the change was better and the parent's IQR (untraced).
 
     Raises ValueError if any run was not correct or failed an operation.
     """
@@ -123,7 +124,9 @@ def summarize(runs: list[dict], spec: dict, traced: bool) -> dict:
                     f"failed {result['failed']} of {result['attempted']}; "
                     + "; ".join(r[side]["errors"] + r[side]["golden_check"]))
     kinds = {m["name"]: m for m in spec["per_layer" if traced else "end_to_end"]}
-    summary = {}
+    shas = {side: list(dict.fromkeys(sha for r in runs for sha in r[side]["output_sha256"]))
+            for side in ("parent", "change")}
+    summary = {"output_sha256": shas, "same_output": shas["parent"] == shas["change"]}
     for name, kind in kinds.items():
         pairs = [(r["parent"]["result"]["metrics"][name]["value"],
                   r["change"]["result"]["metrics"][name]["value"]) for r in runs
