@@ -12,7 +12,6 @@ from claimforge.numerics import NonFiniteError, Rng, CheckpointError, no_grad
 from claimforge.evaluator import EvaluatorTrainConfig, ordering_accuracy, score_pair, train_evaluator
 from claimforge.generator import (
     DOMAINS,
-    GeneratorSample,
     GeneratorTrainConfig,
     generate,
     train_domain_classifier,
@@ -23,6 +22,7 @@ from claimforge.pipeline import (
     read_corpus,
     run_pipeline,
     synth_corpus,
+    training_data,
     write_corpus,
 )
 from claimforge.pipeline.metrics import bleu, rouge_l
@@ -40,6 +40,16 @@ from claimforge.textcore import Vocabulary, tokenize
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INTERNAL = 2
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,16 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-sim", help="train the similarity encoder and head weights")
     p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--epochs", type=_positive_int, default=5)
 
     p = sub.add_parser("train-gen", help="train the generator with curriculum sampling")
     p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=_positive_int, default=200)
     p.add_argument("--checkpoint", type=Path, default=None)
 
     p = sub.add_parser("train-eval", help="train the quality evaluator on corruption tuples")
     p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--epochs", type=_positive_int, default=10)
     p.add_argument("--checkpoint", type=Path, default=None)
 
     p = sub.add_parser("generate", help="generate claims for each corpus record")
@@ -119,6 +129,14 @@ def _corpus_texts(records) -> list[str]:
         for pair in rec.relationship_pairs:
             texts.extend([pair["claim_text"], pair["doc_text"]])
     return texts
+
+
+def _training_setup(args, config, seed, checkpoint=None):
+    """Models over the corpus (or the checkpoint's vocabulary) and the
+    corpus's ``training_data`` in that vocabulary."""
+    records = read_corpus(args.corpus)
+    models = load_models(_corpus_texts(records), config, seed, checkpoint)
+    return models, training_data(records, models.vocab)
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -164,15 +182,7 @@ def _cmd_similarity(args, config, seed) -> int:
 
 
 def _cmd_train_sim(args, config, seed) -> int:
-    records = read_corpus(args.corpus)
-    models = load_models(_corpus_texts(records), config, seed)
-    pairs = []
-    for rec in records:
-        for pair in rec.relationship_pairs:
-            claim_ids = models.vocab.encode_text(pair["claim_text"])
-            doc_ids = models.vocab.encode_text(pair["doc_text"])
-            if claim_ids and doc_ids:
-                pairs.append((claim_ids, doc_ids, pair.get("label")))
+    models, (pairs, _, _) = _training_setup(args, config, seed)
     if not pairs:
         raise ValueError("corpus has no relationship-labeled pairs")
     log_rows = []
@@ -190,20 +200,7 @@ def _cmd_train_sim(args, config, seed) -> int:
 
 
 def _cmd_train_gen(args, config, seed) -> int:
-    records = read_corpus(args.corpus)
-    models = load_models(_corpus_texts(records), config, seed, args.checkpoint)
-    samples = []
-    for rec in records:
-        if not rec.claims:
-            continue
-        claim_ids = models.vocab.encode_text(rec.claims[0])
-        samples.append(GeneratorSample(
-            id=rec.id,
-            description_ids=models.vocab.encode_text(rec.description),
-            claim_ids=claim_ids,
-            domain_label=rec.domain,
-            dependent_claim_count=max(0, len(rec.claims) - 1),
-        ))
+    models, (_, samples, _) = _training_setup(args, config, seed, args.checkpoint)
     log_rows = []
     history = train_generator(
         samples, models.generator, models.adapter_bank, models.classifier,
@@ -225,19 +222,9 @@ def _cmd_train_gen(args, config, seed) -> int:
 
 
 def _cmd_train_eval(args, config, seed) -> int:
-    records = read_corpus(args.corpus)
-    models = load_models(_corpus_texts(records), config, seed, args.checkpoint)
-    tuples = []
-    for rec in records:
-        for tup in rec.corruption_tuples:
-            tuples.append((
-                models.vocab.encode_text(tup["reference"]),
-                models.vocab.encode_text(tup["better"]),
-                models.vocab.encode_text(tup["worse"]),
-                rec.domain or "mechanical",
-            ))
+    models, (_, _, tuples) = _training_setup(args, config, seed, args.checkpoint)
     if not tuples:
-        raise ValueError("corpus has no corruption tuples")
+        raise ValueError("corpus has no corruption tuples whose better and worse differ")
     log_rows = []
     history = train_evaluator(tuples, models.evaluator, models.enc_params,
                               EvaluatorTrainConfig(epochs=args.epochs), log_fn=log_rows.append)

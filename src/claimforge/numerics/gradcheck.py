@@ -89,7 +89,6 @@ def op_cases(rng: Rng) -> list[tuple[str, Callable, list[np.ndarray]]]:
     add_case("mul", [(2, 3), (2, 3)], lambda ts: _weighted(ts[0] * ts[1], w23))
     add_case("div", [(2, 3), (2, 3)], lambda ts: _weighted(ts[0] / (ts[1] * ts[1] + 1.0), w23))
     add_case("neg", [(2, 3)], lambda ts: _weighted(-ts[0], w23))
-    add_case("pow", [(2, 3)], lambda ts: _weighted((ts[0] * ts[0] + 0.5) ** 1.5, w23))
 
     w24 = wvec((2, 4))
     add_case("matmul", [(2, 3), (3, 4)], lambda ts: _weighted(ts[0] @ ts[1], w24))

@@ -98,15 +98,8 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -140,9 +133,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._wrap(other))
 
-    def __rsub__(self, other):
-        return self._wrap(other) + (-self)
-
     def __mul__(self, other):
         other = self._wrap(other)
 
@@ -166,17 +156,6 @@ class Tensor:
             )
 
         return Tensor._from_op(self.data / other.data, (self, other), bwd)
-
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
-
-    def __pow__(self, exponent: float):
-        e = float(exponent)
-
-        def bwd(g, out):
-            return (g * e * np.power(self.data, e - 1.0),)
-
-        return Tensor._from_op(np.power(self.data, e), (self,), bwd)
 
     def __matmul__(self, other):
         other = self._wrap(other)

@@ -1,7 +1,7 @@
 """Algorithm orchestration, corpus ingestion, metrics, reporting, and the CLI."""
 
-from claimforge.pipeline.metrics import rouge_l, bleu, embedding_cosine_metric
-from claimforge.pipeline.corpus import CorpusRecord, read_corpus, write_corpus
+from claimforge.pipeline.metrics import rouge_l, bleu
+from claimforge.pipeline.corpus import CorpusRecord, read_corpus, training_data, write_corpus
 from claimforge.pipeline.synth import synth_corpus, SynthCorpus
 from claimforge.pipeline.config import PipelineConfig
 from claimforge.pipeline.run import run_pipeline, PipelineResult
@@ -9,9 +9,9 @@ from claimforge.pipeline.run import run_pipeline, PipelineResult
 __all__ = [
     "rouge_l",
     "bleu",
-    "embedding_cosine_metric",
     "CorpusRecord",
     "read_corpus",
+    "training_data",
     "write_corpus",
     "synth_corpus",
     "SynthCorpus",

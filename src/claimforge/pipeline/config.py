@@ -30,8 +30,6 @@ class PipelineConfig:
     # curriculum
     gamma: float = 0.01
     t0: float = 5000.0
-    level3_tau_threshold: float = 0.999
-    verbatim_mode: bool = False
     # reporting
     top_k: int = 5
     seed: int = 0
@@ -57,16 +55,12 @@ class PipelineConfig:
         )
 
     def curriculum(self) -> CurriculumSchedule:
-        return CurriculumSchedule(
-            gamma=self.gamma,
-            t0=self.t0,
-            level3_tau_threshold=self.level3_tau_threshold,
-            verbatim_mode=self.verbatim_mode,
-        )
+        return CurriculumSchedule(gamma=self.gamma, t0=self.t0)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        known = {f.name: f.type for f in fields(cls)}
+        # every key is an int or a float (annotations are strings here)
+        known = {f.name: {"int": int, "float": float}[f.type] for f in fields(cls)}
         kwargs, set_on = {}, {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -83,28 +77,8 @@ class PipelineConfig:
                                      f"line {set_on[key]} already sets it")
                 set_on[key] = lineno
                 try:
-                    kwargs[key] = _parse(known[key], value)
+                    kwargs[key] = known[key](value)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse "
-                                     f"{known[key]} from {value!r}") from None
+                                     f"{known[key].__name__} from {value!r}") from None
         return cls(**kwargs)
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for f in fields(self):
-                fh.write(f"{f.name} = {getattr(self, f.name)}\n")
-
-
-def _parse(type_name: str, value: str):
-    if type_name == "bool":
-        low = value.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(value)
-    if type_name == "int":
-        return int(value)
-    if type_name == "float":
-        return float(value)
-    return value

@@ -1,12 +1,14 @@
-"""Line-delimited corpus records with named fields (one JSON object per line)."""
+"""Line-delimited corpus records with named fields (one JSON object per line),
+and the training data the three trainers take from them."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
 
-from claimforge.generator.adapters import DOMAINS
+from claimforge.generator import DOMAINS, GeneratorSample
 from claimforge.similarity.heads import RELATIONSHIP_GROUPS
+from claimforge.textcore import Vocabulary
 
 # the string entries each row of these record fields must carry
 _STRING_KEYS = {"relationship_pairs": ("claim_text", "doc_text"),
@@ -19,7 +21,6 @@ class CorpusRecord:
     description: str
     claims: list[str] = field(default_factory=list)
     domain: str | None = None
-    jurisdiction: str | None = None
     figure_count: int | None = None
     # relationship-labeled chunk pairs for similarity training:
     # each entry is {"claim_text": ..., "doc_text": ..., "label": ...}
@@ -60,11 +61,43 @@ class CorpusRecord:
     @classmethod
     def from_json(cls, line: str) -> "CorpusRecord":
         data = json.loads(line)
+        if isinstance(data, dict):  # a key older corpora carry and nothing reads
+            data.pop("jurisdiction", None)
         return cls(**data)
 
 
 def _list_of(value, item_type: type) -> bool:
     return isinstance(value, list) and all(isinstance(v, item_type) for v in value)
+
+
+def training_data(records: list[CorpusRecord], vocab: Vocabulary
+                  ) -> tuple[list[tuple], list[GeneratorSample], list[tuple]]:
+    """The records as token ids for the three trainers: similarity pairs
+    ``(claim, doc, label)`` with both sides nonempty, one generator sample per
+    record with claims (its first claim the target), and evaluator tuples
+    ``(reference, better, worse, domain)`` whose better and worse differ (a
+    tuple whose two sides are the same cannot be ranked)."""
+    pairs, samples, tuples = [], [], []
+    for rec in records:
+        for pair in rec.relationship_pairs:
+            claim_ids = vocab.encode_text(pair["claim_text"])
+            doc_ids = vocab.encode_text(pair["doc_text"])
+            if claim_ids and doc_ids:
+                pairs.append((claim_ids, doc_ids, pair.get("label")))
+        if rec.claims:
+            samples.append(GeneratorSample(
+                id=rec.id,
+                description_ids=vocab.encode_text(rec.description),
+                claim_ids=vocab.encode_text(rec.claims[0]),
+                domain_label=rec.domain,
+                dependent_claim_count=len(rec.claims) - 1,
+            ))
+        for tup in rec.corruption_tuples:
+            better, worse = vocab.encode_text(tup["better"]), vocab.encode_text(tup["worse"])
+            if better != worse:
+                tuples.append((vocab.encode_text(tup["reference"]), better, worse,
+                               rec.domain or "mechanical"))
+    return pairs, samples, tuples
 
 
 def write_corpus(path, records: list[CorpusRecord]) -> None:

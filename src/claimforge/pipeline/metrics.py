@@ -1,11 +1,9 @@
-"""Desk-scale text metrics: ROUGE-L, BLEU, and an embedding-cosine stand-in."""
+"""Desk-scale text metrics: ROUGE-L and BLEU."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-
-import numpy as np
 
 
 def _lcs_length(a: list, b: list) -> int:
@@ -63,15 +61,3 @@ def bleu(reference: list, candidate: list, max_n: int = 4) -> float:
     bp = 1.0 if len(candidate) >= len(reference) else math.exp(1.0 - len(reference) / len(candidate))
     return bp * math.exp(log_sum / max_n)
 
-
-def embedding_cosine_metric(ref_embedding: np.ndarray, cand_embedding: np.ndarray) -> float:
-    """Cosine of mean-pooled encoder embeddings.
-
-    Stand-in for pretrained-embedding metrics; scores are NOT comparable to
-    published BERTScore numbers.
-    """
-    na = float(np.linalg.norm(ref_embedding))
-    nb = float(np.linalg.norm(cand_embedding))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(ref_embedding, cand_embedding) / (na * nb))

@@ -52,9 +52,6 @@ RELATION_MARKERS: dict[str, list[str]] = {
     "technical": ["related", "adjacent", "associated", "auxiliary"],
 }
 
-_JURISDICTIONS = ("USPTO", "EPO")
-
-
 @dataclass
 class SynthCorpus:
     records: list[CorpusRecord]
@@ -86,7 +83,7 @@ def _corrupt(tokens: list[str], rng: Rng) -> list[str]:
     return kept
 
 
-def _make_record(doc_id: str, domain: str, jurisdiction: str, rng: Rng) -> CorpusRecord:
+def _make_record(doc_id: str, domain: str, rng: Rng) -> CorpusRecord:
     pool = DOMAIN_POOLS[domain]
     figure_count = int(rng.integers(1, 4))
     num_claims = int(rng.integers(2, 5))
@@ -131,7 +128,6 @@ def _make_record(doc_id: str, domain: str, jurisdiction: str, rng: Rng) -> Corpu
         description=description,
         claims=claims,
         domain=domain,
-        jurisdiction=jurisdiction,
         figure_count=figure_count,
         relationship_pairs=relationship_pairs,
         corruption_tuples=corruption_tuples,
@@ -153,9 +149,8 @@ def synth_corpus(seed: int, size: int, domains: int = 5) -> SynthCorpus:
     for d, domain in enumerate(active):
         count = base + (1 if d < rem else 0)
         for _ in range(count):
-            jur = _JURISDICTIONS[idx % len(_JURISDICTIONS)]
-            records.append(_make_record(f"doc{idx:04d}", domain, jur, rng.substream(f"rec{idx}")))
+            records.append(_make_record(f"doc{idx:04d}", domain, rng.substream(f"rec{idx}")))
             idx += 1
-    prior_art = [_make_record(f"prior{d}00", domain, "USPTO", rng.substream(f"prior{d}-0"))
+    prior_art = [_make_record(f"prior{d}00", domain, rng.substream(f"prior{d}-0"))
                  for d, domain in enumerate(active)]
     return SynthCorpus(records=records, prior_art=prior_art)

@@ -1,33 +1,53 @@
-"""The benchmark's patch points still exist in the program, and the calls
-they see are ones its wrappers can count.
+"""The benchmark's patch points still exist in the program, the calls they
+see are ones its wrappers can count, and its copy of the training data
+building agrees with the program's.
 
 ``bench/spans.py`` wraps each layer's public function at the module global or
 class attribute where its caller looks it up. A refactor that renames or
 drops one of those would only mark the layer unmeasured in a benchmark run;
-here it fails the test suite. The module is imported by path and only read.
+here it fails the test suite. ``bench/workloads.py:prepare_training`` builds
+the train-mix data itself, so a change to ``training_data`` that it does not
+share fails here too. The modules are imported by path and only read.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+from claimforge.cli import _corpus_texts
 from claimforge.evaluator import EvaluatorModel, EvaluatorTrainConfig, train_evaluator
 from claimforge.numerics import Rng
+from claimforge.pipeline import (
+    PipelineConfig,
+    read_corpus,
+    synth_corpus,
+    training_data,
+    write_corpus,
+)
 from claimforge.similarity import HeadBank, SimilarityTrainConfig, train_similarity
-from claimforge.textcore import EncoderConfig, init_encoder_params
+from claimforge.textcore import EncoderConfig, Vocabulary, init_encoder_params
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
+    saved_path, had_spans = list(sys.path), "spans" in sys.modules
+    sys.path.insert(0, str(BENCH))  # workloads imports spans as a top-level module
     try:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
+        sys.path[:] = saved_path
+        if not had_spans:
+            sys.modules.pop("spans", None)
     return module
+
+
+def load_spans():
+    return load_bench("spans")
 
 
 def test_every_op_and_layer_target_resolves():
@@ -72,3 +92,21 @@ def test_trainer_encoder_calls_are_counted_per_batch():
             == sim_counts["textcore.encode.tokens"] + pair_tokens)
     assert tracer.counters["numerics.backward.calls"] == 4
     assert tracer.unmeasured == {}
+
+
+def test_training_data_matches_the_benchmark_copy(tmp_path):
+    workloads = load_bench("workloads")
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, synth_corpus(300, 60).records)
+    records = read_corpus(corpus)
+    inputs = workloads.Inputs(corpus, tmp_path / "prior_art.jsonl", len(records))
+    bench = workloads.prepare_training(workloads.WORKLOADS["train-mix"], 300, inputs)
+    config = PipelineConfig(**workloads.TEST_GEOMETRY)
+    vocab = Vocabulary.build(_corpus_texts(records), cap=config.vocab_cap)
+    assert ([vocab.token(i) for i in range(len(vocab))]
+            == [bench.models.vocab.token(i) for i in range(len(bench.models.vocab))])
+    pairs, samples, tuples = training_data(records, vocab)
+    assert pairs == bench.pairs
+    assert samples == bench.samples
+    assert tuples == bench.tuples
+    assert (len(pairs), len(samples), len(tuples)) == (240, 60, 120)

@@ -8,7 +8,6 @@ import pytest
 
 from claimforge.numerics import Rng
 from claimforge.pipeline import bleu, rouge_l
-from claimforge.pipeline.metrics import embedding_cosine_metric
 
 
 def lcs_oracle(a, b):
@@ -143,12 +142,3 @@ class TestBleu:
             cand = random_tokens(rng, int(rng.integers(1, 15)))
             assert 0.0 <= bleu(ref, cand) <= 1.0
 
-
-class TestEmbeddingCosine:
-    def test_identical_vectors(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert embedding_cosine_metric(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal_vectors(self):
-        assert embedding_cosine_metric(np.array([1.0, 0.0]),
-                                       np.array([0.0, 1.0])) == pytest.approx(0.0)

@@ -359,11 +359,15 @@ class TestBackward:
         rng = Rng(0, ("bw",))
         x0 = rng.normal((3, 3))
 
+        def build(t):
+            s = t.tanh().sigmoid()
+            return (s * s).sum()
+
         def f(xs):
-            return float((Tensor(xs[0]).tanh().sigmoid() ** 2.0).sum().data)
+            return float(build(Tensor(xs[0])).data)
 
         t = Tensor(x0, requires_grad=True)
-        (t.tanh().sigmoid() ** 2.0).sum().backward()
+        build(t).backward()
         numeric = finite_difference_grad(f, [x0])[0]
         assert np.max(np.abs(t.grad - numeric)) < 1e-6
 

@@ -20,11 +20,12 @@ from claimforge.pipeline import (
 DATA = Path(__file__).parent / "data"
 
 
-def compact_config(**kw):
-    base = dict(model_dim=16, num_heads=2, head_dim=8, num_layers=1,
+GEOMETRY = dict(model_dim=16, num_heads=2, head_dim=8, num_layers=1,
                 max_seq_len=256, max_gen_len=8, top_k=3)
-    base.update(kw)
-    return PipelineConfig(**base)
+
+
+def compact_config(**kw):
+    return PipelineConfig(**{**GEOMETRY, **kw})
 
 
 class TestSynthCorpus:
@@ -108,6 +109,7 @@ class TestCorpusIO:
         ("relationship_pairs", [{"claim_text": "a", "doc_text": "b", "label": ["x"]}]),
         ("corruption_tuples", [{"reference": "a", "better": "b"}]),
         ("corruption_tuples", [{"reference": "a", "better": 2, "worse": "c"}]),
+        ("office", "EPO"),
     ])
     def test_wrongly_typed_field_rejected_with_location(self, tmp_path, field, value):
         # a string of claims used to be read as one claim per character
@@ -117,6 +119,14 @@ class TestCorpusIO:
                         + json.dumps(row) + "\n")
         with pytest.raises(ValueError, match=f":2: .*{field}"):
             read_corpus(path)
+
+    def test_jurisdiction_key_ignored_and_not_written(self, tmp_path):
+        # the corpora written before the field was dropped carry it on every line
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"id": "a", "description": "A gear.",
+                                    "jurisdiction": "EPO"}) + "\n")
+        (rec,) = read_corpus(path)
+        assert "jurisdiction" not in json.loads(rec.to_json())
 
 
     @pytest.mark.parametrize("domain", ["aerospace", 7, "Mechanical"])
@@ -148,10 +158,15 @@ class TestCorpusIO:
 
 class TestPipelineConfig:
     def test_file_roundtrip(self, tmp_path):
-        cfg = compact_config(seed=9, verbatim_mode=True)
+        from dataclasses import fields
+        values = dict(model_dim=16, num_heads=2, head_dim=8, num_layers=1, max_seq_len=256,
+                      vocab_cap=500, sim_temperature=0.2, aux_weight=0.25, max_gen_len=8,
+                      batch_size=2, lr=0.001, weight_decay=0.0, grad_clip=2.5, gamma=0.05,
+                      t0=100.0, top_k=3, seed=9)
+        assert values.keys() == {f.name for f in fields(PipelineConfig)}
         path = tmp_path / "p.cfg"
-        cfg.to_file(path)
-        assert PipelineConfig.from_file(path) == cfg
+        path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        assert PipelineConfig.from_file(path) == PipelineConfig(**values)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "p.cfg"
@@ -164,14 +179,6 @@ class TestPipelineConfig:
         path.write_text("# comment\n\nmodel_dim = 32  # inline\nnum_heads=4\nhead_dim = 8\n")
         cfg = PipelineConfig.from_file(path)
         assert (cfg.model_dim, cfg.num_heads, cfg.head_dim) == (32, 4, 8)
-
-    def test_bool_parsing(self, tmp_path):
-        path = tmp_path / "p.cfg"
-        path.write_text("verbatim_mode = true\n")
-        assert PipelineConfig.from_file(path).verbatim_mode is True
-        path.write_text("verbatim_mode = maybe\n")
-        with pytest.raises(ValueError, match="bool"):
-            PipelineConfig.from_file(path)
 
     @pytest.mark.parametrize("kw, match", [
         (dict(max_gen_len=0), "max_gen_len must be at least 1"),
@@ -190,7 +197,7 @@ class TestPipelineConfig:
         cfg = compact_config(max_seq_len=11, max_gen_len=8, top_k=0)
         assert (cfg.max_seq_len, cfg.max_gen_len, cfg.top_k) == (11, 8, 0)
 
-    @pytest.mark.parametrize("line", ["model_dim = abc", "lr = fast", "verbatim_mode = maybe"])
+    @pytest.mark.parametrize("line", ["model_dim = abc", "lr = fast", "seed = 1.5"])
     def test_unparsable_value_names_line_and_key(self, tmp_path, line):
         path = tmp_path / "p.cfg"
         path.write_text("# geometry\n" + line + "\n")
@@ -199,7 +206,8 @@ class TestPipelineConfig:
             PipelineConfig.from_file(path)
 
     @pytest.mark.parametrize("key", ["chunk_centering", "chunk_scale", "adapter_rank",
-                                     "base_margin", "adapt_strength"])
+                                     "base_margin", "adapt_strength", "verbatim_mode",
+                                     "level3_tau_threshold"])
     def test_deleted_keys_rejected(self, tmp_path, key):
         path = tmp_path / "p.cfg"
         path.write_text(f"{key} = 1\n")
@@ -449,9 +457,8 @@ class TestCli:
         corpus = synth_corpus(0, 15)
         write_corpus(tmp_path / "c.jsonl", corpus.records[:1])
         save_checkpoint(tmp_path / "m.ckpt", {"enc/embed": np.zeros((10, 32))})
-        cfg = tmp_path / "p.cfg"
-        compact_config().to_file(cfg)
-        code = cli_main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+        code = cli_main(["--config", str(_write_config(tmp_path / "p.cfg")),
+                         "--out", str(tmp_path / "o"),
                          "generate", "--corpus", str(tmp_path / "c.jsonl"),
                          "--checkpoint", str(tmp_path / "m.ckpt")])
         assert code == 1
@@ -493,7 +500,8 @@ class TestCli:
 
 
 def _write_config(path, **kw):
-    compact_config(**kw).to_file(path)
+    """A config file of the test geometry, with ``kw`` on top."""
+    path.write_text("".join(f"{key} = {value}\n" for key, value in {**GEOMETRY, **kw}.items()))
     return path
 
 
@@ -570,6 +578,63 @@ class TestCliStages:
         # the printed curve runs from the first logged loss to the last
         printed = capsys.readouterr().out
         assert f"loss {rows[0]['loss']:.4f} -> {rows[-1]['loss']:.4f}" in printed
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command, flag", [("train-sim", "--epochs"),
+                                               ("train-gen", "--steps"),
+                                               ("train-eval", "--epochs")])
+    def test_no_training_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        # these used to write an untrained checkpoint and die on history[0]
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, synth_corpus(0, 15).records)
+        code = cli_main(["--config", str(_write_config(tmp_path / "c.cfg")),
+                         "--out", str(tmp_path / "o"), command, "--corpus", str(corpus),
+                         f"{flag}={value}"])
+        assert code == 1
+        assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_train_eval_counts_only_the_tuples_it_can_rank(self, tmp_path, capsys, monkeypatch):
+        # a tuple whose better and worse encode alike used to count, and could never rank
+        import claimforge.cli as cli
+        from claimforge.textcore import Vocabulary
+        tuples = [{"reference": "1. A gear comprising a shaft.",
+                   "better": "1. A gear comprising a shaft.", "worse": "shaft a gear"},
+                  {"reference": "1. A gear.", "better": "A gear.", "worse": "a gear ."},
+                  {"reference": "1. A valve comprising a spring.",
+                   "better": "1. A valve comprising a spring.", "worse": "a spring valve"}]
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, [CorpusRecord(id="a", description="A gear and a valve.",
+                                           domain=DOMAINS[1], corruption_tuples=tuples)])
+        scored, real = [], cli.ordering_accuracy
+
+        def accuracy(tuples, *models):
+            scored.append((tuples, real(tuples, *models)))
+            return scored[-1][1]
+
+        monkeypatch.setattr(cli, "ordering_accuracy", accuracy)
+        assert cli_main(["--config", str(_write_config(tmp_path / "c.cfg")), "--seed", "0",
+                         "--out", str(tmp_path / "o"), "train-eval", "--corpus", str(corpus),
+                         "--epochs", "1"]) == 0
+        vocab = Vocabulary.load(tmp_path / "o" / "vocab.txt")
+        usable = [tuple(vocab.encode_text(t[k]) for k in ("reference", "better", "worse"))
+                  + (DOMAINS[1],) for t in (tuples[0], tuples[2])]
+        [(got, acc)] = scored
+        assert got == usable
+        printed = capsys.readouterr().out
+        assert "trained evaluator on 2 tuples;" in printed
+        assert f"train ordering accuracy {acc:.3f};" in printed
+
+    def test_train_sim_without_usable_pairs_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        pairs = [{"claim_text": "", "doc_text": "A gear."},
+                 {"claim_text": "A gear.", "doc_text": " "}]
+        write_corpus(corpus, [CorpusRecord(id="a", description="A gear.",
+                                           relationship_pairs=pairs)])
+        assert cli_main(["--config", str(_write_config(tmp_path / "c.cfg")),
+                         "--out", str(tmp_path / "o"), "train-sim",
+                         "--corpus", str(corpus)]) == 1
+        assert "error: corpus has no relationship-labeled pairs" in capsys.readouterr().err
 
     def test_trained_checkpoints_reach_the_pipeline(self, tmp_path):
         cfg = str(_write_config(tmp_path / "c.cfg"))
