@@ -6,6 +6,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from claimforge.numerics import logistic
 from claimforge.textcore import Vocabulary, sentence_boundaries, tokenize
 
 MIN_CHUNK_SIZE = 256
@@ -77,19 +78,12 @@ def complexity(doc: Document) -> float:
     return (doc.claim_count + doc.figure_count) / len(doc.tokens)
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def target_size(kappa: float) -> int:
     """Adaptive chunk size floor(256 + 768 * sigmoid(kappa)); as kappa >= 0,
     it lies in [640, 1024]."""
     if kappa < 0:
         raise ValueError("complexity must be non-negative")
-    s = int(math.floor(MIN_CHUNK_SIZE + CHUNK_SIZE_SPAN * _sigmoid(kappa)))
+    s = int(math.floor(MIN_CHUNK_SIZE + CHUNK_SIZE_SPAN * logistic(kappa)))
     return min(s, MAX_CHUNK_SIZE)
 
 

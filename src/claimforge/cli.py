@@ -24,6 +24,7 @@ from claimforge.pipeline import (
     synth_corpus,
     training_data,
     write_corpus,
+    write_jsonl,
 )
 from claimforge.pipeline.metrics import bleu, rouge_l
 from claimforge.pipeline.run import (
@@ -139,13 +140,6 @@ def _training_setup(args, config, seed, checkpoint=None):
     return models, training_data(records, models.vocab)
 
 
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
 def _cmd_synth(args, config, seed) -> int:
     corpus = synth_corpus(seed, args.size, domains=args.domains)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -164,7 +158,7 @@ def _cmd_chunk(args, config, seed) -> int:
         _, kappa, size, chunks = chunk_record(rec, vocab)
         rows.append({"doc_id": rec.id, "complexity": kappa, "target_size": size,
                      "chunks": [[c.start_token, c.end_token] for c in chunks]})
-    _write_jsonl(args.out / "chunks.jsonl", rows)
+    write_jsonl(args.out / "chunks.jsonl", rows)
     print(f"chunked {len(rows)} documents -> {args.out / 'chunks.jsonl'}")
     return EXIT_OK
 
@@ -176,7 +170,7 @@ def _cmd_similarity(args, config, seed) -> int:
     memo = StageOneMemo(models.head_bank.stacked_projections())
     rows = [report.to_record() for rec in records
             for report in claim_similarities(rec, prior, models, memo)]
-    _write_jsonl(args.out / "similarity.jsonl", rows)
+    write_jsonl(args.out / "similarity.jsonl", rows)
     print(f"wrote {len(rows)} similarity reports -> {args.out / 'similarity.jsonl'}")
     return EXIT_OK
 
@@ -192,7 +186,7 @@ def _cmd_train_sim(args, config, seed) -> int:
                               aux_weight=config.aux_weight, epochs=args.epochs),
         log_fn=log_rows.append,
     )
-    _write_jsonl(args.out / "train_log.jsonl", log_rows)
+    write_jsonl(args.out / "train_log.jsonl", log_rows)
     ckpt = save_models(models, args.out)
     print(f"trained similarity on {len(pairs)} pairs; "
           f"loss {history[0]:.4f} -> {history[-1]:.4f}; checkpoint {ckpt}")
@@ -214,7 +208,7 @@ def _cmd_train_gen(args, config, seed) -> int:
                    if s.domain_label is not None]
     if clf_samples:
         train_domain_classifier(clf_samples, models.generator.embed, models.classifier)
-    _write_jsonl(args.out / "train_log.jsonl", log_rows)
+    write_jsonl(args.out / "train_log.jsonl", log_rows)
     ckpt = save_models(models, args.out)
     print(f"trained generator for {args.steps} steps; "
           f"loss {history[0]:.4f} -> {history[-1]:.4f}; checkpoint {ckpt}")
@@ -228,7 +222,7 @@ def _cmd_train_eval(args, config, seed) -> int:
     log_rows = []
     history = train_evaluator(tuples, models.evaluator, models.enc_params,
                               EvaluatorTrainConfig(epochs=args.epochs), log_fn=log_rows.append)
-    _write_jsonl(args.out / "train_log.jsonl", log_rows)
+    write_jsonl(args.out / "train_log.jsonl", log_rows)
     acc = ordering_accuracy(tuples, models.evaluator, models.enc_params)
     ckpt = save_models(models, args.out)
     print(f"trained evaluator on {len(tuples)} tuples; loss {history[0]:.4f} -> "
@@ -252,7 +246,7 @@ def _cmd_generate(args, config, seed) -> int:
             "domain_mixture": [float(a) for a in alpha],
             "generated": models.vocab.decode_text(gen_ids),
         })
-    _write_jsonl(args.out / "generations.jsonl", rows)
+    write_jsonl(args.out / "generations.jsonl", rows)
     print(f"generated claims for {len(rows)} documents -> {args.out / 'generations.jsonl'}")
     return EXIT_OK
 
@@ -307,7 +301,7 @@ def _cmd_evaluate(args, config, seed) -> int:
             continue
         rows.append({"reference": pair["reference"], "generated": pair["generated"],
                      **report.to_record()})
-    _write_jsonl(args.out / "quality.jsonl", rows)
+    write_jsonl(args.out / "quality.jsonl", rows)
     print(f"scored {len(rows)} pairs, skipped {skipped} -> {args.out / 'quality.jsonl'}")
     return EXIT_OK if not skipped else EXIT_INPUT_ERROR
 
@@ -332,7 +326,7 @@ def _cmd_metrics(args, config, seed) -> int:
             "rouge_l": {"precision": p, "recall": r, "f": f},
             "bleu": bleu(ref, cand),
         })
-    _write_jsonl(args.out / "metrics.jsonl", rows)
+    write_jsonl(args.out / "metrics.jsonl", rows)
     print(f"computed metrics for {len(rows)} pairs -> {args.out / 'metrics.jsonl'}")
     return EXIT_OK
 
@@ -365,12 +359,12 @@ def main(argv: list[str] | None = None) -> int:
         config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
         seed = _resolve_seed(args, config)
         return _COMMANDS[args.command](args, config, seed)
+    except (NonFiniteError, AssertionError) as exc:  # NonFiniteError is a ValueError
+        print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError, KeyError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (NonFiniteError, AssertionError) as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -59,14 +59,7 @@ class QualityReport:
     domain_mixture: list[float]
 
     def to_record(self) -> dict:
-        return {
-            "aspect_scores": self.aspect_scores,
-            "aspect_weights": self.aspect_weights,
-            "overall": self.overall,
-            "display_scores": self.display_scores,
-            "margins": self.margins,
-            "domain_mixture": self.domain_mixture,
-        }
+        return dict(vars(self))
 
 
 def _pair_ids(ref_ids: list[int], gen_ids: list[int], cfg: EncoderConfig) -> list[int]:

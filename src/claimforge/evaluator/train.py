@@ -24,10 +24,8 @@ from claimforge.training import AdamW, clip_grad_norm
 @dataclass
 class EvaluatorTrainConfig:
     lr: float = 1e-3
-    weight_decay: float = 0.01
     epochs: int = 10
     batch_size: int = 8
-    grad_clip: float = 1.0
 
 
 def domain_one_hot(domain: str) -> np.ndarray:
@@ -74,14 +72,14 @@ def train_evaluator(tuples: list[tuple[list[int], list[int], list[int], str]],
         k: v for k, v in model.params.items() if k != "eval/aspect_logits"
     }
     trainable.update(enc_params)
-    opt = AdamW(trainable, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
+    opt = AdamW(trainable, lr=train_cfg.lr)
 
     history: list[float] = []
     for _ in range(train_cfg.epochs):
         for start in range(0, len(usable), train_cfg.batch_size):
             loss = _batch_loss(usable[start:start + train_cfg.batch_size], model, enc_params)
             grads = backward(loss, trainable)
-            norm = clip_grad_norm(grads, train_cfg.grad_clip)
+            norm = clip_grad_norm(grads)
             opt.step(grads)
             history.append(loss.item())
             if log_fn is not None:

@@ -6,10 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import (Rng, Tensor, backward, cross_entropy_logits, no_grad, softmax,
-                                 take_rows)
+from claimforge.numerics import Rng, Tensor, backward, cross_entropy_logits, no_grad, softmax
 from claimforge.generator.adapters import DOMAINS
 from claimforge.training import AdamW
+
+CLASSIFIER_BATCH_SIZE = 16
 
 
 @dataclass
@@ -42,7 +43,7 @@ def pool_embedding(token_ids: list[int], embed_table: Tensor) -> Tensor:
     """Mean token embedding of a description (classifier input features)."""
     if not token_ids:
         raise ValueError("empty document")
-    return take_rows(embed_table, token_ids).mean(axis=0)
+    return embed_table[np.asarray(token_ids)].mean(axis=0)
 
 
 def classify_domain(pooled: Tensor, classifier: DomainClassifier
@@ -55,8 +56,7 @@ def classify_domain(pooled: Tensor, classifier: DomainClassifier
 
 def train_domain_classifier(samples: list[tuple[list[int], str]],
                             embed_table: Tensor, classifier: DomainClassifier,
-                            lr: float = 1e-2, epochs: int = 30,
-                            batch_size: int = 16) -> list[float]:
+                            lr: float = 1e-2, epochs: int = 30) -> list[float]:
     """Cross-entropy training on (description token ids, domain label) pairs."""
     if not samples:
         raise ValueError("empty corpus")
@@ -64,8 +64,8 @@ def train_domain_classifier(samples: list[tuple[list[int], str]],
     opt = AdamW(classifier.params, lr=lr, weight_decay=0.01)
     history = []
     for _ in range(epochs):
-        for start in range(0, len(samples), batch_size):
-            batch = samples[start:start + batch_size]
+        for start in range(0, len(samples), CLASSIFIER_BATCH_SIZE):
+            batch = samples[start:start + CLASSIFIER_BATCH_SIZE]
             loss = None
             for token_ids, label in batch:
                 logits = classifier.logits(pool_embedding(token_ids, embed_table))

@@ -42,8 +42,8 @@ def decoder_logits(ids: list[int], model: GeneratorModel,
     With a ``cache``, ``ids`` continue the positions it holds, and only
     their logits are returned.
     """
-    states = encode_sequence(ids, model.cfg, model.params, prefix="dec",
-                             causal=True, weight_overrides=overrides, cache=cache)
+    params = {**model.params, **overrides} if overrides else model.params
+    states = encode_sequence(ids, model.cfg, params, prefix="dec", causal=True, cache=cache)
     return states @ model.params["dec/out_w"] + model.params["dec/out_b"]
 
 

@@ -19,7 +19,7 @@ from claimforge.numerics.tensor import (
     no_grad,
     backward,
     concat,
-    take_rows,
+    logistic,
     softmax,
     log_softmax,
     layer_norm,
@@ -38,7 +38,7 @@ __all__ = [
     "no_grad",
     "backward",
     "concat",
-    "take_rows",
+    "logistic",
     "softmax",
     "log_softmax",
     "layer_norm",

@@ -18,7 +18,6 @@ from claimforge.numerics.tensor import (
     scaled_dot_attention,
     sequence_cross_entropy,
     softmax,
-    take_rows,
 )
 
 
@@ -114,7 +113,8 @@ def op_cases(rng: Rng) -> list[tuple[str, Callable, list[np.ndarray]]]:
     add_case("getitem", [(4, 3)], lambda ts: _weighted(ts[0][1:3], w23))
     w43 = wvec((4, 3))
     add_case("concat", [(2, 3), (2, 3)], lambda ts: _weighted(concat(ts, axis=0), w43))
-    add_case("take_rows", [(5, 3)], lambda ts: _weighted(take_rows(ts[0], [0, 2]), w23))
+    # an id array gathers rows; a repeated id accumulates both rows' gradients
+    add_case("getitem_ids", [(5, 3)], lambda ts: _weighted(ts[0][np.array([2, 2])], w23))
 
     # the fused ops, each one taped node with an analytic backward
     add_case("softmax", [(2, 3)], lambda ts: _weighted(softmax(ts[0], axis=-1), w23))

@@ -340,16 +340,12 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), bwd)
 
 
-def take_rows(table: Tensor, ids) -> Tensor:
-    """Embedding lookup: gather rows of ``table`` by integer index."""
-    idx = np.asarray(ids, dtype=np.int64)
-
-    def bwd(g, out):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return Tensor._from_op(table.data[idx].astype(np.float64), (table,), bwd)
+def logistic(x: float) -> float:
+    """1 / (1 + exp(-x)) of a Python float, without overflow for large |x|."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:

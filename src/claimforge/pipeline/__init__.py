@@ -4,7 +4,7 @@ from claimforge.pipeline.metrics import rouge_l, bleu
 from claimforge.pipeline.corpus import CorpusRecord, read_corpus, training_data, write_corpus
 from claimforge.pipeline.synth import synth_corpus, SynthCorpus
 from claimforge.pipeline.config import PipelineConfig
-from claimforge.pipeline.run import run_pipeline, PipelineResult
+from claimforge.pipeline.run import run_pipeline, PipelineResult, write_jsonl
 
 __all__ = [
     "rouge_l",
@@ -18,4 +18,5 @@ __all__ = [
     "PipelineConfig",
     "run_pipeline",
     "PipelineResult",
+    "write_jsonl",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from claimforge.textcore import EncoderConfig
@@ -35,6 +36,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.max_gen_len < 1:
             raise ValueError(f"max_gen_len must be at least 1, got {self.max_gen_len}")
         if self.max_gen_len + 2 >= self.max_seq_len:
@@ -81,4 +85,7 @@ class PipelineConfig:
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse "
                                      f"{known[key].__name__} from {value!r}") from None
+                if not math.isfinite(kwargs[key]):
+                    raise ValueError(f"{path}:{lineno}: config key {key!r} must be finite, "
+                                     f"got {value!r}")
         return cls(**kwargs)

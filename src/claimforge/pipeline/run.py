@@ -78,6 +78,14 @@ class PipelineResult:
     timings_path: Path | None = None
 
 
+def write_jsonl(path: Path, rows: list[dict]) -> None:
+    """One ``json.dumps(row, sort_keys=True)`` line per row; makes the parent directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def build_models(vocab: Vocabulary, config: PipelineConfig, seed: int) -> PipelineModels:
     cfg = config.encoder_config()
     rng = Rng(seed, ("init",))
@@ -296,16 +304,9 @@ def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
         timing_rows.append({"doc_id": rec.id, **timings})
 
     report_path = out / "report.jsonl"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        for report in reports:
-            fh.write(json.dumps(report, sort_keys=True) + "\n")
-        for failure in failures:
-            fh.write(json.dumps({"skipped": failure}, sort_keys=True) + "\n")
-
+    write_jsonl(report_path, reports + [{"skipped": failure} for failure in failures])
     timings_path = out / "timings.jsonl"
-    with open(timings_path, "w", encoding="utf-8") as fh:
-        for row in timing_rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(timings_path, timing_rows)
 
     summary_path = out / "summary.txt"
     with open(summary_path, "w", encoding="utf-8") as fh:

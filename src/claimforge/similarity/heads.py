@@ -70,15 +70,7 @@ class SimilarityReport:
     group_masses: dict[str, float]
 
     def to_record(self) -> dict:
-        return {
-            "claim_chunk_id": self.claim_chunk_id,
-            "doc_chunk_id": self.doc_chunk_id,
-            "head_scores": self.head_scores,
-            "head_weights": self.head_weights,
-            "similarity": self.similarity,
-            "relationship_label": self.relationship_label,
-            "group_masses": self.group_masses,
-        }
+        return dict(vars(self))
 
 
 def head_weights(claim_repr: Tensor, doc_repr: Tensor, bank: HeadBank) -> Tensor:

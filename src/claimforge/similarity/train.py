@@ -29,10 +29,8 @@ class SimilarityTrainConfig:
     temperature: float = 0.1
     aux_weight: float = 0.5
     lr: float = 1e-3
-    weight_decay: float = 0.01
     batch_size: int = 8
     epochs: int = 5
-    grad_clip: float = 1.0
 
 
 def _row_normalize(z: Tensor, eps: float = 1e-12) -> Tensor:
@@ -92,7 +90,7 @@ def train_similarity(pairs: list[tuple[list[int], list[int], str | None]],
     has_labels = any(label is not None for _, _, label in pairs)
     trainable = {k: v for k, v in bank.params.items() if k.startswith("sim/phi/")} if has_labels else {}
     trainable.update(enc_params)
-    opt = AdamW(trainable, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
+    opt = AdamW(trainable, lr=train_cfg.lr)
     history: list[float] = []
 
     for _ in range(train_cfg.epochs):
@@ -102,7 +100,7 @@ def train_similarity(pairs: list[tuple[list[int], list[int], str | None]],
                 continue
             loss = _batch_loss(batch, cfg, enc_params, bank, train_cfg)
             grads = backward(loss, trainable)
-            norm = clip_grad_norm(grads, train_cfg.grad_clip)
+            norm = clip_grad_norm(grads)
             opt.step(grads)
             history.append(loss.item())
             if log_fn is not None:

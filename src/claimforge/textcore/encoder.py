@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, attention_sublayer, ffn_sublayer, take_rows
+from claimforge.numerics import Rng, Tensor, attention_sublayer, ffn_sublayer
 from claimforge.textcore.vocab import PAD_ID
 
 
@@ -102,12 +102,11 @@ def init_encoder_params(vocab_size: int, cfg: EncoderConfig, rng: Rng,
 
 def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
                     prefix: str = "enc", causal: bool = False,
-                    weight_overrides: dict[str, Tensor] | None = None,
                     cache: KVCache | None = None, lengths: list[int] | None = None) -> Tensor:
     """Run the transformer stack over a token id sequence.
 
-    ``weight_overrides`` maps full parameter names to replacement tensors
-    (used by the generator to apply low-rank adapter deltas to projections).
+    ``params`` holds the weights the stack runs, keyed ``{prefix}/{name}``; the
+    generator passes its adapter-merged projections in place of the base ones.
     Returns the (len, model_dim) hidden-state matrix.
 
     With a ``cache`` (causal only), ``ids`` are the positions that follow the
@@ -142,13 +141,9 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
     total = offset + length
     if total > cfg.max_seq_len:
         raise ValueError(f"sequence length {total} exceeds max_seq_len {cfg.max_seq_len}")
-    overrides = weight_overrides or {}
 
     def get(name: str) -> Tensor:
-        full = f"{prefix}/{name}"
-        if full in overrides:
-            return overrides[full]
-        return params[full]
+        return params[f"{prefix}/{name}"]
 
     embed = get("embed")
     vocab_size = embed.shape[0]
@@ -168,7 +163,7 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
         mask = mask[:, None, None, :]
     # Rows of one table per geometry: each row depends only on its position.
     positions = _positional_encoding_cached(cfg.max_seq_len, cfg.model_dim)[offset:total]
-    x = take_rows(embed, tokens) + Tensor(positions)
+    x = embed[np.asarray(tokens)] + Tensor(positions)
 
     for layer in range(cfg.num_layers):
         p = f"l{layer}"

@@ -5,14 +5,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from claimforge.numerics import Rng
+from claimforge.numerics import Rng, logistic
+
+LEVEL3_TAU_THRESHOLD = 0.999
 
 
 @dataclass(frozen=True)
 class CurriculumSchedule:
     gamma: float = 0.01
     t0: float = 5000.0
-    level3_tau_threshold: float = 0.999
     verbatim_mode: bool = False
 
     def __post_init__(self):
@@ -20,19 +21,13 @@ class CurriculumSchedule:
             raise ValueError("gamma must be positive")
         if self.t0 < 0:
             raise ValueError("t0 must be non-negative")
-        if not (0.5 < self.level3_tau_threshold <= 1.0):
-            raise ValueError("level3_tau_threshold must lie in (0.5, 1]")
 
 
 def curriculum_progress(t: float, schedule: CurriculumSchedule = CurriculumSchedule()) -> float:
     """Logistic progress 1 / (1 + exp(-gamma * (t - t0)))."""
     if t < 0:
         raise ValueError("step must be non-negative")
-    z = schedule.gamma * (t - schedule.t0)
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+    return logistic(schedule.gamma * (t - schedule.t0))
 
 
 def difficulty_level(t: float, schedule: CurriculumSchedule = CurriculumSchedule()) -> int:
@@ -40,10 +35,10 @@ def difficulty_level(t: float, schedule: CurriculumSchedule = CurriculumSchedule
 
     The floor formula alone never emits level 3 while tau < 1 in exact
     arithmetic, so the default mode promotes to 3 once tau crosses
-    ``level3_tau_threshold``; verbatim mode keeps the formula as written.
+    ``LEVEL3_TAU_THRESHOLD``; verbatim mode keeps the formula as written.
     """
     tau = curriculum_progress(t, schedule)
-    if not schedule.verbatim_mode and tau >= schedule.level3_tau_threshold:
+    if not schedule.verbatim_mode and tau >= LEVEL3_TAU_THRESHOLD:
         return 3
     return min(3, int(math.floor(1.0 + 2.0 * tau)))
 

@@ -1,6 +1,7 @@
 """Synthetic corpus, config, orchestration, reports, and the CLI contract."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from claimforge.cli import main as cli_main
 from claimforge.generator import DOMAINS
+from claimforge.numerics import NonFiniteError
 from claimforge.pipeline import (
     CorpusRecord,
     PipelineConfig,
@@ -22,6 +24,9 @@ DATA = Path(__file__).parent / "data"
 
 GEOMETRY = dict(model_dim=16, num_heads=2, head_dim=8, num_layers=1,
                 max_seq_len=256, max_gen_len=8, top_k=3)
+
+
+FLOAT_KEYS = [f.name for f in fields(PipelineConfig) if f.type == "float"]
 
 
 def compact_config(**kw):
@@ -203,6 +208,18 @@ class TestPipelineConfig:
         path.write_text("# geometry\n" + line + "\n")
         key = line.split("=")[0].strip()
         with pytest.raises(ValueError, match=f"p.cfg:2: config key '{key}': cannot parse"):
+            PipelineConfig.from_file(path)
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_float_rejected(self, tmp_path, key, value):
+        # these used to load: lr = nan trained until a softmax input went
+        # non-finite, and gamma = inf wrote "tau": 0.0 in every report
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            compact_config(**{key: float(value)})
+        path = tmp_path / "p.cfg"
+        path.write_text(f"# training\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"p.cfg:2: config key '{key}' must be finite"):
             PipelineConfig.from_file(path)
 
     @pytest.mark.parametrize("key", ["chunk_centering", "chunk_scale", "adapter_rank",
@@ -473,6 +490,27 @@ class TestCli:
         assert cli_main(["--out", str(out_b), "synth", "--size", "15"]) == 0
         assert (out_a / "corpus.jsonl").read_bytes() == \
             (out_b / "corpus.jsonl").read_bytes()
+
+    def test_non_finite_config_value_exits_1_naming_the_key(self, tmp_path, capsys):
+        write_corpus(tmp_path / "c.jsonl", synth_corpus(0, 15).records[:1])
+        config = _write_config(tmp_path / "p.cfg", gamma="inf")
+        assert cli_main(["--config", str(config), "--out", str(tmp_path / "o"),
+                         "pipeline", "--corpus", str(tmp_path / "c.jsonl")]) == 1
+        assert f"{config}:8: config key 'gamma' must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.jsonl").exists()
+
+    @pytest.mark.parametrize("exc", [NonFiniteError("non-finite value in softmax input"),
+                                     AssertionError("broken invariant")])
+    def test_internal_error_exits_2(self, tmp_path, capsys, monkeypatch, exc):
+        # NonFiniteError is a ValueError: it used to exit 1 as an input error
+        import claimforge.cli as cli
+
+        def fail(args, config, seed):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "synth", fail)
+        assert cli_main(["--out", str(tmp_path), "synth"]) == 2
+        assert f"internal invariant violation: {exc}" in capsys.readouterr().err
 
     def test_non_integer_env_seed_named(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CLAIMFORGE_SEED", "seven")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimforge.numerics import (Rng, Tensor, attention_sublayer, ffn_sublayer, layer_norm, no_grad,
-                                 scaled_dot_attention, take_rows)
+                                 scaled_dot_attention)
 from claimforge.numerics.gradcheck import check_op
 from claimforge.textcore import (
     BOS_ID,
@@ -287,7 +287,7 @@ def composite_encode(ids, cfg, params, causal=False, cache=None):
     offset = cache.length if cache is not None else 0
     total = offset + len(ids)
     positions = _positional_encoding_cached(cfg.max_seq_len, cfg.model_dim)[offset:total]
-    x = take_rows(g("embed"), ids) + Tensor(positions)
+    x = g("embed")[np.asarray(ids)] + Tensor(positions)
     mask = np.triu(np.full((len(ids), total), -1e9), k=offset + 1) if causal else None
     for layer in range(cfg.num_layers):
         p = f"l{layer}"

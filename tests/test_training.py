@@ -47,8 +47,6 @@ class TestCurriculumProgress:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             CurriculumSchedule(gamma=0.0)
-        with pytest.raises(ValueError):
-            CurriculumSchedule(level3_tau_threshold=0.4)
 
 
 class TestDifficultyLevel:
