@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -19,14 +18,15 @@ from claimforge.generator import (
 )
 from claimforge.pipeline import (
     PipelineConfig,
+    claim_metrics,
     read_corpus,
+    read_jsonl,
     run_pipeline,
     synth_corpus,
     training_data,
     write_corpus,
     write_jsonl,
 )
-from claimforge.pipeline.metrics import bleu, rouge_l
 from claimforge.pipeline.run import (
     StageOneMemo,
     chunk_record,
@@ -230,7 +230,6 @@ def _cmd_train_eval(args, config, seed) -> int:
     return EXIT_OK
 
 
-@no_grad()
 def _cmd_generate(args, config, seed) -> int:
     records = read_corpus(args.corpus)
     models = load_models(_corpus_texts(records), config, seed, args.checkpoint)
@@ -256,27 +255,18 @@ def _read_pairs(path: Path) -> list[tuple[int, dict]]:
     and an optional ``domain`` from ``DOMAINS``; a bad row is an error naming
     its ``path:lineno``."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            if not (isinstance(row, dict)
-                    and all(isinstance(row.get(k), str) for k in ("reference", "generated"))):
-                raise ValueError(f"{path}:{lineno}: a pair is a JSON object with string "
-                                 f"'reference' and 'generated'")
-            if row.get("domain", DOMAINS[0]) not in DOMAINS:
-                raise ValueError(f"{path}:{lineno}: domain must be one of {', '.join(DOMAINS)}, "
-                                 f"got {row['domain']!r}")
-            pairs.append((lineno, row))
+    for lineno, row in read_jsonl(path):
+        if not (isinstance(row, dict)
+                and all(isinstance(row.get(k), str) for k in ("reference", "generated"))):
+            raise ValueError(f"{path}:{lineno}: a pair is a JSON object with string "
+                             f"'reference' and 'generated'")
+        if row.get("domain", DOMAINS[0]) not in DOMAINS:
+            raise ValueError(f"{path}:{lineno}: domain must be one of {', '.join(DOMAINS)}, "
+                             f"got {row['domain']!r}")
+        pairs.append((lineno, row))
     return pairs
 
 
-@no_grad()
 def _cmd_evaluate(args, config, seed) -> int:
     """Scores every pair it can; a pair that cannot be scored is reported on
     stderr as ``path:lineno: message``, and then the exit code is
@@ -315,17 +305,9 @@ def _cmd_pipeline(args, config, seed) -> int:
 
 
 def _cmd_metrics(args, config, seed) -> int:
-    rows = []
-    for _, pair in _read_pairs(args.pairs):
-        ref = tokenize(pair["reference"])
-        cand = tokenize(pair["generated"])
-        p, r, f = rouge_l(ref, cand)
-        rows.append({
-            "reference": pair["reference"],
-            "generated": pair["generated"],
-            "rouge_l": {"precision": p, "recall": r, "f": f},
-            "bleu": bleu(ref, cand),
-        })
+    rows = [{"reference": pair["reference"], "generated": pair["generated"],
+             **claim_metrics(tokenize(pair["reference"]), tokenize(pair["generated"]))}
+            for _, pair in _read_pairs(args.pairs)]
     write_jsonl(args.out / "metrics.jsonl", rows)
     print(f"computed metrics for {len(rows)} pairs -> {args.out / 'metrics.jsonl'}")
     return EXIT_OK

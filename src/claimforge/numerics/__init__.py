@@ -11,6 +11,8 @@ layer-norm gain and bias, w1, b1, w2, b2), both over one sequence or a
 padded batch of them, ``cross_entropy_logits`` and
 ``sequence_cross_entropy``. The adapter merge,
 ``claimforge.generator.adapters.effective_projection``, is fused the same way.
+``softmax_array`` and ``attention_array`` are the softmax and attention
+forwards over plain arrays, for inference that builds no tape.
 """
 
 from claimforge.numerics.tensor import (
@@ -21,9 +23,11 @@ from claimforge.numerics.tensor import (
     concat,
     logistic,
     softmax,
+    softmax_array,
     log_softmax,
     layer_norm,
     scaled_dot_attention,
+    attention_array,
     attention_sublayer,
     ffn_sublayer,
     cross_entropy_logits,
@@ -40,9 +44,11 @@ __all__ = [
     "concat",
     "logistic",
     "softmax",
+    "softmax_array",
     "log_softmax",
     "layer_norm",
     "scaled_dot_attention",
+    "attention_array",
     "attention_sublayer",
     "ffn_sublayer",
     "cross_entropy_logits",

@@ -348,7 +348,7 @@ def logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
+def softmax_array(x: np.ndarray, axis: int) -> np.ndarray:
     """Max-shifted softmax of a plain array (no tape); rejects an empty or
     non-finite input.
 
@@ -373,7 +373,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         y = out.data
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
-    return Tensor._from_op(_softmax_data(x.data, axis), (x,), bwd)
+    return Tensor._from_op(softmax_array(x.data, axis), (x,), bwd)
 
 
 def _log_softmax_parts(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -445,21 +445,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return Tensor._from_op(out, (x, gain, bias), bwd)
 
 
-def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                     mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, float]:
+def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                    mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, float]:
     """Forward of ``scaled_dot_attention`` over plain arrays: (output, weights, scale)."""
     scale = 1.0 / np.sqrt(q.shape[-1])
     scores = (q @ k.swapaxes(-1, -2)) * scale
     if mask is not None:
         scores = scores + mask
-    weights = _softmax_data(scores, -1)
+    weights = softmax_array(scores, -1)
     return weights @ v, weights, scale
 
 
 def _attention_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                      weights: np.ndarray, scale: float, wanted: tuple[bool, bool, bool]
                      ) -> tuple:
-    """Backward of ``_attention_parts``: the gradients of (Q, K, V) from the
+    """Backward of ``attention_array``: the gradients of (Q, K, V) from the
     output gradient ``g``, each None where ``wanted`` says it is not needed.
 
     With gs the gradient of the scaled scores, they are gs @ K, gs^T @ Q and
@@ -489,7 +489,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ValueError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
     if d_k <= 0:
         raise ValueError("head dimension must be positive")
-    out, weights, scale = _attention_parts(q.data, k.data, v.data, mask)
+    out, weights, scale = attention_array(q.data, k.data, v.data, mask)
 
     def bwd(g, out):
         grads = _attention_grads(g, q.data, k.data, v.data, weights, scale,
@@ -553,7 +553,7 @@ def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Te
     q, k, v = (_to_heads(h @ w.data, num_heads) for w in (wq, wk, wv))
     if extend_kv is not None:
         k, v = extend_kv(k, v)
-    attended, weights, scale = _attention_parts(q, k, v, mask)
+    attended, weights, scale = attention_array(q, k, v, mask)
     merged = _from_heads(attended)
     trains_kv = extend_kv is None
 

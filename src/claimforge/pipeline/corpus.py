@@ -4,6 +4,7 @@ and the training data the three trainers take from them."""
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 
 from claimforge.generator import DOMAINS, GeneratorSample
@@ -59,8 +60,7 @@ class CorpusRecord:
         return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
 
     @classmethod
-    def from_json(cls, line: str) -> "CorpusRecord":
-        data = json.loads(line)
+    def from_dict(cls, data) -> "CorpusRecord":
         if isinstance(data, dict):  # a key older corpora carry and nothing reads
             data.pop("jurisdiction", None)
         return cls(**data)
@@ -111,20 +111,29 @@ def write_corpus(path, records: list[CorpusRecord]) -> None:
             fh.write(rec.to_json() + "\n")
 
 
-def read_corpus(path) -> list[CorpusRecord]:
-    records = []
-    seen = set()
+def read_jsonl(path) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each nonblank line of a JSONL file; a
+    line that is not JSON is an error naming its ``path:lineno``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = CorpusRecord.from_json(line)
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
-            if rec.id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate record id {rec.id!r}")
-            seen.add(rec.id)
-            records.append(rec)
-    return records
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from None
+            yield lineno, value
+
+
+def read_corpus(path) -> list[CorpusRecord]:
+    records: dict[str, CorpusRecord] = {}
+    for lineno, data in read_jsonl(path):
+        try:
+            rec = CorpusRecord.from_dict(data)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
+        if rec.id in records:
+            raise ValueError(f"{path}:{lineno}: duplicate record id {rec.id!r}")
+        records[rec.id] = rec
+    return list(records.values())

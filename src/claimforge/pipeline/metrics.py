@@ -61,3 +61,9 @@ def bleu(reference: list, candidate: list, max_n: int = 4) -> float:
     bp = 1.0 if len(candidate) >= len(reference) else math.exp(1.0 - len(reference) / len(candidate))
     return bp * math.exp(log_sum / max_n)
 
+
+def claim_metrics(reference: list, candidate: list) -> dict:
+    """The metrics row of a reference and a candidate token list: ROUGE-L
+    ``{precision, recall, f}`` and BLEU."""
+    p, r, f = rouge_l(reference, candidate)
+    return {"rouge_l": {"precision": p, "recall": r, "f": f}, "bleu": bleu(reference, candidate)}

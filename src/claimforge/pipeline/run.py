@@ -25,7 +25,7 @@ from claimforge.generator import (
 )
 from claimforge.pipeline.config import PipelineConfig
 from claimforge.pipeline.corpus import CorpusRecord, read_corpus
-from claimforge.pipeline.metrics import bleu, rouge_l
+from claimforge.pipeline.metrics import claim_metrics
 from claimforge.similarity import (
     ChunkFeatures,
     HeadBank,
@@ -227,17 +227,13 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
     """
     timings = {}
 
-    def mark(stage: str, t_start: float) -> None:
-        timings[f"{stage}_start"] = t_start
-        timings[f"{stage}_seconds"] = time.perf_counter() - t_start
-
     # Stage 1: adaptive chunking + relationship-aware similarity
     t_start = time.perf_counter()
     _, kappa, size, chunks = chunk_record(rec, models.vocab)
     sim_reports = claim_similarities(rec, prior_art, models, memo)
     sim_reports.sort(key=lambda r: (-r.similarity, r.claim_chunk_id, r.doc_chunk_id))
     top_sims = [r.to_record() for r in sim_reports[:config.top_k]]
-    mark("stage1", t_start)
+    timings["stage1_seconds"] = time.perf_counter() - t_start
 
     # Stage 2: domain-adaptive generation
     t_start = time.perf_counter()
@@ -250,21 +246,16 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
         max_len=config.max_gen_len,
     )
     generated_text = models.vocab.decode_text(gen_ids)
-    mark("stage2", t_start)
+    timings["stage2_seconds"] = time.perf_counter() - t_start
 
     # Stage 3: unified quality assessment
     t_start = time.perf_counter()
     reference_ids = models.vocab.encode_text((rec.claims or [rec.description])[0])
     quality = score_pair(reference_ids, gen_ids if gen_ids else [models.vocab.token_id("<unk>")],
                          alpha, models.evaluator, models.enc_params)
-    ref_tokens = models.vocab.decode(reference_ids)
-    gen_tokens = models.vocab.decode(gen_ids) if gen_ids else []
-    p, r, f = rouge_l(ref_tokens, gen_tokens)
-    metrics = {
-        "rouge_l": {"precision": p, "recall": r, "f": f},
-        "bleu": bleu(ref_tokens, gen_tokens),
-    }
-    mark("stage3", t_start)
+    metrics = claim_metrics(models.vocab.decode(reference_ids),
+                            models.vocab.decode(gen_ids) if gen_ids else [])
+    timings["stage3_seconds"] = time.perf_counter() - t_start
 
     report = {
         "doc_id": rec.id,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from claimforge.numerics import Rng
 from claimforge.generator.adapters import DOMAINS
@@ -56,7 +56,6 @@ RELATION_MARKERS: dict[str, list[str]] = {
 class SynthCorpus:
     records: list[CorpusRecord]
     prior_art: list[CorpusRecord]
-    domain_pools: dict[str, list[str]] = field(default_factory=lambda: dict(DOMAIN_POOLS))
 
 
 def _pick(rng: Rng, pool: list[str]) -> str:

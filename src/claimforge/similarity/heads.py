@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import NonFiniteError, Rng, Tensor, concat, softmax
+from claimforge.numerics import Rng, Tensor, attention_array, concat, softmax, softmax_array
 
 NUM_HEADS = 8
 HEAD_DIM = 64
@@ -94,15 +94,12 @@ def head_weight_array(claim_pooled: np.ndarray, doc_pooled: np.ndarray,
                       bank: HeadBank) -> np.ndarray:
     """``head_weights`` in plain numpy for inference, with the same ops in the
     same order, so the same bits: concat, ``@ w1 + b1``, relu, ``@ w2 + b2``,
-    finite check, max-shifted softmax."""
+    ``softmax_array``."""
     p = bank.params
     x = np.concatenate([claim_pooled, doc_pooled, claim_pooled * doc_pooled])
     h = x @ p["sim/phi/w1"].data + p["sim/phi/b1"].data
     logits = (h * (h > 0)) @ p["sim/phi/w2"].data + p["sim/phi/b2"].data
-    if not np.isfinite(logits).all():
-        raise NonFiniteError("non-finite value in softmax input")
-    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return softmax_array(logits, -1)
 
 
 def _pool(x: np.ndarray, axis: int) -> np.ndarray:
@@ -156,20 +153,16 @@ def chunk_features(states: np.ndarray, projections: np.ndarray) -> ChunkFeatures
 def head_scores(claim: ClaimFeatures, doc: ChunkFeatures) -> np.ndarray:
     """Per-head cosine between the pooled attended output and the pooled query.
 
-    All heads at once: per head, scaled dot-product attention of the claim's
-    queries over the doc's keys and values, then mean pooling over rows. A
+    All heads at once: per head, scaled dot-product attention
+    (``attention_array``) of the claim's queries over the doc's keys and
+    values, then mean pooling over rows. A
     head whose pooled vectors have a norm below 1e-12 scores 0. Returns shape
     (NUM_HEADS,). Pairs are scored one at a time: stacking rows of several
     pairs into one product can change the last bits.
     """
-    q = claim.q
-    scores = (q @ np.swapaxes(doc.k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
-    if not np.isfinite(scores).all():
-        raise NonFiniteError("non-finite value in attention scores")
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    a = _pool((e / e.sum(axis=-1, keepdims=True)) @ doc.v, 1)
+    a = _pool(attention_array(claim.q, doc.k, doc.v, None)[0], 1)
     norm_a = np.sqrt((a * a).sum(axis=-1))
-    out = np.zeros(len(q))
+    out = np.zeros(len(a))
     ok = (norm_a >= 1e-12) & (claim.q_norm >= 1e-12)
     out[ok] = (a * claim.q_pooled).sum(axis=-1)[ok] / (norm_a * claim.q_norm)[ok]
     return out

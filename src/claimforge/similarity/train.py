@@ -8,6 +8,7 @@ head pair, enforcing the specialization the head groups name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,8 +81,10 @@ def train_similarity(pairs: list[tuple[list[int], list[int], str | None]],
     None). Returns the per-step loss history; parameters update in place.
     ``log_fn``, if given, gets {step, loss, grad_norm} after every step.
     """
-    if train_cfg.temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < train_cfg.temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {train_cfg.temperature}")
+    if not math.isfinite(train_cfg.aux_weight):
+        raise ValueError(f"aux_weight must be finite, got {train_cfg.aux_weight}")
     if len(pairs) < 2:
         raise ValueError("need at least 2 positive pairs per batch")
 

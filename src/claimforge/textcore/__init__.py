@@ -3,7 +3,6 @@
 from claimforge.textcore.vocab import (
     Vocabulary,
     tokenize,
-    detokenize,
     PAD_ID,
     UNK_ID,
     BOS_ID,
@@ -24,7 +23,6 @@ from claimforge.textcore.encoder import (
 __all__ = [
     "Vocabulary",
     "tokenize",
-    "detokenize",
     "PAD_ID",
     "UNK_ID",
     "BOS_ID",

@@ -31,10 +31,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def detokenize(tokens: list[str]) -> str:
-    return " ".join(tokens)
-
-
 class Vocabulary:
     """Token <-> id bijection over non-reserved entries; ids 0..4 reserved."""
 
@@ -43,7 +39,6 @@ class Vocabulary:
             raise ValueError(f"vocabulary size {len(tokens) + NUM_RESERVED} exceeds cap {cap}")
         if len(set(tokens)) != len(tokens):
             raise ValueError("duplicate tokens in vocabulary")
-        self.cap = cap
         self._id_to_token = list(tokens)
         self._token_to_id = {t: i + NUM_RESERVED for i, t in enumerate(tokens)}
 
@@ -83,7 +78,7 @@ class Vocabulary:
         return [self.token(i) for i in ids]
 
     def decode_text(self, ids: list[int]) -> str:
-        return detokenize([t for t in self.decode(ids) if t not in _RESERVED_BY_NAME])
+        return " ".join(t for t in self.decode(ids) if t not in _RESERVED_BY_NAME)
 
     # one token per line, line number = id - 5
     def save(self, path) -> None:

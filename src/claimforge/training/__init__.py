@@ -4,7 +4,6 @@ from claimforge.training.curriculum import (
     CurriculumSchedule,
     curriculum_progress,
     difficulty_level,
-    DifficultyBucket,
     bucket_corpus,
     sample_batch,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "CurriculumSchedule",
     "curriculum_progress",
     "difficulty_level",
-    "DifficultyBucket",
     "bucket_corpus",
     "sample_batch",
     "AdamW",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from claimforge.numerics import Rng, logistic
 
@@ -17,10 +17,10 @@ class CurriculumSchedule:
     verbatim_mode: bool = False
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.t0 < 0:
-            raise ValueError("t0 must be non-negative")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 <= self.t0 < math.inf:
+            raise ValueError(f"t0 must be non-negative and finite, got {self.t0}")
 
 
 def curriculum_progress(t: float, schedule: CurriculumSchedule = CurriculumSchedule()) -> float:
@@ -43,46 +43,38 @@ def difficulty_level(t: float, schedule: CurriculumSchedule = CurriculumSchedule
     return min(3, int(math.floor(1.0 + 2.0 * tau)))
 
 
-@dataclass
-class DifficultyBucket:
-    level: int
-    sample_ids: list[str] = field(default_factory=list)
-
-
 def difficulty_key(claim_token_length: int, dependent_claim_count: int) -> float:
     """Sample difficulty: target-claim token length x (1 + dependent-claim count)."""
     return float(claim_token_length) * (1.0 + dependent_claim_count)
 
 
-def bucket_corpus(items: list[tuple[str, float]]) -> list[DifficultyBucket]:
-    """Split (sample id, difficulty key) pairs into tercile buckets.
+def bucket_corpus(items: list[tuple[str, float]]) -> list[list[str]]:
+    """Split (sample id, difficulty key) pairs into tercile buckets: the
+    sample ids of levels 1, 2 and 3, in that order.
 
     Sorted by key with id as the deterministic tie-break; sizes as equal as
     possible, remainder going to the easier buckets.
     """
     if len(items) < 3:
         raise ValueError(f"corpus too small to bucket: {len(items)} < 3")
-    ordered = sorted(items, key=lambda kv: (kv[1], kv[0]))
-    n = len(ordered)
-    base, rem = divmod(n, 3)
-    sizes = [base + (1 if i < rem else 0) for i in range(3)]
+    ordered = [sid for sid, _ in sorted(items, key=lambda kv: (kv[1], kv[0]))]
+    base, rem = divmod(len(ordered), 3)
     buckets = []
     start = 0
-    for level, size in enumerate(sizes, start=1):
-        buckets.append(DifficultyBucket(level, [sid for sid, _ in ordered[start:start + size]]))
+    for i in range(3):
+        size = base + (1 if i < rem else 0)
+        buckets.append(ordered[start:start + size])
         start += size
     return buckets
 
 
-def sample_batch(buckets: list[DifficultyBucket], t: float,
+def sample_batch(buckets: list[list[str]], t: float,
                  schedule: CurriculumSchedule, batch_size: int, rng: Rng) -> list[str]:
     """Draw uniformly from the union of buckets 1..level(t) (cumulative curriculum)."""
-    level = difficulty_level(t, schedule)
     pool: list[str] = []
-    for bucket in buckets:
-        if bucket.level <= level:
-            if not bucket.sample_ids:
-                raise ValueError(f"difficulty bucket {bucket.level} is empty")
-            pool.extend(bucket.sample_ids)
+    for level, bucket in enumerate(buckets[:difficulty_level(t, schedule)], start=1):
+        if not bucket:
+            raise ValueError(f"difficulty bucket {level} is empty")
+        pool.extend(bucket)
     idx = rng.integers(0, len(pool), size=batch_size)
     return [pool[i] for i in idx]

@@ -22,6 +22,10 @@ class AdamW:
     def __init__(self, params: dict[str, Tensor], lr: float = 5e-5,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01):
+        for name, value in (("lr", lr), ("beta1", betas[0]), ("beta2", betas[1]),
+                            ("eps", eps), ("weight_decay", weight_decay)):
+            if not math.isfinite(value):
+                raise ValueError(f"AdamW {name} must be finite, got {value}")
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas

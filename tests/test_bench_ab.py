@@ -102,3 +102,35 @@ def test_summary_records_both_sides_output_and_whether_it_held():
     mixed = bench_ab.summarize(runs, SPEC, traced=False)
     assert mixed["output_sha256"]["change"] == ["c976", "d4c2"]
     assert mixed["same_output"] is False
+
+
+def test_src_lines_counts_every_python_line_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "top.py").write_text("a = 1\nb = 2\n")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("\n\nc = 3\n")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not counted\n")
+    (tmp_path / "tools.py").write_text("outside src\n")
+    assert bench_ab.src_lines(tmp_path) == 5
+
+
+def test_main_records_both_sides_src_lines(tmp_path, monkeypatch):
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
+
+    def write_tree(dest: Path, lines: int) -> str:
+        (dest / "src").mkdir()
+        (dest / "src" / "m.py").write_text("x = 0\n" * lines)
+        return "c0ffee"
+
+    monkeypatch.setattr(bench_ab, "ROOT", root)
+    monkeypatch.setattr(bench_ab, "export_parent", lambda rev, dest: write_tree(dest, 7))
+    monkeypatch.setattr(bench_ab, "export_worktree", lambda dest: write_tree(dest, 4))
+    monkeypatch.setattr(bench_ab, "run_bench",
+                        lambda tree, command: bench_ab.parse_run(stdout(100.0, 50.0, 0.12)))
+    monkeypatch.setattr(bench_ab.signal, "signal", lambda *args: None)
+    assert bench_ab.main(["--parent", "HEAD", "--workload", "train-mix", "--pairs", "2",
+                          "--work", str(tmp_path)]) == 0
+    doc = json.loads((root / "BENCH_train-mix.json").read_text())
+    assert doc["src_lines"] == {"parent": 7, "change": 4}
+    assert doc["parent"] == "c0ffee" and len(doc["series"][0]["runs"]) == 2

@@ -1,6 +1,7 @@
 """Synthetic corpus, config, orchestration, reports, and the CLI contract."""
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,10 +15,12 @@ from claimforge.pipeline import (
     CorpusRecord,
     PipelineConfig,
     read_corpus,
+    read_jsonl,
     run_pipeline,
     synth_corpus,
     write_corpus,
 )
+from claimforge.pipeline.synth import DOMAIN_POOLS
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,7 +51,7 @@ class TestSynthCorpus:
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_domain_pool_overlap_below_20_percent(self):
-        pools = synth_corpus(0, 15).domain_pools
+        pools = DOMAIN_POOLS
         names = list(pools)
         for i, a in enumerate(names):
             for b in names[i + 1:]:
@@ -89,9 +92,14 @@ class TestCorpusIO:
 
     def test_bad_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": "a", "description": "ok"}\nnot json\n')
-        with pytest.raises(ValueError, match=":2:"):
+        path.write_text('{"id": "a", "description": "ok"}\n\nnot json\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: bad JSON: "):
             read_corpus(path)
+
+    def test_read_jsonl_numbers_the_nonblank_lines(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n  \n[2]\n"three"\n')
+        assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, [2]), (5, "three")]
 
     def test_empty_description_rejected(self):
         with pytest.raises(ValueError, match="description"):
@@ -414,8 +422,24 @@ class TestRunPipeline:
                 for line in result.timings_path.read_text().splitlines()]
         assert len(rows) == 3
         for row in rows:
-            assert row["stage1_start"] < row["stage2_start"] < row["stage3_start"]
+            assert set(row) == {"doc_id", "stage1_seconds", "stage2_seconds", "stage3_seconds"}
             assert all(row[f"stage{i}_seconds"] >= 0 for i in (1, 2, 3))
+
+    def test_non_finite_similarity_skips_records_and_writes_no_nan(self, tmp_path, monkeypatch):
+        from claimforge.pipeline import run as run_module
+        build = run_module.build_models
+
+        def poisoned(*args):
+            models = build(*args)
+            models.head_bank.params["sim/phi/b2"].data[0] = np.nan
+            return models
+
+        monkeypatch.setattr(run_module, "build_models", poisoned)
+        result = run_pipeline(DATA / "golden_corpus.jsonl", DATA / "golden_prior_art.jsonl",
+                              tmp_path, compact_config(), seed=0)
+        assert result.reports == [] and len(result.failures) == 3
+        assert all(f["error"] == "non-finite value in softmax input" for f in result.failures)
+        assert "NaN" not in result.report_path.read_text()
 
     def test_failure_isolation(self, tmp_path):
         records = read_corpus(DATA / "golden_corpus.jsonl")
@@ -468,6 +492,24 @@ class TestCli:
                          "--pairs", str(pairs)]) == 0
         row = json.loads((out / "metrics.jsonl").read_text())
         assert row["bleu"] == pytest.approx(1.0)
+
+    def test_metrics_reproduces_the_pipeline_metrics_block(self, tmp_path):
+        corpus = synth_corpus(0, 15)
+        write_corpus(tmp_path / "c.jsonl", corpus.records)
+        result = run_pipeline(tmp_path / "c.jsonl", None, tmp_path / "run", compact_config(),
+                              seed=0)
+        claims = {rec.id: rec.claims[0] for rec in corpus.records}
+        lines = [json.dumps({"reference": claims[report["doc_id"]],
+                             "generated": report["generated_claims"][0]})
+                 for report in result.reports]
+        (tmp_path / "pairs.jsonl").write_text("\n".join(lines) + "\n")
+        assert cli_main(["--out", str(tmp_path), "metrics",
+                         "--pairs", str(tmp_path / "pairs.jsonl")]) == 0
+        rows = [json.loads(line)
+                for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+        assert len(rows) == len(result.reports) == 15
+        for row, report in zip(rows, result.reports):
+            assert {"rouge_l": row["rouge_l"], "bleu": row["bleu"]} == report["metrics"]
 
     def test_config_checkpoint_mismatch_names_both_values(self, tmp_path, capsys):
         from claimforge.numerics import save_checkpoint

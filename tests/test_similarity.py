@@ -1,5 +1,6 @@
 """Relationship heads: weights, scores, labels, and contrastive training."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimforge.numerics import Rng, Tensor, concat, scaled_dot_attention
+from claimforge.numerics import NonFiniteError, Rng, Tensor, concat, scaled_dot_attention
 from claimforge.similarity import (
     NUM_HEADS,
     RELATIONSHIP_GROUPS,
@@ -358,6 +359,20 @@ class TestSimilarityReport:
             assert report.relationship_label == label_from_masses(masses)
 
 
+    @pytest.mark.parametrize("where", ["pooled", "q"])
+    def test_non_finite_features_raise_and_report_nothing(self, where):
+        # pooled states reach the head-weight softmax, the queries the attention one
+        bank = make_bank()
+        projections = bank.stacked_projections()
+        rng = Rng(9, ("non-finite",))
+        claim = claim_features(rng.normal((3, DIM)), projections)
+        doc = chunk_features(rng.normal((4, DIM)), projections)
+        bad = getattr(claim, where).copy()
+        bad.flat[0] = np.nan
+        with pytest.raises(NonFiniteError, match="non-finite value in softmax input"):
+            similarity("c", "d", dataclasses.replace(claim, **{where: bad}), doc, bank)
+
+
 class TestContrastiveLoss:
     def test_uniform_similarities_give_ln_n(self):
         for n in (2, 4, 7):
@@ -445,6 +460,22 @@ class TestTrainSimilarity:
         assert [row["loss"] for row in rows] == history
         assert all(set(row) == {"step", "loss", "grad_norm"} for row in rows)
         assert all(math.isfinite(row["grad_norm"]) and row["grad_norm"] > 0 for row in rows)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("temperature", math.inf), ("temperature", math.nan),
+        ("aux_weight", math.inf), ("aux_weight", math.nan),
+    ])
+    def test_non_finite_setting_rejected_naming_it(self, small_cfg, small_vocab, setting, value):
+        # temperature = inf trained without an error: every logit 0, a loss of
+        # ln 2 at every step
+        enc = init_encoder_params(len(small_vocab), small_cfg, Rng(1, ("enc",)))
+        bank = HeadBank.init(small_cfg.model_dim, Rng(1, ("bank",)), head_dim=8)
+        pairs = [(small_vocab.encode_text(f"w{i} w{i + 1}"),
+                  small_vocab.encode_text(f"w{i + 2} w{i + 3}"), RELATIONSHIP_ORDER[i % 4])
+                 for i in range(4)]
+        with pytest.raises(ValueError, match=f"^{setting} must be .*finite, got {value}"):
+            train_similarity(pairs, small_cfg, enc, bank,
+                             SimilarityTrainConfig(epochs=1, **{setting: value}))
 
     def test_too_few_pairs_rejected(self, small_cfg, small_vocab):
         enc = init_encoder_params(len(small_vocab), small_cfg, Rng(1, ("enc",)))

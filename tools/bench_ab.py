@@ -16,7 +16,8 @@ first when i is even. Each run's record keeps the env line, the check lines
 ``bench/run.py``, and the ``layer`` lines of a traced run. A run that reports
 ``correct: false`` or a failed operation stops the summary with an error.
 ``--append`` adds the series to an existing file for the same parent; without
-it the file is written anew.
+it the file is written anew. Either way ``src_lines`` records each side's line
+count of ``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ def export_worktree(dest: Path) -> None:
         if name and src.is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name)
+
+
+def src_lines(tree: Path) -> int:
+    """The line count of every ``src/**/*.py`` file under ``tree``, as ``wc -l``
+    counts it: the number of newlines."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
 def parse_run(stdout: str) -> dict:
@@ -195,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
                                   "env.git_rev reads unknown on both; env.src_sha256 "
                                   "identifies each side's sources",
                    "series": []}
+        doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         runs = []
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
