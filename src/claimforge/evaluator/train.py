@@ -57,6 +57,8 @@ def train_evaluator(tuples: list[tuple[list[int], list[int], list[int], str]],
     domain label). Degenerate tuples (better == worse) are skipped. ``log_fn``,
     if given, gets {step, loss, grad_norm} after every step.
     """
+    if train_cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {train_cfg.batch_size}")
     if not tuples:
         raise ValueError("empty corpus")
     usable = []

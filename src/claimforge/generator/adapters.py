@@ -87,8 +87,9 @@ def effective_projection(base: Tensor, bank: AdapterBank, alpha,
         g_b = [gs * a[d] for d, gs in enumerate(g_scaled)]
         return (g, g_alpha, *g_b, *g_c)
 
-    return Tensor._from_op(base.data + scaled @ stacked_c.T,
-                           (base, alpha, *bs, *cs), bwd)
+    merged = scaled @ stacked_c.T
+    merged += base.data  # in place: the same bits as base + product, one buffer
+    return Tensor._from_op(merged, (base, alpha, *bs, *cs), bwd)
 
 
 def effective_overrides(base_params: dict[str, Tensor], bank: AdapterBank,

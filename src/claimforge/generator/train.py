@@ -72,6 +72,8 @@ def train_generator(samples: list[GeneratorSample], model: GeneratorModel,
                     train_cfg: GeneratorTrainConfig = GeneratorTrainConfig(),
                     log_fn: Callable[[dict], None] | None = None) -> list[float]:
     """Next-token training with curriculum batch sampling; returns loss history."""
+    if train_cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {train_cfg.batch_size}")
     if not samples:
         raise ValueError("empty corpus")
     usable = []

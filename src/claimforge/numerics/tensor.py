@@ -583,9 +583,10 @@ def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     of the per-op composite.
     """
     h, xhat, sigma = _layer_norm_parts(x.data, gain.data, bias.data)
-    pre = h @ w1.data + b1.data
+    pre = h @ w1.data
+    pre += b1.data
     active = pre > 0
-    inner = pre * active
+    inner = np.multiply(pre, active, out=pre)  # the backward needs only active and inner
 
     def bwd(g, out):
         g_pre = (g @ w2.data.T) * active

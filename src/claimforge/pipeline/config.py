@@ -48,6 +48,14 @@ class PipelineConfig:
             )
         if self.top_k < 0:
             raise ValueError(f"top_k must be non-negative, got {self.top_k}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.grad_clip <= 0:
+            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
+        for name in ("lr", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        self.encoder_config()  # rejects a geometry whose heads do not fill model_dim
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(

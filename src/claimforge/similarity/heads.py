@@ -29,6 +29,7 @@ class HeadBank:
     model_dim: int
     head_dim: int = HEAD_DIM
     params: dict[str, Tensor] = field(default_factory=dict)
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def init(cls, model_dim: int, rng: Rng, head_dim: int = HEAD_DIM) -> "HeadBank":
@@ -51,12 +52,19 @@ class HeadBank:
     def stacked_projections(self) -> np.ndarray:
         """The heads' wq, wk and wv as one (3, NUM_HEADS, model_dim, head_dim) array.
 
-        A copy: build it once per set of weights, not once per pair.
+        The weights are held once: each head's ``data`` becomes its view of
+        the stack, and the same stack is returned while every head still is
+        one. After a head's ``data`` was rebound (an optimizer step, a
+        checkpoint load) the heads are stacked again.
         """
-        return np.stack([
-            np.stack([self.params[f"sim/h{h}/{proj}"].data for h in range(1, NUM_HEADS + 1)])
-            for proj in ("wq", "wk", "wv")
-        ])
+        heads = [[self.params[f"sim/h{h}/{proj}"] for h in range(1, NUM_HEADS + 1)]
+                 for proj in ("wq", "wk", "wv")]
+        if self._stack is None or any(t.data.base is not self._stack for row in heads for t in row):
+            self._stack = np.stack([np.stack([t.data for t in row]) for row in heads])
+            for p, row in enumerate(heads):
+                for h, t in enumerate(row):
+                    t.data = self._stack[p, h]
+        return self._stack
 
 
 @dataclass

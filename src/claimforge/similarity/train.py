@@ -85,6 +85,8 @@ def train_similarity(pairs: list[tuple[list[int], list[int], str | None]],
         raise ValueError(f"temperature must be positive and finite, got {train_cfg.temperature}")
     if not math.isfinite(train_cfg.aux_weight):
         raise ValueError(f"aux_weight must be finite, got {train_cfg.aux_weight}")
+    if train_cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {train_cfg.batch_size}")
     if len(pairs) < 2:
         raise ValueError("need at least 2 positive pairs per batch")
 

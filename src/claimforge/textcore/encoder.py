@@ -161,8 +161,10 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
         tokens = np.full(mask.shape, PAD_ID)
         tokens[mask == 0.0] = ids  # each sequence at the start of its own row
         mask = mask[:, None, None, :]
-    # Rows of one table per geometry: each row depends only on its position.
-    positions = _positional_encoding_cached(cfg.max_seq_len, cfg.model_dim)[offset:total]
+    # Each row depends only on its position, so a table of the next power of
+    # two rows at or above ``total`` holds the rows of the full one.
+    rows = min(cfg.max_seq_len, 1 << (total - 1).bit_length())
+    positions = _positional_encoding_cached(rows, cfg.model_dim)[offset:total]
     x = embed[np.asarray(tokens)] + Tensor(positions)
 
     for layer in range(cfg.num_layers):

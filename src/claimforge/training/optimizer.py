@@ -26,6 +26,9 @@ class AdamW:
                             ("eps", eps), ("weight_decay", weight_decay)):
             if not math.isfinite(value):
                 raise ValueError(f"AdamW {name} must be finite, got {value}")
+        for name, value in (("lr", lr), ("weight_decay", weight_decay)):
+            if value < 0:
+                raise ValueError(f"AdamW {name} must be non-negative, got {value}")
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas
@@ -72,6 +75,8 @@ class AdamW:
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> float:
     """Scale gradients in place so their global L2 norm is at most max_norm."""
+    if not 0 < max_norm < math.inf:
+        raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm and total > 0:
         scale = max_norm / total

@@ -79,6 +79,49 @@ def test_summary_quartiles_pairs_and_parent_iqr():
     assert summary["setup_s"]["pairs_change_better"] == "0/5"
 
 
+def runs_of(ops, rss):
+    """Run records from (parent, change) pairs of ops_per_s and of peak_rss_mb."""
+    return [{"pair": i, "first": "parent",
+             "parent": bench_ab.parse_run(stdout(po, pr, 0.12)),
+             "change": bench_ab.parse_run(stdout(co, cr, 0.12))}
+            for i, ((po, co), (pr, cr)) in enumerate(zip(ops, rss), start=1)]
+
+
+PARENT_OPS = [100.0 + i for i in range(10)]  # inclusive quartiles 102.25, 104.5, 106.75
+PARENT_RSS = [50.0 + i for i in range(10)]
+
+
+def verdicts(ops, rss) -> dict:
+    summary = bench_ab.summarize(runs_of(ops, rss), SPEC, traced=False)
+    return {name: summary[name]["verdict"] for name in ("ops_per_s", "peak_rss_mb", "setup_s")}
+
+
+def test_verdict_gain_needs_nine_of_ten_pairs_and_a_gap_above_the_parent_iqr():
+    ops = [(p, p + 30.0) for p in PARENT_OPS]
+    rss = [(p, p - 5.0) for p in PARENT_RSS]
+    # setup_s ties in every pair: never better, never worse
+    assert verdicts(ops, rss) == {"ops_per_s": "gain", "peak_rss_mb": "gain",
+                                  "setup_s": "unresolved"}
+    ops[0] = (100.0, 90.0)  # 9 of 10 pairs better: still a gain
+    assert verdicts(ops, rss)["ops_per_s"] == "gain"
+    ops[1] = (101.0, 90.0)  # 8 of 10
+    assert verdicts(ops, rss)["ops_per_s"] == "unresolved"
+    # better in every pair, by less than the parent's IQR of 4.5
+    assert verdicts([(p, p + 1.0) for p in PARENT_OPS], rss)["ops_per_s"] == "unresolved"
+
+
+def test_verdict_loss_is_a_median_worse_by_more_than_the_bound():
+    bounds = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
+    assert (bounds["ops_per_s"], bounds["peak_rss_mb"]) == (0.25, 0.2)
+    same_rss = [(p, p) for p in PARENT_RSS]
+    assert verdicts([(p, 0.7 * p) for p in PARENT_OPS], same_rss)["ops_per_s"] == "loss"
+    assert verdicts([(p, 0.8 * p) for p in PARENT_OPS], same_rss)["ops_per_s"] == "unresolved"
+    # lower is better for memory: a median 25% higher is a loss, 10% is not
+    same_ops = [(p, p) for p in PARENT_OPS]
+    assert verdicts(same_ops, [(p, 1.25 * p) for p in PARENT_RSS])["peak_rss_mb"] == "loss"
+    assert verdicts(same_ops, [(p, 1.1 * p) for p in PARENT_RSS])["peak_rss_mb"] == "unresolved"
+
+
 def test_summary_refuses_an_incorrect_run():
     runs = pairs([(90.0, 100.0), (100.0, 95.0)])
     runs[1]["change"] = bench_ab.parse_run(

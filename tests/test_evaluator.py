@@ -262,6 +262,14 @@ class TestTrainEvaluator:
             with pytest.raises(ValueError, match="no usable tuples"):
                 train_evaluator([bad], model, small_enc)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_1_rejected_naming_it(self, small_cfg, small_vocab, small_enc,
+                                                   batch_size):
+        # batch_size = 0 failed inside range() with a message naming no setting
+        with pytest.raises(ValueError, match=f"^batch_size must be at least 1, got {batch_size}"):
+            train_evaluator(self._tuples(small_vocab, 2), make_eval(small_cfg), small_enc,
+                            EvaluatorTrainConfig(epochs=1, batch_size=batch_size))
+
     def test_empty_rejected(self, small_cfg, small_enc):
         with pytest.raises(ValueError, match="empty"):
             train_evaluator([], make_eval(small_cfg), small_enc)

@@ -172,6 +172,23 @@ class TestAdapterMixing:
             assert np.array_equal(effective_projection(base, bank, alpha, target).data,
                                   composite(base, bank, alpha, target).data)
 
+    @pytest.mark.parametrize("dim", [16, 512])
+    def test_merge_equals_the_out_of_place_sum(self, dim):
+        # the merge adds the base into the product's own buffer; IEEE addition
+        # commutes, so the bits are those of base + S @ C^T
+        target = "dec/l0/attn/wq"
+        bank = AdapterBank.init(1, dim, Rng(dim, ("merge-bank",)))
+        randomize_bank(bank, dim)
+        rng = Rng(dim, ("merge-base",))
+        base = Tensor(rng.normal((dim, dim)))
+        alpha = rng.uniform((len(DOMAINS),))
+        scaled = np.concatenate([bank.factors(domain, target)[0].data * alpha[d]
+                                 for d, domain in enumerate(DOMAINS)], axis=1)
+        stacked_c = np.concatenate([bank.factors(domain, target)[1].data
+                                    for domain in DOMAINS], axis=1)
+        want = base.data + scaled @ stacked_c.T
+        assert effective_projection(base, bank, alpha, target).data.tobytes() == want.tobytes()
+
     def test_shape_mismatch_rejected(self):
         bank = make_bank()
         bad = Tensor(np.zeros((CFG.model_dim + 1, CFG.model_dim)))
@@ -379,6 +396,15 @@ class TestTrainGenerator:
                         Rng(2, ("t",)), cfg)
         out, _, _ = generate(desc_ids, model, bank, clf, max_len=8)
         assert out == claim_ids
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_1_rejected_naming_it(self, small_vocab, batch_size):
+        # batch_size = 0 died with a ZeroDivisionError after the first batch
+        model, bank = make_model(), make_bank()
+        clf = DomainClassifier.init(CFG.model_dim, Rng(0, ("c",)))
+        with pytest.raises(ValueError, match=f"^batch_size must be at least 1, got {batch_size}"):
+            train_generator(self._samples(small_vocab), model, bank, clf, CurriculumSchedule(),
+                            Rng(0, ("t",)), GeneratorTrainConfig(steps=1, batch_size=batch_size))
 
     def test_empty_corpus_rejected(self):
         model, bank = make_model(), make_bank()

@@ -197,6 +197,12 @@ class TestPipelineConfig:
         (dict(max_gen_len=0), "max_gen_len must be at least 1"),
         (dict(max_seq_len=10, max_gen_len=8), "max_gen_len \\+ 2"),
         (dict(top_k=-1), "top_k"),
+        (dict(batch_size=0), "^batch_size must be at least 1, got 0"),
+        (dict(grad_clip=0.0), "^grad_clip must be positive, got 0.0"),
+        (dict(grad_clip=-1.0), "^grad_clip must be positive, got -1.0"),
+        (dict(lr=-1.0), "^lr must be non-negative, got -1.0"),
+        (dict(weight_decay=-5.0), "^weight_decay must be non-negative, got -5.0"),
+        (dict(num_heads=3), "^num_heads \\* head_dim must equal model_dim"),
     ])
     def test_invalid_combination_rejected(self, tmp_path, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -207,8 +213,10 @@ class TestPipelineConfig:
             PipelineConfig.from_file(path)
 
     def test_smallest_valid_combination_accepted(self):
-        cfg = compact_config(max_seq_len=11, max_gen_len=8, top_k=0)
+        cfg = compact_config(max_seq_len=11, max_gen_len=8, top_k=0, batch_size=1, lr=0.0,
+                             weight_decay=0.0)
         assert (cfg.max_seq_len, cfg.max_gen_len, cfg.top_k) == (11, 8, 0)
+        assert (cfg.batch_size, cfg.lr, cfg.weight_decay) == (1, 0.0, 0.0)
 
     @pytest.mark.parametrize("line", ["model_dim = abc", "lr = fast", "seed = 1.5"])
     def test_unparsable_value_names_line_and_key(self, tmp_path, line):
@@ -626,6 +634,33 @@ class TestModelCheckpoints:
 
 
 class TestCliStages:
+    @pytest.mark.parametrize("setting, message", [
+        (dict(batch_size=0), "batch_size must be at least 1, got 0"),
+        (dict(grad_clip=-1.0), "grad_clip must be positive, got -1.0"),
+    ])
+    def test_out_of_range_training_setting_exits_1(self, tmp_path, capsys, setting, message):
+        # batch_size = 0 died in train-gen with a ZeroDivisionError traceback,
+        # and grad_clip = -1 trained with every gradient flipped
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, synth_corpus(0, 15).records)
+        out = tmp_path / "o"
+        assert cli_main(["--config", str(_write_config(tmp_path / "c.cfg", **setting)),
+                         "--out", str(out), "train-gen", "--corpus", str(corpus),
+                         "--steps", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_head_geometry_rejected_before_the_corpus_is_read(self, tmp_path, capsys):
+        # num_heads = 3 loaded, and build_models rejected it after the corpus was read
+        config = _write_config(tmp_path / "c.cfg", num_heads=3)
+        assert cli_main(["--config", str(config), "--out", str(tmp_path / "o"), "pipeline",
+                         "--corpus", str(tmp_path / "missing.jsonl")]) == 1
+        assert ("error: num_heads * head_dim must equal model_dim: 3 * 8 != 16"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o" / "report.jsonl").exists()
+
     def test_evaluate_skips_only_the_pair_it_cannot_score(self, tmp_path, capsys):
         # an unscorable pair used to end the run before any row was written
         pairs = tmp_path / "pairs.jsonl"

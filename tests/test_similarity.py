@@ -183,6 +183,30 @@ class TestHeadScores:
             for h in range(1, NUM_HEADS + 1):
                 assert np.array_equal(stacked[p, h - 1], bank.params[f"sim/h{h}/{proj}"].data)
 
+    def test_stacked_projections_hold_the_weights_once(self):
+        bank = make_bank(seed=2)
+        before = {name: t.data.copy() for name, t in bank.params.items()}
+        stacked = bank.stacked_projections()
+        assert bank.stacked_projections() is stacked
+        for p, proj in enumerate(("wq", "wk", "wv")):
+            for h in range(1, NUM_HEADS + 1):
+                head = bank.params[f"sim/h{h}/{proj}"].data
+                assert np.shares_memory(head, stacked)
+                assert np.array_equal(head, before[f"sim/h{h}/{proj}"])
+                assert np.array_equal(stacked[p, h - 1], head)
+
+    def test_a_rebound_head_shows_on_the_next_call(self):
+        # an optimizer step or a checkpoint load assigns each head a new array
+        bank = make_bank(seed=3)
+        stacked = bank.stacked_projections()
+        new = np.full((DIM, 8), 0.5)
+        bank.params["sim/h3/wk"].data = new
+        again = bank.stacked_projections()
+        assert again is not stacked
+        assert np.array_equal(again[1, 2], new)
+        assert np.array_equal(again[0, 0], stacked[0, 0])
+        assert np.shares_memory(bank.params["sim/h3/wk"].data, again)
+
 
 def per_pair_head_scores(claim: np.ndarray, doc: np.ndarray,
                          projections: np.ndarray) -> np.ndarray:
@@ -476,6 +500,17 @@ class TestTrainSimilarity:
         with pytest.raises(ValueError, match=f"^{setting} must be .*finite, got {value}"):
             train_similarity(pairs, small_cfg, enc, bank,
                              SimilarityTrainConfig(epochs=1, **{setting: value}))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_1_rejected_naming_it(self, small_cfg, small_vocab, batch_size):
+        # batch_size = 0 failed inside range() with a message naming no setting
+        enc = init_encoder_params(len(small_vocab), small_cfg, Rng(1, ("enc",)))
+        bank = HeadBank.init(small_cfg.model_dim, Rng(1, ("bank",)), head_dim=8)
+        pairs = [(small_vocab.encode_text(f"w{i} w{i + 1}"),
+                  small_vocab.encode_text(f"w{i + 2} w{i + 3}"), None) for i in range(4)]
+        with pytest.raises(ValueError, match=f"^batch_size must be at least 1, got {batch_size}"):
+            train_similarity(pairs, small_cfg, enc, bank,
+                             SimilarityTrainConfig(epochs=1, batch_size=batch_size))
 
     def test_too_few_pairs_rejected(self, small_cfg, small_vocab):
         enc = init_encoder_params(len(small_vocab), small_cfg, Rng(1, ("enc",)))

@@ -172,6 +172,26 @@ class TestEncoder:
         with pytest.raises(ValueError):
             EncoderConfig(model_dim=64, num_heads=8, head_dim=64)
 
+    @pytest.mark.parametrize("dim", [16, 512])
+    def test_position_rows_equal_the_full_tables(self, dim):
+        # encode_sequence reads its rows from a table of the next power of two
+        # rows at or above the last position, not from a max_seq_len table.
+        # Without layers and with a zero embedding it returns those rows; a
+        # cache of `offset` positions places the ids from there.
+        cfg = EncoderConfig(model_dim=dim, num_heads=2, head_dim=dim // 2, num_layers=0,
+                            max_seq_len=1024)
+        params = {"enc/embed": Tensor(np.zeros((1, dim)))}
+        full = _positional_encoding_cached(cfg.max_seq_len, dim)
+        totals = [*range(1, 70), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1000, 1023, 1024]
+        for total in totals:
+            for offset in sorted({0, 1, total // 2, total - 1} - {total}):
+                past = np.zeros((2, offset, dim // 2))
+                cache = KVCache([past], [past]) if offset else KVCache()
+                with no_grad():
+                    rows = encode_sequence([0] * (total - offset), cfg, params, causal=True,
+                                           cache=cache)
+                assert rows.data.tobytes() == full[offset:total].tobytes(), (offset, total)
+
     def test_zero_layer_weights_reduce_to_embeddings(self, small_cfg, small_vocab):
         params = init_encoder_params(len(small_vocab), small_cfg, Rng(0, ("z",)))
         for name, t in params.items():
@@ -554,6 +574,21 @@ class TestSublayerGradients:
         err = check_op(lambda ts: (attention_sublayer(*ts, 2, mask) * Tensor(w)).sum(),
                        attention)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("shape", [(5, 16), (2, 3, 16), (7, 512)])
+    def test_ffn_forward_equals_the_out_of_place_expressions(self, shape):
+        # the sublayer adds b1 and applies the relu mask in the buffer of
+        # h @ w1; the bits are those of the expressions with fresh buffers
+        d = shape[-1]
+        rng = Rng(d, ("ffn-bits",))
+        x, gain, bias = rng.normal(shape), 1.0 + rng.normal((d,), 0.3), rng.normal((d,), 0.3)
+        w1, b1 = rng.normal((d, 4 * d), 0.3), rng.normal((4 * d,), 0.3)
+        w2, b2 = rng.normal((4 * d, d), 0.3), rng.normal((d,), 0.3)
+        h = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        pre = h @ w1 + b1
+        want = (x + (pre * (pre > 0)) @ w2) + b2
+        got = ffn_sublayer(*[Tensor(a) for a in (x, gain, bias, w1, b1, w2, b2)]).data
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_ffn(self, seed):

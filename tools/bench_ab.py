@@ -118,7 +118,13 @@ def _quartiles(values: list[float]) -> dict:
 def summarize(runs: list[dict], spec: dict, traced: bool) -> dict:
     """Each side's output SHA-256s and whether they are the same; then per
     metric: medians (traced), or quartiles, the median ratio, the pairs in
-    which the change was better and the parent's IQR (untraced).
+    which the change was better, the parent's IQR and a verdict (untraced).
+
+    The verdict is ``gain`` when the change was better in at least 9 of 10
+    pairs and its median beats the parent's by more than the parent's IQR;
+    ``loss`` when its median is worse than the parent's by more than the
+    metric's ``bound`` in BENCHMARK.json, a fraction of the parent's median;
+    ``unresolved`` otherwise.
 
     Raises ValueError if any run was not correct or failed an operation.
     """
@@ -150,6 +156,13 @@ def summarize(runs: list[dict], spec: dict, traced: bool) -> dict:
         higher = kind["better"] == "higher"
         better = sum(1 for p, c in zip(parent, change) if (c > p if higher else c < p))
         pq, cq = _quartiles(parent), _quartiles(change)
+        gap = (cq["median"] - pq["median"]) * (1 if higher else -1)  # > 0: the change is better
+        if 10 * better >= 9 * len(pairs) and gap > pq["q3"] - pq["q1"]:
+            verdict = "gain"
+        elif -gap > kind["bound"] * pq["median"]:
+            verdict = "loss"
+        else:
+            verdict = "unresolved"
         summary[name] = {
             "unit": kind["unit"],
             "better": kind["better"],
@@ -158,6 +171,7 @@ def summarize(runs: list[dict], spec: dict, traced: bool) -> dict:
             "median_ratio_change_over_parent": cq["median"] / pq["median"],
             "pairs_change_better": f"{better}/{len(pairs)}",
             "parent_iqr": pq["q3"] - pq["q1"],
+            "verdict": verdict,
         }
     return summary
 
