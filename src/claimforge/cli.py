@@ -43,16 +43,6 @@ EXIT_INPUT_ERROR = 1
 EXIT_INTERNAL = 2
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="claimforge",
@@ -78,16 +68,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-sim", help="train the similarity encoder and head weights")
     p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--epochs", type=_positive_int, default=5)
+    p.add_argument("--epochs", type=int, default=5)
 
     p = sub.add_parser("train-gen", help="train the generator with curriculum sampling")
     p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--steps", type=_positive_int, default=200)
+    p.add_argument("--steps", type=int, default=200)
     p.add_argument("--checkpoint", type=Path, default=None)
 
     p = sub.add_parser("train-eval", help="train the quality evaluator on corruption tuples")
     p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--epochs", type=_positive_int, default=10)
+    p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--checkpoint", type=Path, default=None)
 
     p = sub.add_parser("generate", help="generate claims for each corpus record")
@@ -176,16 +166,14 @@ def _cmd_similarity(args, config, seed) -> int:
 
 
 def _cmd_train_sim(args, config, seed) -> int:
+    train_cfg = SimilarityTrainConfig(temperature=config.sim_temperature,
+                                      aux_weight=config.aux_weight, epochs=args.epochs)
     models, (pairs, _, _) = _training_setup(args, config, seed)
     if not pairs:
         raise ValueError("corpus has no relationship-labeled pairs")
     log_rows = []
-    history = train_similarity(
-        pairs, models.cfg, models.enc_params, models.head_bank,
-        SimilarityTrainConfig(temperature=config.sim_temperature,
-                              aux_weight=config.aux_weight, epochs=args.epochs),
-        log_fn=log_rows.append,
-    )
+    history = train_similarity(pairs, models.cfg, models.enc_params, models.head_bank,
+                               train_cfg, log_fn=log_rows.append)
     write_jsonl(args.out / "train_log.jsonl", log_rows)
     ckpt = save_models(models, args.out)
     print(f"trained similarity on {len(pairs)} pairs; "
@@ -194,16 +182,14 @@ def _cmd_train_sim(args, config, seed) -> int:
 
 
 def _cmd_train_gen(args, config, seed) -> int:
+    train_cfg = GeneratorTrainConfig(batch_size=config.batch_size, lr=config.lr,
+                                     weight_decay=config.weight_decay, steps=args.steps,
+                                     grad_clip=config.grad_clip)
     models, (_, samples, _) = _training_setup(args, config, seed, args.checkpoint)
     log_rows = []
-    history = train_generator(
-        samples, models.generator, models.adapter_bank, models.classifier,
-        config.curriculum(), Rng(seed, ("train-gen",)),
-        GeneratorTrainConfig(batch_size=config.batch_size, lr=config.lr,
-                             weight_decay=config.weight_decay, steps=args.steps,
-                             grad_clip=config.grad_clip),
-        log_fn=log_rows.append,
-    )
+    history = train_generator(samples, models.generator, models.adapter_bank, models.classifier,
+                              config.curriculum(), Rng(seed, ("train-gen",)), train_cfg,
+                              log_fn=log_rows.append)
     clf_samples = [(s.description_ids, s.domain_label) for s in samples
                    if s.domain_label is not None]
     if clf_samples:
@@ -216,12 +202,13 @@ def _cmd_train_gen(args, config, seed) -> int:
 
 
 def _cmd_train_eval(args, config, seed) -> int:
+    train_cfg = EvaluatorTrainConfig(epochs=args.epochs)
     models, (_, _, tuples) = _training_setup(args, config, seed, args.checkpoint)
     if not tuples:
         raise ValueError("corpus has no corruption tuples whose better and worse differ")
     log_rows = []
-    history = train_evaluator(tuples, models.evaluator, models.enc_params,
-                              EvaluatorTrainConfig(epochs=args.epochs), log_fn=log_rows.append)
+    history = train_evaluator(tuples, models.evaluator, models.enc_params, train_cfg,
+                              log_fn=log_rows.append)
     write_jsonl(args.out / "train_log.jsonl", log_rows)
     acc = ordering_accuracy(tuples, models.evaluator, models.enc_params)
     ckpt = save_models(models, args.out)
@@ -347,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a defect: named in one line, not a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

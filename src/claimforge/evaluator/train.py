@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from claimforge.numerics import Tensor, backward, no_grad
+from claimforge.numerics import Settings, Tensor, backward, no_grad
 from claimforge.evaluator.aspects import (
     EvaluatorModel,
     adaptive_margin,
@@ -22,7 +22,7 @@ from claimforge.training import AdamW, clip_grad_norm
 
 
 @dataclass
-class EvaluatorTrainConfig:
+class EvaluatorTrainConfig(Settings):
     lr: float = 1e-3
     epochs: int = 10
     batch_size: int = 8
@@ -57,8 +57,6 @@ def train_evaluator(tuples: list[tuple[list[int], list[int], list[int], str]],
     domain label). Degenerate tuples (better == worse) are skipped. ``log_fn``,
     if given, gets {step, loss, grad_norm} after every step.
     """
-    if train_cfg.batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {train_cfg.batch_size}")
     if not tuples:
         raise ValueError("empty corpus")
     usable = []

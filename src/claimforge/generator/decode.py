@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, no_grad
+from claimforge.numerics import Rng, Tensor, check_settings, no_grad
 from claimforge.generator.adapters import AdapterBank, effective_overrides
 from claimforge.generator.classify import DomainClassifier, classify_domain, pool_embedding
 from claimforge.textcore import (BOS_ID, EOS_ID, SEP_ID, EncoderConfig, KVCache,
@@ -61,8 +61,7 @@ def generate(description_ids: list[int], model: GeneratorModel,
     """
     if not description_ids:
         raise ValueError("empty document")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    check_settings(max_len=max_len)
     if max_len + 2 >= model.cfg.max_seq_len:
         raise ValueError(f"max_len + 2 must be below max_seq_len, so the decoder has room "
                          f"for a description: {max_len} + 2 >= {model.cfg.max_seq_len}")

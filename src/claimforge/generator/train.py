@@ -6,7 +6,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from claimforge.numerics import Rng, Tensor, backward, cross_entropy_logits, softmax
+from claimforge.numerics import Rng, Settings, Tensor, backward, cross_entropy_logits, softmax
 from claimforge.generator.adapters import DOMAINS, AdapterBank, effective_overrides
 from claimforge.generator.classify import DomainClassifier, pool_embedding
 from claimforge.generator.decode import GeneratorModel, decoder_logits
@@ -38,7 +38,7 @@ class GeneratorSample:
 
 
 @dataclass
-class GeneratorTrainConfig:
+class GeneratorTrainConfig(Settings):
     batch_size: int = 4
     lr: float = 5e-5
     weight_decay: float = 0.01
@@ -72,8 +72,6 @@ def train_generator(samples: list[GeneratorSample], model: GeneratorModel,
                     train_cfg: GeneratorTrainConfig = GeneratorTrainConfig(),
                     log_fn: Callable[[dict], None] | None = None) -> list[float]:
     """Next-token training with curriculum batch sampling; returns loss history."""
-    if train_cfg.batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {train_cfg.batch_size}")
     if not samples:
         raise ValueError("empty corpus")
     usable = []

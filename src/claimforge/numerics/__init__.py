@@ -35,6 +35,7 @@ from claimforge.numerics.tensor import (
 )
 from claimforge.numerics.rng import Rng
 from claimforge.numerics.checkpoint import save_checkpoint, load_checkpoint, CheckpointError
+from claimforge.numerics.settings import SettingError, Settings, check_settings
 
 __all__ = [
     "Tensor",
@@ -57,4 +58,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
+    "SettingError",
+    "Settings",
+    "check_settings",
 ]

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
+from claimforge.numerics import SettingError, Settings
 from claimforge.textcore import EncoderConfig
 from claimforge.training import CurriculumSchedule
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(Settings):
     # encoder / decoder geometry
     model_dim: int = 512
     num_heads: int = 8
@@ -36,26 +36,13 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.max_gen_len < 1:
-            raise ValueError(f"max_gen_len must be at least 1, got {self.max_gen_len}")
+        super().__post_init__()
         if self.max_gen_len + 2 >= self.max_seq_len:
-            raise ValueError(
-                f"max_gen_len + 2 must be below max_seq_len, so the decoder has room for "
-                f"a description: {self.max_gen_len} + 2 >= {self.max_seq_len}"
-            )
-        if self.top_k < 0:
-            raise ValueError(f"top_k must be non-negative, got {self.top_k}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.grad_clip <= 0:
-            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
-        for name in ("lr", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        self.encoder_config()  # rejects a geometry whose heads do not fill model_dim
+            raise SettingError("max_gen_len", f"+ 2 must be below max_seq_len, so the decoder has "
+                               f"room for a description: {self.max_gen_len} + 2 >= "
+                               f"{self.max_seq_len}")
+        self.encoder_config()  # the head geometry rule
+        self.curriculum()
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(
@@ -93,7 +80,9 @@ class PipelineConfig:
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: config key {key!r}: cannot parse "
                                      f"{known[key].__name__} from {value!r}") from None
-                if not math.isfinite(kwargs[key]):
-                    raise ValueError(f"{path}:{lineno}: config key {key!r} must be finite, "
-                                     f"got {value!r}")
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except SettingError as exc:  # a rule that a default breaks names no line
+            where = (f"{path}:{set_on[exc.setting]}: config key {exc.setting!r}"
+                     if exc.setting in set_on else f"{path}: {exc.setting}")
+            raise ValueError(f"{where} {exc.reason}") from None

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, load_checkpoint, no_grad, save_checkpoint
+from claimforge.numerics import NonFiniteError, Rng, Tensor, load_checkpoint, no_grad, save_checkpoint
 from claimforge.chunker import Chunk, Document, chunk_document, complexity, target_size
 from claimforge.evaluator import EvaluatorModel, score_pair
 from claimforge.generator import (
@@ -288,6 +288,8 @@ def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
     for rec in records:
         try:
             report, timings = process_document(rec, prior_art, models, config, memo)
+        except (NonFiniteError, AssertionError):
+            raise  # a broken invariant ends the run, as in `evaluate`
         except Exception as exc:  # failure isolation: one bad record skips one doc
             failures.append({"doc_id": rec.id, "error": str(exc)})
             continue

@@ -8,13 +8,12 @@ head pair, enforcing the specialization the head groups name.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from claimforge.numerics import Tensor, backward
+from claimforge.numerics import Settings, Tensor, backward
 from claimforge.similarity.heads import (
     NUM_HEADS,
     RELATIONSHIP_GROUPS,
@@ -26,7 +25,7 @@ from claimforge.training import AdamW, clip_grad_norm, contrastive_loss
 
 
 @dataclass
-class SimilarityTrainConfig:
+class SimilarityTrainConfig(Settings):
     temperature: float = 0.1
     aux_weight: float = 0.5
     lr: float = 1e-3
@@ -81,12 +80,6 @@ def train_similarity(pairs: list[tuple[list[int], list[int], str | None]],
     None). Returns the per-step loss history; parameters update in place.
     ``log_fn``, if given, gets {step, loss, grad_norm} after every step.
     """
-    if not 0 < train_cfg.temperature < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {train_cfg.temperature}")
-    if not math.isfinite(train_cfg.aux_weight):
-        raise ValueError(f"aux_weight must be finite, got {train_cfg.aux_weight}")
-    if train_cfg.batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {train_cfg.batch_size}")
     if len(pairs) < 2:
         raise ValueError("need at least 2 positive pairs per batch")
 

@@ -22,12 +22,12 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, attention_sublayer, ffn_sublayer
+from claimforge.numerics import Rng, SettingError, Settings, Tensor, attention_sublayer, ffn_sublayer
 from claimforge.textcore.vocab import PAD_ID
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(Settings):
     model_dim: int = 512
     num_heads: int = 8
     head_dim: int = 64
@@ -35,11 +35,10 @@ class EncoderConfig:
     max_seq_len: int = 1024
 
     def __post_init__(self):
+        super().__post_init__()
         if self.num_heads * self.head_dim != self.model_dim:
-            raise ValueError(
-                f"num_heads * head_dim must equal model_dim: "
-                f"{self.num_heads} * {self.head_dim} != {self.model_dim}"
-            )
+            raise SettingError("num_heads", f"* head_dim must equal model_dim: {self.num_heads} "
+                                            f"* {self.head_dim} != {self.model_dim}")
 
 
 @lru_cache(maxsize=32)

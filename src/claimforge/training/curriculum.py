@@ -5,22 +5,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from claimforge.numerics import Rng, logistic
+from claimforge.numerics import Rng, Settings, logistic
 
 LEVEL3_TAU_THRESHOLD = 0.999
 
 
 @dataclass(frozen=True)
-class CurriculumSchedule:
+class CurriculumSchedule(Settings):
     gamma: float = 0.01
     t0: float = 5000.0
     verbatim_mode: bool = False
-
-    def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not 0 <= self.t0 < math.inf:
-            raise ValueError(f"t0 must be non-negative and finite, got {self.t0}")
 
 
 def curriculum_progress(t: float, schedule: CurriculumSchedule = CurriculumSchedule()) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 
 # the token cross-entropy is a fused numerics op beside cross_entropy_logits;
 # it is re-exported here with the other losses
-from claimforge.numerics import Tensor, sequence_cross_entropy
+from claimforge.numerics import Tensor, check_settings, sequence_cross_entropy
 
 
 def contrastive_loss(sim_matrix: Tensor, temperature: float) -> Tensor:
@@ -15,8 +15,7 @@ def contrastive_loss(sim_matrix: Tensor, temperature: float) -> Tensor:
     ``sim_matrix[i, k]`` is the similarity between anchor i and candidate k;
     candidate i is the positive, all others are in-batch negatives.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    check_settings(temperature=temperature)
     n = sim_matrix.shape[0]
     if sim_matrix.shape != (n, n) or n < 1:
         raise ValueError(f"similarity matrix must be square and nonempty, got {sim_matrix.shape}")

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from claimforge.numerics import Tensor
+from claimforge.numerics import Tensor, check_settings
 
 
 class AdamW:
@@ -22,13 +22,7 @@ class AdamW:
     def __init__(self, params: dict[str, Tensor], lr: float = 5e-5,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01):
-        for name, value in (("lr", lr), ("beta1", betas[0]), ("beta2", betas[1]),
-                            ("eps", eps), ("weight_decay", weight_decay)):
-            if not math.isfinite(value):
-                raise ValueError(f"AdamW {name} must be finite, got {value}")
-        for name, value in (("lr", lr), ("weight_decay", weight_decay)):
-            if value < 0:
-                raise ValueError(f"AdamW {name} must be non-negative, got {value}")
+        check_settings(lr=lr, beta1=betas[0], beta2=betas[1], eps=eps, weight_decay=weight_decay)
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas
@@ -75,8 +69,7 @@ class AdamW:
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> float:
     """Scale gradients in place so their global L2 norm is at most max_norm."""
-    if not 0 < max_norm < math.inf:
-        raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
+    check_settings(max_norm=max_norm)
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm and total > 0:
         scale = max_norm / total

@@ -193,23 +193,32 @@ class TestPipelineConfig:
         cfg = PipelineConfig.from_file(path)
         assert (cfg.model_dim, cfg.num_heads, cfg.head_dim) == (32, 4, 8)
 
-    @pytest.mark.parametrize("kw, match", [
-        (dict(max_gen_len=0), "max_gen_len must be at least 1"),
-        (dict(max_seq_len=10, max_gen_len=8), "max_gen_len \\+ 2"),
-        (dict(top_k=-1), "top_k"),
-        (dict(batch_size=0), "^batch_size must be at least 1, got 0"),
-        (dict(grad_clip=0.0), "^grad_clip must be positive, got 0.0"),
-        (dict(grad_clip=-1.0), "^grad_clip must be positive, got -1.0"),
-        (dict(lr=-1.0), "^lr must be non-negative, got -1.0"),
-        (dict(weight_decay=-5.0), "^weight_decay must be non-negative, got -5.0"),
-        (dict(num_heads=3), "^num_heads \\* head_dim must equal model_dim"),
+    @pytest.mark.parametrize("kw, key, reason", [
+        (dict(max_gen_len=0), "max_gen_len", "must be at least 1"),
+        (dict(max_seq_len=10, max_gen_len=8), "max_gen_len", "\\+ 2"),
+        (dict(top_k=-1), "top_k", "must be non-negative, got -1"),
+        (dict(batch_size=0), "batch_size", "must be at least 1, got 0"),
+        (dict(grad_clip=0.0), "grad_clip", "must be positive, got 0.0"),
+        (dict(grad_clip=-1.0), "grad_clip", "must be positive, got -1.0"),
+        (dict(lr=-1.0), "lr", "must be non-negative, got -1.0"),
+        (dict(weight_decay=-5.0), "weight_decay", "must be non-negative, got -5.0"),
+        (dict(num_heads=3), "num_heads", "\\* head_dim must equal model_dim"),
     ])
-    def test_invalid_combination_rejected(self, tmp_path, kw, match):
-        with pytest.raises(ValueError, match=match):
+    def test_invalid_combination_rejected(self, tmp_path, kw, key, reason):
+        with pytest.raises(ValueError, match=f"^{key} {reason}"):
             compact_config(**kw)
         path = tmp_path / "p.cfg"
-        path.write_text("".join(f"{key} = {value}\n" for key, value in kw.items()))
-        with pytest.raises(ValueError, match=match):
+        path.write_text("".join(f"{k} = {value}\n" for k, value in kw.items()))
+        line = list(kw).index(key) + 1
+        with pytest.raises(ValueError, match=f"p.cfg:{line}: config key '{key}' {reason}"):
+            PipelineConfig.from_file(path)
+
+    def test_rule_broken_by_a_default_names_the_file(self, tmp_path):
+        # max_gen_len keeps its default, 32, which max_seq_len = 10 leaves no room for
+        path = tmp_path / "p.cfg"
+        path.write_text("# geometry\nmax_seq_len = 10\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: max_gen_len \\+ 2 "
+                                             f"must be below max_seq_len"):
             PipelineConfig.from_file(path)
 
     def test_smallest_valid_combination_accepted(self):
@@ -433,7 +442,9 @@ class TestRunPipeline:
             assert set(row) == {"doc_id", "stage1_seconds", "stage2_seconds", "stage3_seconds"}
             assert all(row[f"stage{i}_seconds"] >= 0 for i in (1, 2, 3))
 
-    def test_non_finite_similarity_skips_records_and_writes_no_nan(self, tmp_path, monkeypatch):
+    def test_non_finite_similarity_ends_the_run_and_writes_no_report(self, tmp_path,
+                                                                     monkeypatch):
+        # a NonFiniteError used to skip every record as a bad input, and exit 1
         from claimforge.pipeline import run as run_module
         build = run_module.build_models
 
@@ -443,11 +454,15 @@ class TestRunPipeline:
             return models
 
         monkeypatch.setattr(run_module, "build_models", poisoned)
-        result = run_pipeline(DATA / "golden_corpus.jsonl", DATA / "golden_prior_art.jsonl",
-                              tmp_path, compact_config(), seed=0)
-        assert result.reports == [] and len(result.failures) == 3
-        assert all(f["error"] == "non-finite value in softmax input" for f in result.failures)
-        assert "NaN" not in result.report_path.read_text()
+        with pytest.raises(NonFiniteError, match="non-finite value in softmax input"):
+            run_pipeline(DATA / "golden_corpus.jsonl", DATA / "golden_prior_art.jsonl",
+                         tmp_path, compact_config(), seed=0)
+        assert not (tmp_path / "report.jsonl").exists()
+        assert cli_main(["--config", str(_write_config(tmp_path / "c.cfg")), "--seed", "0",
+                         "--out", str(tmp_path / "o"), "pipeline",
+                         "--corpus", str(DATA / "golden_corpus.jsonl"),
+                         "--prior-art", str(DATA / "golden_prior_art.jsonl")]) == 2
+        assert not (tmp_path / "o" / "report.jsonl").exists()
 
     def test_failure_isolation(self, tmp_path):
         records = read_corpus(DATA / "golden_corpus.jsonl")
@@ -549,9 +564,15 @@ class TestCli:
         assert f"{config}:8: config key 'gamma' must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.jsonl").exists()
 
-    @pytest.mark.parametrize("exc", [NonFiniteError("non-finite value in softmax input"),
-                                     AssertionError("broken invariant")])
-    def test_internal_error_exits_2(self, tmp_path, capsys, monkeypatch, exc):
+    @pytest.mark.parametrize("exc, message", [
+        (NonFiniteError("non-finite value in softmax input"),
+         "internal invariant violation: non-finite value in softmax input"),
+        (AssertionError("broken invariant"), "internal invariant violation: broken invariant"),
+        # any other exception used to leave main with a traceback
+        (ZeroDivisionError("float division by zero"),
+         "internal error: ZeroDivisionError: float division by zero"),
+    ])
+    def test_internal_error_exits_2(self, tmp_path, capsys, monkeypatch, exc, message):
         # NonFiniteError is a ValueError: it used to exit 1 as an input error
         import claimforge.cli as cli
 
@@ -560,7 +581,8 @@ class TestCli:
 
         monkeypatch.setitem(cli._COMMANDS, "synth", fail)
         assert cli_main(["--out", str(tmp_path), "synth"]) == 2
-        assert f"internal invariant violation: {exc}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_non_integer_env_seed_named(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CLAIMFORGE_SEED", "seven")
@@ -635,8 +657,8 @@ class TestModelCheckpoints:
 
 class TestCliStages:
     @pytest.mark.parametrize("setting, message", [
-        (dict(batch_size=0), "batch_size must be at least 1, got 0"),
-        (dict(grad_clip=-1.0), "grad_clip must be positive, got -1.0"),
+        (dict(batch_size=0), "8: config key 'batch_size' must be at least 1, got 0"),
+        (dict(grad_clip=-1.0), "8: config key 'grad_clip' must be positive, got -1.0"),
     ])
     def test_out_of_range_training_setting_exits_1(self, tmp_path, capsys, setting, message):
         # batch_size = 0 died in train-gen with a ZeroDivisionError traceback,
@@ -644,21 +666,35 @@ class TestCliStages:
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, synth_corpus(0, 15).records)
         out = tmp_path / "o"
-        assert cli_main(["--config", str(_write_config(tmp_path / "c.cfg", **setting)),
-                         "--out", str(out), "train-gen", "--corpus", str(corpus),
-                         "--steps", "2"]) == 1
+        config = _write_config(tmp_path / "c.cfg", **setting)
+        assert cli_main(["--config", str(config), "--out", str(out), "train-gen",
+                         "--corpus", str(corpus), "--steps", "2"]) == 1
         err = capsys.readouterr().err
-        assert f"error: {message}" in err
+        assert f"error: {config}:{message}" in err
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
-    def test_head_geometry_rejected_before_the_corpus_is_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize("setting, line, message", [
         # num_heads = 3 loaded, and build_models rejected it after the corpus was read
-        config = _write_config(tmp_path / "c.cfg", num_heads=3)
+        (dict(num_heads=3), 2,
+         "config key 'num_heads' * head_dim must equal model_dim: 3 * 8 != 16"),
+        # these loaded, and then every record was skipped: the schedule was
+        # built inside each record, model_dim = 0 divided by zero, and an odd
+        # width broke the sinusoidal position table
+        (dict(gamma=0), 8, "config key 'gamma' must be positive, got 0.0"),
+        (dict(t0=-1), 8, "config key 't0' must be non-negative, got -1.0"),
+        (dict(model_dim=15, num_heads=3, head_dim=5), 1,
+         "config key 'model_dim' must be a positive even number, got 15"),
+        (dict(model_dim=0), 1, "config key 'model_dim' must be a positive even number, got 0"),
+        # this loaded, and the vocabulary rejected it after the corpus was read
+        (dict(vocab_cap=0), 8, "config key 'vocab_cap' must be at least 5, got 0"),
+    ])
+    def test_bad_setting_rejected_before_the_corpus_is_read(self, tmp_path, capsys, setting,
+                                                           line, message):
+        config = _write_config(tmp_path / "c.cfg", **setting)
         assert cli_main(["--config", str(config), "--out", str(tmp_path / "o"), "pipeline",
                          "--corpus", str(tmp_path / "missing.jsonl")]) == 1
-        assert ("error: num_heads * head_dim must equal model_dim: 3 * 8 != 16"
-                in capsys.readouterr().err)
+        assert f"error: {config}:{line}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.jsonl").exists()
 
     def test_evaluate_skips_only_the_pair_it_cannot_score(self, tmp_path, capsys):
@@ -706,7 +742,7 @@ class TestCliStages:
                          "--out", str(tmp_path / "o"), command, "--corpus", str(corpus),
                          f"{flag}={value}"])
         assert code == 1
-        assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
+        assert f"error: {flag[2:]} must be at least 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_train_eval_counts_only_the_tuples_it_can_rank(self, tmp_path, capsys, monkeypatch):

@@ -54,7 +54,7 @@ class TestCurriculumProgress:
     def test_non_finite_schedule_rejected_naming_the_value(self, setting, value):
         # gamma = inf read a progress of 0.0 at step 0, and t0 = nan failed in
         # difficulty_level with "cannot convert float NaN to integer"
-        with pytest.raises(ValueError, match=f"^{setting} must be .* finite, got {value}"):
+        with pytest.raises(ValueError, match=f"^{setting} must be finite, got {value}"):
             CurriculumSchedule(**{setting: value})
 
 
@@ -215,14 +215,14 @@ class TestAdamW:
         if setting.startswith("beta"):
             kw = {"betas": (value, 0.999) if setting == "beta1" else (0.9, value)}
         p = {"w": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
-        with pytest.raises(ValueError, match=f"^AdamW {setting} must be finite, got {value}"):
+        with pytest.raises(ValueError, match=f"^{setting} must be finite, got {value}"):
             AdamW(p, **kw)
 
     @pytest.mark.parametrize("setting", ["lr", "weight_decay"])
     def test_negative_setting_rejected_naming_it(self, setting):
         # lr = -1 climbed the loss; a negative weight decay grows the weights
         p = {"w": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
-        with pytest.raises(ValueError, match=f"^AdamW {setting} must be non-negative, got -1.0"):
+        with pytest.raises(ValueError, match=f"^{setting} must be non-negative, got -1.0"):
             AdamW(p, **{setting: -1.0})
 
     def test_unknown_parameter_rejected(self):
@@ -343,10 +343,11 @@ class TestClipGradNorm:
         total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert total == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("max_norm", [-1.0, 0.0, math.nan, math.inf])
-    def test_max_norm_not_positive_and_finite_rejected(self, max_norm):
+    @pytest.mark.parametrize("max_norm, rule", [(-1.0, "positive"), (0.0, "positive"),
+                                                (math.nan, "finite"), (math.inf, "finite")])
+    def test_max_norm_not_positive_and_finite_rejected(self, max_norm, rule):
         # max_norm = -1 used to flip every gradient: [300, 400] became [-0.6, -0.8]
         grads = {"w": np.array([300.0, 400.0])}
-        with pytest.raises(ValueError, match=f"^max_norm must be positive and finite, got {max_norm}"):
+        with pytest.raises(ValueError, match=f"^max_norm must be {rule}, got {max_norm}"):
             clip_grad_norm(grads, max_norm)
         np.testing.assert_array_equal(grads["w"], [300.0, 400.0])
