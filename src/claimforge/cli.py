@@ -12,7 +12,6 @@ from claimforge.evaluator import EvaluatorTrainConfig, ordering_accuracy, score_
 from claimforge.generator import (
     DOMAINS,
     GeneratorTrainConfig,
-    generate,
     train_domain_classifier,
     train_generator,
 )
@@ -31,6 +30,7 @@ from claimforge.pipeline.run import (
     StageOneMemo,
     chunk_record,
     claim_similarities,
+    generate_claim,
     load_models,
     record_texts,
     save_models,
@@ -222,16 +222,9 @@ def _cmd_generate(args, config, seed) -> int:
     models = load_models(_corpus_texts(records), config, seed, args.checkpoint)
     rows = []
     for rec in records:
-        desc_ids = models.vocab.encode_text(rec.description)
-        gen_ids, alpha, label = generate(desc_ids, models.generator,
-                                         models.adapter_bank, models.classifier,
-                                         max_len=config.max_gen_len)
-        rows.append({
-            "doc_id": rec.id,
-            "domain_label": label,
-            "domain_mixture": [float(a) for a in alpha],
-            "generated": models.vocab.decode_text(gen_ids),
-        })
+        _, alpha, label, text = generate_claim(rec, models, config)
+        rows.append({"doc_id": rec.id, "domain_label": label,
+                     "domain_mixture": [float(a) for a in alpha], "generated": text})
     write_jsonl(args.out / "generations.jsonl", rows)
     print(f"generated claims for {len(rows)} documents -> {args.out / 'generations.jsonl'}")
     return EXIT_OK

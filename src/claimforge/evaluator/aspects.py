@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, no_grad, scaled_dot_attention, softmax
+from claimforge.numerics import ParamSource, Params, Tensor, no_grad, scaled_dot_attention, softmax
 from claimforge.generator.adapters import DOMAINS
 from claimforge.textcore import (BOS_ID, EOS_ID, SEP_ID, EncoderConfig, encode_sequence,
                                  key_padding_mask)
@@ -23,30 +23,23 @@ class EvaluatorModel:
     """Aspect query embeddings, score projections, and the margin adapter."""
 
     cfg: EncoderConfig
-    base_margins: np.ndarray
-    adapt_strengths: np.ndarray
     params: dict[str, Tensor] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, cfg: EncoderConfig, rng: Rng) -> "EvaluatorModel":
+    def init(cls, cfg: EncoderConfig, rng: ParamSource) -> "EvaluatorModel":
         k = len(ASPECTS)
         d = cfg.model_dim
-        model = cls(cfg=cfg, base_margins=np.full(k, DEFAULT_BASE_MARGIN),
-                    adapt_strengths=np.full(k, DEFAULT_ADAPT_STRENGTH))
+        p = Params(rng)
         # aspect queries start as rows of a random orthonormal matrix so the
         # five aspects are distinguishable from step 0
-        q, _ = np.linalg.qr(rng.normal((d, d)))
-        model.params = {
-            "eval/queries": Tensor(q[:k], requires_grad=True),
-            "eval/score_w": Tensor(rng.normal((k, d), 1.0 / np.sqrt(d)), requires_grad=True),
-            "eval/score_b": Tensor(np.zeros(k), requires_grad=True),
-            "eval/aspect_logits": Tensor(np.zeros(k), requires_grad=True),
-            "eval/margin/e_dom": Tensor(rng.normal((len(DOMAINS), DOMAIN_EMBED_DIM), 0.1),
-                                        requires_grad=True),
-            "eval/margin/w": Tensor(rng.normal((DOMAIN_EMBED_DIM, k), 0.1), requires_grad=True),
-            "eval/margin/b": Tensor(np.zeros(k), requires_grad=True),
-        }
-        return model
+        p.add("eval/queries", (k, d), lambda r: np.linalg.qr(r.normal((d, d)))[0][:k])
+        p.normal("eval/score_w", (k, d), 1.0 / np.sqrt(d))
+        p.fill("eval/score_b", (k,), 0.0)
+        p.fill("eval/aspect_logits", (k,), 0.0)
+        p.normal("eval/margin/e_dom", (len(DOMAINS), DOMAIN_EMBED_DIM), 0.1)
+        p.normal("eval/margin/w", (DOMAIN_EMBED_DIM, k), 0.1)
+        p.fill("eval/margin/b", (k,), 0.0)
+        return cls(cfg=cfg, params=p.tensors)
 
 
 @dataclass
@@ -119,18 +112,19 @@ def overall_score(scores: Tensor, aspect_logits: Tensor) -> tuple[Tensor, np.nda
 
 
 def adaptive_margin(alpha, model: EvaluatorModel) -> Tensor:
-    """Per-aspect margin mu_k + beta_k * tanh(row_k of domain projection).
+    """Per-aspect margin mu + beta * tanh(row_k of domain projection), with
+    mu = ``DEFAULT_BASE_MARGIN`` and beta = ``DEFAULT_ADAPT_STRENGTH``.
 
     ``alpha`` is the domain mixture, or a (batch, domains) stack of them for
     (batch, 5) margins; the domain embedding is its soft mixture over the
-    embedding table, so margins stay within mu_k +/- beta_k.
+    embedding table, so margins stay within mu +/- beta.
     """
     alpha = alpha if isinstance(alpha, Tensor) else Tensor(np.asarray(alpha, float))
     if alpha.shape[-1:] != (len(DOMAINS),) or len(alpha.shape) > 2:
         raise ValueError(f"domain mixture must have {len(DOMAINS)} entries")
     d_embed = alpha @ model.params["eval/margin/e_dom"]
     z = d_embed @ model.params["eval/margin/w"] + model.params["eval/margin/b"]
-    return Tensor(model.base_margins) + Tensor(model.adapt_strengths) * z.tanh()
+    return z.tanh() * DEFAULT_ADAPT_STRENGTH + DEFAULT_BASE_MARGIN
 
 
 @no_grad()

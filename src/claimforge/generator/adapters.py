@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor
+from claimforge.numerics import ParamSource, Params, Tensor
 
 DOMAINS = ("mechanical", "electrical", "software", "chemical", "biotech")
 ADAPTER_RANK = 8
@@ -27,21 +27,17 @@ class AdapterBank:
     target_names: list[str] = field(default_factory=list)
 
     @classmethod
-    def init(cls, num_layers: int, model_dim: int, rng: Rng) -> "AdapterBank":
-        bank = cls()
+    def init(cls, num_layers: int, model_dim: int, rng: ParamSource) -> "AdapterBank":
+        p = Params(rng)
+        targets = []
         for layer in range(num_layers):
             for proj in ADAPTED_PROJECTIONS:
-                target = f"dec/l{layer}/attn/{proj}"
-                bank.target_names.append(target)
+                targets.append(f"dec/l{layer}/attn/{proj}")
                 for domain in DOMAINS:
                     base = f"adapter/{domain}/l{layer}/{proj}"
-                    bank.params[f"{base}/B"] = Tensor(
-                        np.zeros((model_dim, ADAPTER_RANK)), requires_grad=True
-                    )
-                    bank.params[f"{base}/C"] = Tensor(
-                        rng.normal((model_dim, ADAPTER_RANK), 0.02), requires_grad=True
-                    )
-        return bank
+                    p.fill(f"{base}/B", (model_dim, ADAPTER_RANK), 0.0)
+                    p.normal(f"{base}/C", (model_dim, ADAPTER_RANK), 0.02)
+        return cls(params=p.tensors, target_names=targets)
 
     def factors(self, domain: str, target_name: str) -> tuple[Tensor, Tensor]:
         # target name "dec/l0/attn/wq" -> adapter key "adapter/<domain>/l0/wq"

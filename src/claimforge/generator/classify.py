@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, backward, cross_entropy_logits, no_grad, softmax
+from claimforge.numerics import (ParamSource, Params, Tensor, backward, cross_entropy_logits,
+                                 no_grad, softmax)
 from claimforge.generator.adapters import DOMAINS
 from claimforge.training import AdamW
 
@@ -22,17 +23,13 @@ class DomainClassifier:
     params: dict[str, Tensor] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, model_dim: int, rng: Rng, hidden: int = 64) -> "DomainClassifier":
-        clf = cls(model_dim=model_dim, hidden=hidden)
-        scale = 1.0 / np.sqrt(model_dim)
-        clf.params = {
-            "domain/w1": Tensor(rng.normal((model_dim, hidden), scale), requires_grad=True),
-            "domain/b1": Tensor(np.zeros(hidden), requires_grad=True),
-            "domain/w2": Tensor(rng.normal((hidden, len(DOMAINS)), 1.0 / np.sqrt(hidden)),
-                                requires_grad=True),
-            "domain/b2": Tensor(np.zeros(len(DOMAINS)), requires_grad=True),
-        }
-        return clf
+    def init(cls, model_dim: int, rng: ParamSource, hidden: int = 64) -> "DomainClassifier":
+        p = Params(rng)
+        p.normal("domain/w1", (model_dim, hidden), 1.0 / np.sqrt(model_dim))
+        p.fill("domain/b1", (hidden,), 0.0)
+        p.normal("domain/w2", (hidden, len(DOMAINS)), 1.0 / np.sqrt(hidden))
+        p.fill("domain/b2", (len(DOMAINS),), 0.0)
+        return cls(model_dim=model_dim, hidden=hidden, params=p.tensors)
 
     def logits(self, pooled: Tensor) -> Tensor:
         h = (pooled @ self.params["domain/w1"] + self.params["domain/b1"]).relu()

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, check_settings, no_grad
+from claimforge.numerics import ParamSource, Params, Tensor, check_settings, no_grad
 from claimforge.generator.adapters import AdapterBank, effective_overrides
 from claimforge.generator.classify import DomainClassifier, classify_domain, pool_embedding
 from claimforge.textcore import (BOS_ID, EOS_ID, SEP_ID, EncoderConfig, KVCache,
@@ -20,14 +20,12 @@ class GeneratorModel:
     params: dict[str, Tensor] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, vocab_size: int, cfg: EncoderConfig, rng: Rng) -> "GeneratorModel":
-        params = init_encoder_params(vocab_size, cfg, rng, prefix="dec")
-        params["dec/out_w"] = Tensor(
-            rng.normal((cfg.model_dim, vocab_size), 1.0 / np.sqrt(cfg.model_dim)),
-            requires_grad=True,
-        )
-        params["dec/out_b"] = Tensor(np.zeros(vocab_size), requires_grad=True)
-        return cls(cfg=cfg, vocab_size=vocab_size, params=params)
+    def init(cls, vocab_size: int, cfg: EncoderConfig, rng: ParamSource) -> "GeneratorModel":
+        p = Params(rng)
+        p.tensors.update(init_encoder_params(vocab_size, cfg, rng, prefix="dec"))
+        p.normal("dec/out_w", (cfg.model_dim, vocab_size), 1.0 / np.sqrt(cfg.model_dim))
+        p.fill("dec/out_b", (vocab_size,), 0.0)
+        return cls(cfg=cfg, vocab_size=vocab_size, params=p.tensors)
 
     @property
     def embed(self) -> Tensor:

@@ -34,6 +34,7 @@ from claimforge.numerics.tensor import (
     sequence_cross_entropy,
 )
 from claimforge.numerics.rng import Rng
+from claimforge.numerics.params import ParamSource, Params
 from claimforge.numerics.checkpoint import save_checkpoint, load_checkpoint, CheckpointError
 from claimforge.numerics.settings import SettingError, Settings, check_settings
 
@@ -55,6 +56,8 @@ __all__ = [
     "cross_entropy_logits",
     "sequence_cross_entropy",
     "Rng",
+    "ParamSource",
+    "Params",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",

@@ -27,20 +27,17 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write the manifest (its offsets follow from the shapes), then one array at a time."""
     manifest = [MAGIC, str(len(tensors))]
-    blobs = []
     offset = 0
     for name in sorted(tensors):
-        arr = np.asarray(tensors[name], dtype="<f4", order="C")
-        shape = ",".join(str(d) for d in arr.shape)
-        manifest.append(f"{name}\t{shape}\t{offset}")
-        blobs.append(arr.tobytes())
-        offset += arr.nbytes
-    header = ("\n".join(manifest) + "\n\n").encode("utf-8")
+        shape = np.shape(tensors[name])
+        manifest.append(f"{name}\t{','.join(str(d) for d in shape)}\t{offset}")
+        offset += 4 * math.prod(shape)
     with open(path, "wb") as fh:
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(("\n".join(manifest) + "\n\n").encode("utf-8"))
+        for name in sorted(tensors):
+            fh.write(np.ascontiguousarray(tensors[name], dtype="<f4"))
 
 
 def _manifest_int(text: str, what: str) -> int:
@@ -73,7 +70,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     count = _manifest_int(lines[1], "entry count")
     if len(lines) != 2 + count:
         raise CheckpointError(f"manifest declares {count} entries, found {len(lines) - 2}")
-    blob = raw[sep + 2:]
+    blob = memoryview(raw)[sep + 2:]  # a view: slicing bytes would copy the payload
     out: dict[str, np.ndarray] = {}
     end = 0
     for line in lines[2:]:

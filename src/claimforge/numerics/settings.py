@@ -21,8 +21,10 @@ RULES = {
                      "batch_size", "epochs", "steps"), ("must be at least 1", lambda v: v >= 1)),
     **dict.fromkeys(("num_layers", "lr", "weight_decay", "t0", "top_k"),
                     ("must be non-negative", lambda v: v >= 0)),
-    **dict.fromkeys(("sim_temperature", "temperature", "grad_clip", "max_norm", "gamma"),
-                    ("must be positive", lambda v: v > 0)),
+    **dict.fromkeys(("grad_clip", "max_norm", "gamma"), ("must be positive", lambda v: v > 0)),
+    # a loss scales by 1 / temperature, which is inf below about 5.6e-309
+    **dict.fromkeys(("sim_temperature", "temperature"), ("must be positive with a finite "
+                    "reciprocal", lambda v: v > 0 and (v >= 1 or math.isfinite(1.0 / v)))),
 }
 
 

@@ -38,6 +38,7 @@ from claimforge.textcore import (
     EncoderConfig,
     Vocabulary,
     encode_sequence,
+    init_encoder_params,
 )
 from claimforge.training import curriculum_progress, difficulty_level
 
@@ -86,19 +87,24 @@ def write_jsonl(path: Path, rows: list[dict]) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def build_models(vocab: Vocabulary, config: PipelineConfig, seed: int) -> PipelineModels:
+def build_models(vocab: Vocabulary, config: PipelineConfig, seed: int,
+                 checkpoint: dict[str, np.ndarray] | None = None) -> PipelineModels:
+    """Models over ``vocab``, drawn from ``seed``'s "init" stream, or taken from a
+    checkpoint's name -> array map, which must hold exactly the model's tensors."""
     cfg = config.encoder_config()
-    rng = Rng(seed, ("init",))
-    from claimforge.textcore import init_encoder_params
-
-    enc_params = init_encoder_params(len(vocab), cfg, rng.substream("enc"))
-    head_bank = HeadBank.init(cfg.model_dim, rng.substream("sim"), head_dim=cfg.head_dim)
-    generator = GeneratorModel.init(len(vocab), cfg, rng.substream("dec"))
-    adapter_bank = AdapterBank.init(cfg.num_layers, cfg.model_dim, rng.substream("bank"))
-    classifier = DomainClassifier.init(cfg.model_dim, rng.substream("clf"))
-    evaluator = EvaluatorModel.init(cfg, rng.substream("eval"))
-    return PipelineModels(vocab, cfg, enc_params, head_bank, generator,
-                          adapter_bank, classifier, evaluator)
+    source = Rng(seed, ("init",)).substream if checkpoint is None else lambda stream: checkpoint
+    enc_params = init_encoder_params(len(vocab), cfg, source("enc"))
+    head_bank = HeadBank.init(cfg.model_dim, source("sim"), head_dim=cfg.head_dim)
+    generator = GeneratorModel.init(len(vocab), cfg, source("dec"))
+    adapter_bank = AdapterBank.init(cfg.num_layers, cfg.model_dim, source("bank"))
+    classifier = DomainClassifier.init(cfg.model_dim, source("clf"))
+    evaluator = EvaluatorModel.init(cfg, source("eval"))
+    models = PipelineModels(vocab, cfg, enc_params, head_bank, generator,
+                            adapter_bank, classifier, evaluator)
+    unexpected = sorted(checkpoint.keys() - _param_tensors(models).keys()) if checkpoint else []
+    if unexpected:
+        raise ValueError(f"checkpoint tensors the model does not have: {unexpected}")
+    return models
 
 
 def record_texts(records: list[CorpusRecord]) -> list[str]:
@@ -120,9 +126,7 @@ def load_models(texts: list[str], config: PipelineConfig, seed: int,
         raise ValueError(f"checkpoint model_dim {ckpt['enc/embed'].shape[-1]} does not "
                          f"match config model_dim {config.model_dim}")
     vocab = Vocabulary.load(Path(checkpoint_path).parent / "vocab.txt", cap=config.vocab_cap)
-    models = build_models(vocab, config, seed)
-    _load_into(models, ckpt)
-    return models
+    return build_models(vocab, config, seed, ckpt)
 
 
 def save_models(models: PipelineModels, out) -> Path:
@@ -136,26 +140,8 @@ def save_models(models: PipelineModels, out) -> Path:
 
 
 def _param_tensors(models: PipelineModels) -> dict[str, Tensor]:
-    out = {}
-    for params in (models.enc_params, models.head_bank.params, models.generator.params,
-                   models.adapter_bank.params, models.classifier.params,
-                   models.evaluator.params):
-        out.update(params)
-    return out
-
-
-def _load_into(models: PipelineModels, ckpt: dict[str, np.ndarray]) -> None:
-    params = _param_tensors(models)
-    missing = sorted(params.keys() - ckpt.keys())
-    unexpected = sorted(ckpt.keys() - params.keys())
-    if missing or unexpected:
-        raise ValueError(f"checkpoint does not match the model: missing tensors {missing}, "
-                         f"unexpected tensors {unexpected}")
-    for name, arr in ckpt.items():
-        if params[name].data.shape != arr.shape:
-            raise ValueError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                             f"model expects {params[name].data.shape}")
-        params[name].data = arr
+    return {**models.enc_params, **models.head_bank.params, **models.generator.params,
+            **models.adapter_bank.params, **models.classifier.params, **models.evaluator.params}
 
 
 def all_params(models: PipelineModels) -> dict[str, np.ndarray]:
@@ -214,6 +200,16 @@ def claim_similarities(rec: CorpusRecord, prior_art: list[CorpusRecord],
     return reports
 
 
+def generate_claim(rec: CorpusRecord, models: PipelineModels,
+                   config: PipelineConfig) -> tuple[list[int], np.ndarray, str, str]:
+    """Stage-2 generation from a record's description: the generated token
+    ids, the domain mixture, the domain label and the generated text."""
+    gen_ids, alpha, label = generate(models.vocab.encode_text(rec.description), models.generator,
+                                     models.adapter_bank, models.classifier,
+                                     max_len=config.max_gen_len)
+    return gen_ids, alpha, label, models.vocab.decode_text(gen_ids)
+
+
 @no_grad()
 def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
                      models: PipelineModels, config: PipelineConfig,
@@ -237,15 +233,10 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
 
     # Stage 2: domain-adaptive generation
     t_start = time.perf_counter()
-    desc_ids = models.vocab.encode_text(rec.description)
     schedule = config.curriculum()
     tau = curriculum_progress(0, schedule)
     level = difficulty_level(0, schedule)
-    gen_ids, alpha, domain_label = generate(
-        desc_ids, models.generator, models.adapter_bank, models.classifier,
-        max_len=config.max_gen_len,
-    )
-    generated_text = models.vocab.decode_text(gen_ids)
+    gen_ids, alpha, domain_label, generated_text = generate_claim(rec, models, config)
     timings["stage2_seconds"] = time.perf_counter() - t_start
 
     # Stage 3: unified quality assessment

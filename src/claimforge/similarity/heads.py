@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import Rng, Tensor, attention_array, concat, softmax, softmax_array
+from claimforge.numerics import (ParamSource, Params, Tensor, attention_array, concat, softmax,
+                                 softmax_array)
 
 NUM_HEADS = 8
 HEAD_DIM = 64
@@ -32,22 +33,17 @@ class HeadBank:
     _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def init(cls, model_dim: int, rng: Rng, head_dim: int = HEAD_DIM) -> "HeadBank":
-        bank = cls(model_dim=model_dim, head_dim=head_dim)
-        p = bank.params
+    def init(cls, model_dim: int, rng: ParamSource, head_dim: int = HEAD_DIM) -> "HeadBank":
+        p = Params(rng)
         scale = 1.0 / np.sqrt(model_dim)
         for h in range(1, NUM_HEADS + 1):
             for proj in ("wq", "wk", "wv"):
-                p[f"sim/h{h}/{proj}"] = Tensor(
-                    rng.normal((model_dim, head_dim), scale), requires_grad=True
-                )
-        p["sim/phi/w1"] = Tensor(rng.normal((3 * model_dim, PHI_HIDDEN), scale), requires_grad=True)
-        p["sim/phi/b1"] = Tensor(np.zeros(PHI_HIDDEN), requires_grad=True)
-        p["sim/phi/w2"] = Tensor(
-            rng.normal((PHI_HIDDEN, NUM_HEADS), 1.0 / np.sqrt(PHI_HIDDEN)), requires_grad=True
-        )
-        p["sim/phi/b2"] = Tensor(np.zeros(NUM_HEADS), requires_grad=True)
-        return bank
+                p.normal(f"sim/h{h}/{proj}", (model_dim, head_dim), scale)
+        p.normal("sim/phi/w1", (3 * model_dim, PHI_HIDDEN), scale)
+        p.fill("sim/phi/b1", (PHI_HIDDEN,), 0.0)
+        p.normal("sim/phi/w2", (PHI_HIDDEN, NUM_HEADS), 1.0 / np.sqrt(PHI_HIDDEN))
+        p.fill("sim/phi/b2", (NUM_HEADS,), 0.0)
+        return cls(model_dim=model_dim, head_dim=head_dim, params=p.tensors)
 
     def stacked_projections(self) -> np.ndarray:
         """The heads' wq, wk and wv as one (3, NUM_HEADS, model_dim, head_dim) array.

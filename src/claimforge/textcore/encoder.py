@@ -22,7 +22,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from claimforge.numerics import Rng, SettingError, Settings, Tensor, attention_sublayer, ffn_sublayer
+from claimforge.numerics import (ParamSource, Params, SettingError, Settings, Tensor,
+                                 attention_sublayer, ffn_sublayer)
 from claimforge.textcore.vocab import PAD_ID
 
 
@@ -69,34 +70,24 @@ class KVCache:
         return self.keys[0].shape[1] if self.keys else 0
 
 
-def init_encoder_params(vocab_size: int, cfg: EncoderConfig, rng: Rng,
+def init_encoder_params(vocab_size: int, cfg: EncoderConfig, rng: ParamSource,
                         prefix: str = "enc") -> dict[str, Tensor]:
     d = cfg.model_dim
-    params: dict[str, Tensor] = {}
-
-    def param(name, shape, scale=0.02):
-        params[f"{prefix}/{name}"] = Tensor(rng.normal(shape, scale), requires_grad=True)
-
-    def ones(name, shape):
-        params[f"{prefix}/{name}"] = Tensor(np.ones(shape), requires_grad=True)
-
-    def zeros(name, shape):
-        params[f"{prefix}/{name}"] = Tensor(np.zeros(shape), requires_grad=True)
-
-    param("embed", (vocab_size, d))
+    p = Params(rng)
+    p.normal(f"{prefix}/embed", (vocab_size, d), 0.02)
     for layer in range(cfg.num_layers):
-        p = f"l{layer}"
-        ones(f"{p}/ln1/g", (d,))
-        zeros(f"{p}/ln1/b", (d,))
+        pre = f"{prefix}/l{layer}"
+        p.fill(f"{pre}/ln1/g", (d,), 1.0)
+        p.fill(f"{pre}/ln1/b", (d,), 0.0)
         for proj in ("wq", "wk", "wv", "wo"):
-            param(f"{p}/attn/{proj}", (d, d))
-        ones(f"{p}/ln2/g", (d,))
-        zeros(f"{p}/ln2/b", (d,))
-        param(f"{p}/ffn/w1", (d, 4 * d))
-        zeros(f"{p}/ffn/b1", (4 * d,))
-        param(f"{p}/ffn/w2", (4 * d, d))
-        zeros(f"{p}/ffn/b2", (d,))
-    return params
+            p.normal(f"{pre}/attn/{proj}", (d, d), 0.02)
+        p.fill(f"{pre}/ln2/g", (d,), 1.0)
+        p.fill(f"{pre}/ln2/b", (d,), 0.0)
+        p.normal(f"{pre}/ffn/w1", (d, 4 * d), 0.02)
+        p.fill(f"{pre}/ffn/b1", (4 * d,), 0.0)
+        p.normal(f"{pre}/ffn/w2", (4 * d, d), 0.02)
+        p.fill(f"{pre}/ffn/b2", (d,), 0.0)
+    return p.tensors
 
 
 def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],

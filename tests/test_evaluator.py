@@ -15,7 +15,7 @@ from claimforge.evaluator import (
     score_pair,
     train_evaluator,
 )
-from claimforge.evaluator.aspects import encode_pairs
+from claimforge.evaluator.aspects import DEFAULT_ADAPT_STRENGTH, DEFAULT_BASE_MARGIN, encode_pairs
 from claimforge.evaluator.train import EvaluatorTrainConfig, _batch_loss, domain_one_hot
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,7 +154,7 @@ class TestAdaptiveMargin:
             model.params["eval/margin/w"].data)
         model.params["eval/margin/b"].data = np.zeros(len(ASPECTS))
         m = adaptive_margin(domain_one_hot("software"), model).data
-        np.testing.assert_allclose(m, model.base_margins, atol=1e-15)
+        np.testing.assert_allclose(m, DEFAULT_BASE_MARGIN, atol=1e-15)
 
     def test_bounds_hold_1000_random_mixtures(self, small_cfg):
         model = make_eval(small_cfg)
@@ -163,8 +163,7 @@ class TestAdaptiveMargin:
             alpha = rng.uniform((len(DOMAINS),))
             alpha = alpha / alpha.sum()
             m = adaptive_margin(alpha, model).data
-            assert np.all(np.abs(m - model.base_margins)
-                          <= model.adapt_strengths + 1e-12)
+            assert np.all(np.abs(m - DEFAULT_BASE_MARGIN) <= DEFAULT_ADAPT_STRENGTH + 1e-12)
 
     def test_bad_mixture_shape_rejected(self, small_cfg):
         model = make_eval(small_cfg)

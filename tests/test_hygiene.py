@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and no closure in
-``src/`` captures exactly 20 names.
+"""Source hygiene: no module imports a name it never uses, no closure in
+``src/`` captures exactly 20 names, and one helper makes every trainable tensor.
 
 The import check is a stdlib ``ast`` scan over ``src/`` and ``tests/``.
 Package ``__init__.py`` files are skipped, since their imports are
@@ -97,3 +97,15 @@ def test_scan_finds_a_twenty_name_closure():
     source = (f"def f({', '.join(names)}):\n"
               f"    def g():\n        return ({', '.join(names)})\n    return g\n")
     assert closure_sizes(compile(source, "m.py", "exec")) == [("f.<locals>.g", 20)]
+
+
+def test_trainable_tensors_are_made_by_one_helper():
+    # numerics.Params draws each model tensor or takes it from a checkpoint;
+    # gradcheck makes the inputs it differentiates
+    allowed = {ROOT / "src" / "claimforge" / "numerics" / name
+               for name in ("params.py", "gradcheck.py")}
+    found = [f"{path.relative_to(ROOT)}:{lineno}"
+             for path in sorted((ROOT / "src").rglob("*.py")) if path not in allowed
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "requires_grad=True" in line]
+    assert found == []

@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from claimforge.numerics import (
     CheckpointError,
     NonFiniteError,
+    Params,
     Rng,
     Tensor,
     backward,
@@ -588,6 +591,55 @@ class TestCheckpoint:
         except CheckpointError:
             return
         assert all(np.all(np.isfinite(v)) for v in loaded.values())
+
+    def test_save_and_load_hold_one_copy_of_the_payload(self, tmp_path):
+        # save held every tensor's bytes before it wrote the first, and load
+        # sliced the payload off the file's bytes, a second copy of it
+        tensors = {f"t{i}": np.full((512, 512), float(i)) for i in range(4)}
+        payload = 4 * sum(t.size for t in tensors.values())  # float32 bytes on disk
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, tensors)
+            saved_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_checkpoint(path)
+            loaded_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # save: one tensor's float32 copy; load: the file's bytes and the float64 arrays
+        assert saved_peak < 0.5 * payload
+        assert loaded_peak < 3.5 * payload
+        for name, arr in tensors.items():
+            assert loaded[name].dtype == np.float64 and np.array_equal(loaded[name], arr)
+
+
+class TestParams:
+    def test_rng_source_draws_in_creation_order(self):
+        p = Params(Rng(3, ("p",)))
+        p.normal("a", (2, 3), 0.5)
+        p.fill("b", (4,), 1.0)
+        p.add("c", (2, 2), lambda rng: rng.normal((2, 2)) * 2.0)
+        oracle = Rng(3, ("p",))
+        want = {"a": oracle.normal((2, 3), 0.5), "b": np.ones(4),
+                "c": oracle.normal((2, 2)) * 2.0}
+        assert list(p.tensors) == list(want)
+        for name, arr in want.items():
+            assert p.tensors[name].requires_grad and np.array_equal(p.tensors[name].data, arr)
+
+    def test_map_source_takes_its_arrays(self):
+        arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.zeros(4)}
+        p = Params(arrays)
+        p.normal("a", (2, 3), 0.5)
+        p.fill("b", (4,), 1.0)
+        assert all(p.tensors[name].data is arr for name, arr in arrays.items())
+
+    def test_map_source_names_a_missing_or_misshapen_tensor(self):
+        with pytest.raises(ValueError, match="checkpoint has no tensor 'b'"):
+            Params({"a": np.zeros(2)}).fill("b", (2,), 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "checkpoint tensor 'a' has shape (3,), model expects (2,)")):
+            Params({"a": np.zeros(3)}).fill("a", (2,), 0.0)
 
 
 class TestRng:

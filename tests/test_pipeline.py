@@ -654,6 +654,24 @@ class TestModelCheckpoints:
         assert code == 1
         assert name in capsys.readouterr().err
 
+    def test_checkpointed_load_draws_no_random_model(self, tmp_path, monkeypatch):
+        # the load used to draw a whole random model and then overwrite every tensor
+        from claimforge.numerics import Rng, load_checkpoint
+        from claimforge.pipeline.run import all_params, load_models, record_texts, save_models
+        records = read_corpus(DATA / "golden_corpus.jsonl")
+        ckpt = save_models(load_models(record_texts(records), compact_config(), seed=0),
+                           tmp_path / "m")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a checkpointed load drew from an Rng")
+
+        monkeypatch.setattr(Rng, "normal", no_draw)
+        loaded = all_params(load_models([], compact_config(), seed=0, checkpoint_path=ckpt))
+        want = load_checkpoint(ckpt)
+        assert loaded.keys() == want.keys()
+        for name, arr in want.items():
+            assert np.array_equal(loaded[name], arr), name
+
 
 class TestCliStages:
     @pytest.mark.parametrize("setting, message", [
@@ -815,6 +833,36 @@ class TestCliStages:
             return sum(row["domain_label"] == truth[row["doc_id"]] for row in rows)
 
         assert correct_labels("run") > correct_labels("untrained")
+
+    def test_generate_matches_the_pipeline_report(self, tmp_path):
+        # both run stage 2 through pipeline.run.generate_claim
+        from claimforge.pipeline.run import load_models, record_texts, save_models
+        corpus, prior = DATA / "golden_corpus.jsonl", DATA / "golden_prior_art.jsonl"
+        ckpt = save_models(load_models(record_texts(read_corpus(corpus)), compact_config(),
+                                       seed=0), tmp_path / "m")
+        cfg = str(_write_config(tmp_path / "c.cfg"))
+        for command, extra in (("pipeline", ["--prior-art", str(prior)]), ("generate", [])):
+            assert cli_main(["--config", cfg, "--out", str(tmp_path / "o"), command,
+                             "--corpus", str(corpus), "--checkpoint", str(ckpt), *extra]) == 0
+        report = [json.loads(line)
+                  for line in (tmp_path / "o" / "report.jsonl").read_text().splitlines()]
+        rows = [json.loads(line)
+                for line in (tmp_path / "o" / "generations.jsonl").read_text().splitlines()]
+        assert [row["doc_id"] for row in rows] == [r["doc_id"] for r in report]
+        for row, expected in zip(rows, report):
+            assert row["domain_label"] == expected["domain_label"]
+            assert row["domain_mixture"] == expected["domain_mixture"]
+            assert row["generated"] == expected["generated_claims"][0]
+
+    def test_subnormal_temperature_exits_1(self, tmp_path, capsys):
+        # 1 / 5e-324 is inf: train-sim used to exit 2, an internal invariant violation
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, synth_corpus(0, 15).records)
+        config = _write_config(tmp_path / "c.cfg", sim_temperature="5e-324")
+        assert cli_main(["--config", str(config), "--out", str(tmp_path / "o"), "train-sim",
+                         "--corpus", str(corpus), "--epochs", "1"]) == 1
+        assert (f"error: {config}:8: config key 'sim_temperature' must be positive with a "
+                f"finite reciprocal, got 5e-324") in capsys.readouterr().err
 
     def test_chunk_and_similarity_match_the_golden_report(self, tmp_path):
         config = compact_config()

@@ -37,6 +37,9 @@ LOWEST = {
     **dict.fromkeys(["sim_temperature", "temperature", "grad_clip", "max_norm", "gamma"],
                     (TINY, 0.0)),
 }
+# positive values whose reciprocal, the scale a loss applies, overflows to inf;
+# TINY, the smallest normal float, has a finite one
+OVERFLOWING_RECIPROCAL = {name: [5e-324, 5e-309] for name in ("sim_temperature", "temperature")}
 # settings any finite value of which is valid
 FINITE_ONLY = {"aux_weight", "seed", "beta1", "beta2", "eps"}
 
@@ -100,7 +103,7 @@ RANGED = [(owner, name) for owner, name, _ in SETTINGS if name in LOWEST]
 # model_dim: 1 is odd, 0 is even but below 1
 REJECTED = [(owner, name, value) for owner, name, kind in SETTINGS
             for value in ([LOWEST[name][1]] if name in LOWEST else [])
-            + ([0] if name == "model_dim" else [])
+            + ([0] if name == "model_dim" else []) + OVERFLOWING_RECIPROCAL.get(name, [])
             + ([math.nan, math.inf] if kind == "float" else [])]
 
 
@@ -118,6 +121,8 @@ def test_integer_past_the_float_range_accepted(tmp_path):
     path = tmp_path / "p.cfg"
     path.write_text(f"seed = {10**400}\n")
     assert PipelineConfig.from_file(path).seed == 10**400
+    # its reciprocal, the temperature rule's test, is 0.0: no OverflowError either
+    assert SimilarityTrainConfig(temperature=10**400).temperature == 10**400
 
 
 @pytest.mark.parametrize("owner, name", RANGED)
