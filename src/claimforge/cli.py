@@ -27,7 +27,6 @@ from claimforge.pipeline import (
     write_jsonl,
 )
 from claimforge.pipeline.run import (
-    StageOneMemo,
     chunk_record,
     claim_similarities,
     generate_claim,
@@ -113,7 +112,7 @@ def _resolve_seed(args, config: PipelineConfig) -> int:
 
 
 def _corpus_texts(records) -> list[str]:
-    """A fresh vocabulary's texts for the per-corpus commands: the pipeline's
+    """A fresh vocabulary's texts for the ``train-*`` commands: the pipeline's
     texts plus the relationship-pair texts the similarity trainer reads."""
     texts = record_texts(records)
     for rec in records:
@@ -157,7 +156,7 @@ def _cmd_chunk(args, config, seed) -> int:
 def _cmd_similarity(args, config, seed) -> int:
     records, prior = read_corpus(args.corpus), read_corpus(args.prior_art)
     models = load_models(record_texts(records + prior), config, seed, args.checkpoint)
-    memo = StageOneMemo(models.head_bank.stacked_projections())
+    memo = {}
     rows = [report.to_record() for rec in records
             for report in claim_similarities(rec, prior, models, memo)]
     write_jsonl(args.out / "similarity.jsonl", rows)
@@ -190,10 +189,10 @@ def _cmd_train_gen(args, config, seed) -> int:
     history = train_generator(samples, models.generator, models.adapter_bank, models.classifier,
                               config.curriculum(), Rng(seed, ("train-gen",)), train_cfg,
                               log_fn=log_rows.append)
+    # train_generator raised if no usable sample has a label, so this is not empty
     clf_samples = [(s.description_ids, s.domain_label) for s in samples
                    if s.domain_label is not None]
-    if clf_samples:
-        train_domain_classifier(clf_samples, models.generator.embed, models.classifier)
+    train_domain_classifier(clf_samples, models.generator.embed, models.classifier)
     write_jsonl(args.out / "train_log.jsonl", log_rows)
     ckpt = save_models(models, args.out)
     print(f"trained generator for {args.steps} steps; "
@@ -219,7 +218,7 @@ def _cmd_train_eval(args, config, seed) -> int:
 
 def _cmd_generate(args, config, seed) -> int:
     records = read_corpus(args.corpus)
-    models = load_models(_corpus_texts(records), config, seed, args.checkpoint)
+    models = load_models(record_texts(records), config, seed, args.checkpoint)
     rows = []
     for rec in records:
         _, alpha, label, text = generate_claim(rec, models, config)

@@ -31,8 +31,9 @@ class EvaluatorModel:
         d = cfg.model_dim
         p = Params(rng)
         # aspect queries start as rows of a random orthonormal matrix so the
-        # five aspects are distinguishable from step 0
-        p.add("eval/queries", (k, d), lambda r: np.linalg.qr(r.normal((d, d)))[0][:k])
+        # five aspects are distinguishable from step 0; the copy lets the
+        # (d, d) Q factor go
+        p.add("eval/queries", (k, d), lambda r: np.linalg.qr(r.normal((d, d)))[0][:k].copy())
         p.normal("eval/score_w", (k, d), 1.0 / np.sqrt(d))
         p.fill("eval/score_b", (k,), 0.0)
         p.fill("eval/aspect_logits", (k,), 0.0)

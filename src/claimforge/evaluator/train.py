@@ -8,14 +8,13 @@ from typing import Callable
 
 import numpy as np
 
-from claimforge.numerics import Settings, Tensor, backward, no_grad
+from claimforge.numerics import Settings, Tensor, backward
 from claimforge.evaluator.aspects import (
     EvaluatorModel,
     adaptive_margin,
     aspect_scores,
-    encode_pair,
     encode_pairs,
-    overall_score,
+    score_pair,
 )
 from claimforge.generator.adapters import DOMAINS
 from claimforge.training import AdamW, clip_grad_norm
@@ -87,16 +86,12 @@ def train_evaluator(tuples: list[tuple[list[int], list[int], list[int], str]],
     return history
 
 
-@no_grad()
 def ordering_accuracy(tuples: list[tuple[list[int], list[int], list[int], str]],
                       model: EvaluatorModel, enc_params: dict[str, Tensor]) -> float:
-    """Fraction of tuples whose better claim outranks the worse on `overall`."""
+    """Fraction of tuples whose better claim outranks the worse on ``score_pair``'s `overall`."""
     correct = 0
     for ref, better, worse, domain in tuples:
-        logits = model.params["eval/aspect_logits"]
-        s_b, _ = aspect_scores(encode_pair(ref, better, model.cfg, enc_params), model)
-        s_w, _ = aspect_scores(encode_pair(ref, worse, model.cfg, enc_params), model)
-        o_b, _ = overall_score(s_b, logits)
-        o_w, _ = overall_score(s_w, logits)
-        correct += float(o_b.data) > float(o_w.data)
+        o_b, o_w = (score_pair(ref, side, domain_one_hot(domain), model, enc_params).overall
+                    for side in (better, worse))
+        correct += o_b > o_w
     return correct / len(tuples)

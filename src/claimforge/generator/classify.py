@@ -18,8 +18,6 @@ CLASSIFIER_BATCH_SIZE = 16
 class DomainClassifier:
     """MLP from a mean-pooled description embedding to 5 domain logits."""
 
-    model_dim: int
-    hidden: int = 64
     params: dict[str, Tensor] = field(default_factory=dict)
 
     @classmethod
@@ -29,7 +27,7 @@ class DomainClassifier:
         p.fill("domain/b1", (hidden,), 0.0)
         p.normal("domain/w2", (hidden, len(DOMAINS)), 1.0 / np.sqrt(hidden))
         p.fill("domain/b2", (len(DOMAINS),), 0.0)
-        return cls(model_dim=model_dim, hidden=hidden, params=p.tensors)
+        return cls(params=p.tensors)
 
     def logits(self, pooled: Tensor) -> Tensor:
         h = (pooled @ self.params["domain/w1"] + self.params["domain/b1"]).relu()

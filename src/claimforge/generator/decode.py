@@ -16,7 +16,6 @@ from claimforge.textcore import (BOS_ID, EOS_ID, SEP_ID, EncoderConfig, KVCache,
 @dataclass
 class GeneratorModel:
     cfg: EncoderConfig
-    vocab_size: int
     params: dict[str, Tensor] = field(default_factory=dict)
 
     @classmethod
@@ -25,7 +24,7 @@ class GeneratorModel:
         p.tensors.update(init_encoder_params(vocab_size, cfg, rng, prefix="dec"))
         p.normal("dec/out_w", (cfg.model_dim, vocab_size), 1.0 / np.sqrt(cfg.model_dim))
         p.fill("dec/out_b", (vocab_size,), 0.0)
-        return cls(cfg=cfg, vocab_size=vocab_size, params=p.tensors)
+        return cls(cfg=cfg, params=p.tensors)
 
     @property
     def embed(self) -> Tensor:

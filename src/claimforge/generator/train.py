@@ -32,10 +32,6 @@ class GeneratorSample:
     domain_label: str | None = None
     dependent_claim_count: int = 0
 
-    @property
-    def key(self) -> float:
-        return difficulty_key(len(self.claim_ids), self.dependent_claim_count)
-
 
 @dataclass
 class GeneratorTrainConfig(Settings):
@@ -89,7 +85,8 @@ def train_generator(samples: list[GeneratorSample], model: GeneratorModel,
         raise ValueError("corpus has no domain labels to train the classifier on")
 
     by_id = {s.id: s for s in samples}
-    buckets = bucket_corpus([(s.id, s.key) for s in samples]) if train_cfg.curriculum else None
+    keys = [(s.id, difficulty_key(len(s.claim_ids), s.dependent_claim_count)) for s in samples]
+    buckets = bucket_corpus(keys) if train_cfg.curriculum else None
 
     trainable: dict[str, Tensor] = {**bank.params, **model.params, **classifier.params}
     opt = AdamW(trainable, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)

@@ -22,6 +22,7 @@ class NonFiniteError(ValueError):
 
 
 _GRAD_ENABLED = True
+LAYER_NORM_EPS = 1e-6
 _next_seq = itertools.count(1).__next__
 
 
@@ -162,8 +163,6 @@ class Tensor:
 
         def bwd(g, out):
             a, b = self.data, other.data
-            if a.ndim == 2 and b.ndim == 2:
-                return (g @ b.T, a.T @ g)
             if a.ndim == 1 and b.ndim == 1:
                 return (g * b, g * a)
             if a.ndim == 1:
@@ -237,9 +236,7 @@ class Tensor:
 
         def bwd(g, out):
             g = np.asarray(g)
-            if axis is None:
-                return (np.broadcast_to(g, self.shape).copy(),)
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, self.shape).copy(),)
 
@@ -264,12 +261,9 @@ class Tensor:
 
         return Tensor._from_op(self.data.swapaxes(a, b), (self,), bwd)
 
-    def transpose(self):
-        return self.swapaxes(-1, -2)
-
     @property
     def T(self):
-        return self.transpose()
+        return self.swapaxes(-1, -2)
 
     def __getitem__(self, idx):
         def bwd(g, out):
@@ -402,13 +396,13 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(logp, (x,), bwd)
 
 
-def _layer_norm_parts(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                      eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layer_norm_parts(x: np.ndarray, gain: np.ndarray,
+                      bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward of ``layer_norm`` over plain arrays: (output, xhat, sigma)."""
     scale = 1.0 / x.shape[-1]
     centered = x + (-(x.sum(axis=-1, keepdims=True) * scale))
     var = (centered * centered).sum(axis=-1, keepdims=True) * scale
-    sigma = np.sqrt(var + eps)
+    sigma = np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered / sigma
     return xhat * gain + bias, xhat, sigma
 
@@ -430,14 +424,14 @@ def _layer_norm_grads(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
     return gx, ggain, gbias
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, one node.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """(x - mean) / sqrt(var + LAYER_NORM_EPS) * gain + bias over the last axis, one node.
 
     The backward is the analytic layer-norm gradient (Ba et al. 2016):
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sigma, with
     dxhat = g * gain.
     """
-    out, xhat, sigma = _layer_norm_parts(x.data, gain.data, bias.data, eps)
+    out, xhat, sigma = _layer_norm_parts(x.data, gain.data, bias.data)
 
     def bwd(g, out):
         return _layer_norm_grads(g, x, gain, bias, xhat, sigma)

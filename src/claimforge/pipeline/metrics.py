@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+BLEU_MAX_N = 4
+
 
 def _lcs_length(a: list, b: list) -> int:
     if not a or not b:
@@ -36,8 +38,8 @@ def _ngram_counts(tokens: list, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(reference: list, candidate: list, max_n: int = 4) -> float:
-    """Geometric mean of clipped n-gram precisions with brevity penalty.
+def bleu(reference: list, candidate: list) -> float:
+    """Geometric mean of clipped n-gram precisions, n <= BLEU_MAX_N, with brevity penalty.
 
     Add-1 smoothing is applied at orders >= 2 with zero matches (or zero
     candidate n-grams), so short-but-correct candidates do not collapse to 0;
@@ -46,7 +48,7 @@ def bleu(reference: list, candidate: list, max_n: int = 4) -> float:
     if not reference or not candidate:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         cand = _ngram_counts(candidate, n)
         ref = _ngram_counts(reference, n)
         total = sum(cand.values())
@@ -59,7 +61,7 @@ def bleu(reference: list, candidate: list, max_n: int = 4) -> float:
             precision = matched / total
         log_sum += math.log(precision)
     bp = 1.0 if len(candidate) >= len(reference) else math.exp(1.0 - len(reference) / len(candidate))
-    return bp * math.exp(log_sum / max_n)
+    return bp * math.exp(log_sum / BLEU_MAX_N)
 
 
 def claim_metrics(reference: list, candidate: list) -> dict:

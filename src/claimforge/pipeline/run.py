@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,19 +55,11 @@ class PipelineModels:
     evaluator: EvaluatorModel
 
 
-@dataclass
-class StageOneMemo:
-    """The stage-1 work that repeats across the records of one run: the prior art.
-
-    ``projections`` is the head bank's ``stacked_projections()``;
-    ``prior_art`` maps a prior-art record id to its chunks, as (chunk id,
-    ``ChunkFeatures``) pairs, filled by ``_prior_art_chunks`` the first time a
-    record needs them. Valid only for one set of models, config and
-    prior-art records.
-    """
-
-    projections: np.ndarray
-    prior_art: dict[str, list[tuple[str, ChunkFeatures]]] = field(default_factory=dict)
+# The stage-1 work that repeats across the records of one run: a prior-art
+# record id -> its chunks, as (chunk id, ``ChunkFeatures``) pairs, filled by
+# ``_prior_art_chunks`` the first time a record needs them. Valid only for one
+# set of models, config and prior-art records; a run starts from ``{}``.
+StageOneMemo = dict[str, list[tuple[str, ChunkFeatures]]]
 
 
 @dataclass
@@ -163,19 +155,23 @@ def chunk_record(rec: CorpusRecord, vocab: Vocabulary) -> tuple[Document, float,
     return doc, kappa, size, chunk_document(doc, size)
 
 
-def _prior_art_chunks(pa: CorpusRecord, models: PipelineModels,
-                      memo: StageOneMemo) -> list[tuple[str, ChunkFeatures]]:
+def _prior_art_chunks(pa: CorpusRecord, models: PipelineModels, memo: StageOneMemo,
+                      projections: np.ndarray) -> list[tuple[str, ChunkFeatures]]:
     """A prior-art record's chunks as (chunk id, features) pairs: chunked and
-    encoded the first time, read from ``memo`` after that."""
-    chunks = memo.prior_art.get(pa.id)
+    encoded the first time, read from ``memo`` after that. A chunk longer than
+    the encoder's ``max_seq_len`` is encoded in pieces of at most that many
+    tokens, each with its own id."""
+    chunks = memo.get(pa.id)
     if chunks is None:
         doc, _, _, spans = chunk_record(pa, models.vocab)
-        chunks = [(f"{pa.id}/[{c.start_token},{c.end_token})",
-                   chunk_features(encode_sequence(doc.tokens[c.start_token:c.end_token],
-                                                  models.cfg, models.enc_params).data,
-                                  memo.projections))
-                  for c in spans]
-        memo.prior_art[pa.id] = chunks
+        step = models.cfg.max_seq_len
+        pieces = [(s, min(s + step, c.end_token))
+                  for c in spans for s in range(c.start_token, c.end_token, step)]
+        chunks = [(f"{pa.id}/[{s},{e})",
+                   chunk_features(encode_sequence(doc.tokens[s:e], models.cfg,
+                                                  models.enc_params).data, projections))
+                  for s, e in pieces]
+        memo[pa.id] = chunks
     return chunks
 
 
@@ -187,14 +183,15 @@ def claim_similarities(rec: CorpusRecord, prior_art: list[CorpusRecord],
     prior-art chunk once for the run."""
     if not prior_art:
         return []
+    projections = models.head_bank.stacked_projections()
     claim_ids = [models.vocab.encode_text(t) for t in rec.claims or [rec.description]]
     claims = [(f"{rec.id}/claim{ci}",
                claim_features(encode_sequence(ids, models.cfg, models.enc_params).data,
-                              memo.projections))
+                              projections))
               for ci, ids in enumerate(claim_ids) if ids]
     reports = []
     for pa in prior_art:
-        chunks = _prior_art_chunks(pa, models, memo)
+        chunks = _prior_art_chunks(pa, models, memo, projections)
         reports.extend(similarity(claim_id, chunk_id, claim, chunk, models.head_bank)
                        for claim_id, claim in claims for chunk_id, chunk in chunks)
     return reports
@@ -216,8 +213,8 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
                      memo: StageOneMemo) -> tuple[dict, dict]:
     """Run stages 1-3 for one record; returns (report record, stage timings).
 
-    ``memo`` carries the prior-art chunks' features and the stacked head
-    projections across the records of one run. No autodiff tape is built.
+    ``memo`` carries the prior-art chunks' features across the records of
+    one run. No autodiff tape is built.
     The report's ``curriculum`` block is the schedule at step 0, where
     inference runs.
     """
@@ -274,7 +271,7 @@ def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
 
     models = load_models(record_texts(records + prior_art), config, seed, checkpoint_path)
 
-    memo = StageOneMemo(models.head_bank.stacked_projections())
+    memo: StageOneMemo = {}
     reports, failures, timing_rows = [], [], []
     for rec in records:
         try:

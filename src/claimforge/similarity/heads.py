@@ -28,7 +28,6 @@ class HeadBank:
     """Per-head projection triples plus the shared head-weight MLP."""
 
     model_dim: int
-    head_dim: int = HEAD_DIM
     params: dict[str, Tensor] = field(default_factory=dict)
     _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -43,7 +42,7 @@ class HeadBank:
         p.fill("sim/phi/b1", (PHI_HIDDEN,), 0.0)
         p.normal("sim/phi/w2", (PHI_HIDDEN, NUM_HEADS), 1.0 / np.sqrt(PHI_HIDDEN))
         p.fill("sim/phi/b2", (NUM_HEADS,), 0.0)
-        return cls(model_dim=model_dim, head_dim=head_dim, params=p.tensors)
+        return cls(model_dim=model_dim, params=p.tensors)
 
     def stacked_projections(self) -> np.ndarray:
         """The heads' wq, wk and wv as one (3, NUM_HEADS, model_dim, head_dim) array.

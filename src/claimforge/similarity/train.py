@@ -23,6 +23,8 @@ from claimforge.similarity.heads import (
 from claimforge.textcore import EncoderConfig, encode_sequence, mean_pool
 from claimforge.training import AdamW, clip_grad_norm, contrastive_loss
 
+ROW_NORM_EPS = 1e-12
+
 
 @dataclass
 class SimilarityTrainConfig(Settings):
@@ -33,8 +35,8 @@ class SimilarityTrainConfig(Settings):
     epochs: int = 5
 
 
-def _row_normalize(z: Tensor, eps: float = 1e-12) -> Tensor:
-    norms = ((z * z).sum(axis=1, keepdims=True) + eps).sqrt()
+def _row_normalize(z: Tensor) -> Tensor:
+    norms = ((z * z).sum(axis=1, keepdims=True) + ROW_NORM_EPS).sqrt()
     return z / norms
 
 

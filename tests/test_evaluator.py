@@ -16,7 +16,8 @@ from claimforge.evaluator import (
     train_evaluator,
 )
 from claimforge.evaluator.aspects import DEFAULT_ADAPT_STRENGTH, DEFAULT_BASE_MARGIN, encode_pairs
-from claimforge.evaluator.train import EvaluatorTrainConfig, _batch_loss, domain_one_hot
+from claimforge.evaluator.train import (EvaluatorTrainConfig, _batch_loss, domain_one_hot,
+                                        ordering_accuracy)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,18 @@ from claimforge.training import margin_loss
 
 def make_eval(cfg, seed=0, **kw):
     return EvaluatorModel.init(cfg, Rng(seed, ("eval",)), **kw)
+
+
+class TestEvaluatorInit:
+    def test_aspect_queries_are_q_rows_that_own_their_data(self):
+        # the (5, d) queries were a view of the (d, d) Q factor, which stayed
+        # alive with them: 2 MiB for 20 KB at d = 512
+        cfg = EncoderConfig(model_dim=64, num_heads=2, head_dim=32, num_layers=1,
+                            max_seq_len=64)
+        q = make_eval(cfg).params["eval/queries"].data
+        assert q.base is None or q.base.size == len(ASPECTS) * cfg.model_dim
+        oracle = np.linalg.qr(Rng(0, ("eval",)).normal((64, 64)))[0][:len(ASPECTS)]
+        np.testing.assert_array_equal(q, oracle)
 
 
 class TestEncodePair:
@@ -220,6 +233,20 @@ class TestTrainEvaluator:
         for k in range(len(ASPECTS)):
             assert margin_loss(margins[k], float(s_b.data[k]),
                                float(s_w.data[k])) == pytest.approx(margins[k])
+
+    def test_ordering_accuracy_ranks_on_the_overall_score(self, small_cfg, small_vocab,
+                                                         small_enc):
+        model = make_eval(small_cfg)
+        tuples = self._tuples(small_vocab, 8, seed=2)
+        train_evaluator(tuples, model, small_enc, EvaluatorTrainConfig(epochs=2))
+        logits = model.params["eval/aspect_logits"]
+
+        def overall(ref, gen):
+            scores, _ = aspect_scores(encode_pair(ref, gen, small_cfg, small_enc), model)
+            return float(overall_score(scores, logits)[0].data)
+
+        want = sum(overall(ref, b) > overall(ref, w) for ref, b, w, _ in tuples) / len(tuples)
+        assert ordering_accuracy(tuples, model, small_enc) == want
 
     def test_loss_decreases_on_four_tuples(self, small_cfg, small_vocab, small_enc):
         model = make_eval(small_cfg)

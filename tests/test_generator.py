@@ -305,7 +305,7 @@ class TestKVCache:
             nxt = int(np.argmax(logits[-1]))
             ids.append(nxt)
             logits = decoder_logits([nxt], model, overrides, cache=cache).data
-            assert logits.shape == (1, model.vocab_size)
+            assert logits.shape == (1, model.params["dec/out_b"].shape[0])
             full = decoder_logits(ids, model, overrides).data
             np.testing.assert_allclose(logits[-1], full[-1], rtol=0, atol=1e-12)
         assert cache.length == len(ids)

@@ -120,7 +120,7 @@ def composite_layer_norm(x, gain, bias, eps=1e-6):
 
 def composite_attention(q, k, v, mask=None):
     # the encoder's inline attention, mask tensor included
-    scores = (q @ k.transpose()) * (1.0 / np.sqrt(q.shape[-1]))
+    scores = (q @ k.T) * (1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
         scores = scores + Tensor(mask)
     weights = composite_softmax(scores, axis=-1)
@@ -612,6 +612,23 @@ class TestCheckpoint:
         assert loaded_peak < 3.5 * payload
         for name, arr in tensors.items():
             assert loaded[name].dtype == np.float64 and np.array_equal(loaded[name], arr)
+
+    def test_load_holds_one_tensor_of_file_bytes(self, tmp_path):
+        # load read the whole file before it converted the first array, so
+        # its peak was the file's bytes plus every float64 array
+        shapes = [(256, 256)] * 6 + [(128, 256), (256,), (3, 5)]
+        rng = Rng(0, ("ckpt",))
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, {f"t{i}": rng.normal(s) for i, s in enumerate(shapes)})
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in loaded.values())
+        largest = 4 * max(a.size for a in loaded.values())
+        assert peak < returned + 2 * largest
 
 
 class TestParams:

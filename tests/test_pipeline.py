@@ -317,18 +317,46 @@ class TestRunPipeline:
         assert result.report_path.read_bytes() == (DATA / "golden_report.jsonl").read_bytes()
         memo = memos[0]
         assert all(m is memo for m in memos)
-        assert set(vars(memo)) == {"projections", "prior_art"}
+        assert type(memo) is dict
         prior_art = read_corpus(DATA / "golden_prior_art.jsonl")
-        assert list(memo.prior_art) == [pa.id for pa in prior_art]
+        assert list(memo) == [pa.id for pa in prior_art]
         seen_ids = {s["doc_chunk_id"] for r in result.reports for s in r["top_similarity"]}
         chunk_ids = set()
-        for pa_id, chunks in memo.prior_art.items():
+        for pa_id, chunks in memo.items():
             assert chunks
             for chunk_id, features in chunks:
                 assert chunk_id.startswith(f"{pa_id}/[")
                 assert isinstance(features, ChunkFeatures)
                 chunk_ids.add(chunk_id)
         assert seen_ids <= chunk_ids
+
+    def test_prior_art_longer_than_the_encoder_is_encoded_in_pieces(self, tmp_path):
+        # every record was skipped: "sequence length 293 exceeds max_seq_len 256"
+        from dataclasses import replace
+        from claimforge.pipeline.run import (chunk_record, claim_similarities, load_models,
+                                             record_texts)
+        corpus = synth_corpus(0, 15)
+        pa = corpus.prior_art[0]
+        long_pa = replace(pa, description=" ".join([pa.description] * 4))
+        write_corpus(tmp_path / "c.jsonl", corpus.records)
+        write_corpus(tmp_path / "p.jsonl", [long_pa])
+        config = compact_config()
+        result = run_pipeline(tmp_path / "c.jsonl", tmp_path / "p.jsonl", tmp_path / "out",
+                              config, seed=0)
+        assert (len(result.reports), len(result.failures)) == (15, 0)
+
+        models = load_models(record_texts(corpus.records + [long_pa]), config, seed=0)
+        memo = {}
+        claim_similarities(corpus.records[0], [long_pa], models, memo)
+        _, _, _, chunks = chunk_record(long_pa, models.vocab)
+        assert max(len(c) for c in chunks) > config.max_seq_len
+        spans = [tuple(map(int, re.fullmatch(rf"{pa.id}/\[(\d+),(\d+)\)", chunk_id).groups()))
+                 for chunk_id, _ in memo[pa.id]]
+        # the pieces are at most max_seq_len, in order, and cover the chunks
+        assert all(0 < e - s <= config.max_seq_len for s, e in spans)
+        assert [s for s, _ in spans[1:]] == [e for _, e in spans[:-1]]
+        assert (spans[0][0], spans[-1][1]) == (chunks[0].start_token, chunks[-1].end_token)
+        assert {c.end_token for c in chunks} <= {e for _, e in spans}
 
     def test_inference_builds_no_tape(self, tmp_path, monkeypatch):
         from claimforge.numerics import Tensor
@@ -850,6 +878,29 @@ class TestCliStages:
                 for line in (tmp_path / "o" / "generations.jsonl").read_text().splitlines()]
         assert [row["doc_id"] for row in rows] == [r["doc_id"] for r in report]
         for row, expected in zip(rows, report):
+            assert row["domain_label"] == expected["domain_label"]
+            assert row["domain_mixture"] == expected["domain_mixture"]
+            assert row["generated"] == expected["generated_claims"][0]
+
+    def test_fresh_generate_matches_a_fresh_pipeline(self, tmp_path):
+        # generate built its vocabulary with the relationship-pair texts too,
+        # so all 20 rows differed from the pipeline's
+        cfg = str(_write_config(tmp_path / "c.cfg"))
+
+        def run(*argv):
+            return cli_main(["--config", cfg, "--seed", "3", "--out", str(tmp_path), *argv])
+
+        assert run("synth", "--size", "20") == 0
+        corpus = str(tmp_path / "corpus.jsonl")
+        assert run("pipeline", "--corpus", corpus) == 0
+        assert run("generate", "--corpus", corpus) == 0
+        report = [json.loads(line)
+                  for line in (tmp_path / "report.jsonl").read_text().splitlines()]
+        rows = [json.loads(line)
+                for line in (tmp_path / "generations.jsonl").read_text().splitlines()]
+        assert len(rows) == len(report) == 20
+        for row, expected in zip(rows, report):
+            assert row["doc_id"] == expected["doc_id"]
             assert row["domain_label"] == expected["domain_label"]
             assert row["domain_mixture"] == expected["domain_mixture"]
             assert row["generated"] == expected["generated_claims"][0]

@@ -274,7 +274,7 @@ class TestFeaturePathEqualsPerPairPath:
         from claimforge.numerics import no_grad
         from claimforge.pipeline import PipelineConfig, read_corpus
         from claimforge.pipeline.run import (
-            StageOneMemo, chunk_record, claim_similarities, load_models, record_texts,
+            chunk_record, claim_similarities, load_models, record_texts,
         )
         data = Path(__file__).parent / "data"
         records = read_corpus(data / "golden_corpus.jsonl")
@@ -283,7 +283,7 @@ class TestFeaturePathEqualsPerPairPath:
         config = PipelineConfig(model_dim=16, num_heads=2, head_dim=8, num_layers=1,
                                 max_seq_len=256, max_gen_len=8, top_k=3)
         models = load_models(record_texts(records + prior_art), config, seed=0)
-        memo = StageOneMemo(models.head_bank.stacked_projections())
+        memo = {}
         pairs = 0
         with no_grad():
             for rec in records:
