@@ -33,7 +33,10 @@ def no_grad():
     Ops inside record no parents, no backward closure and no gradient
     buffer, whatever their inputs. Nests, works as a decorator
     (``@no_grad()``), and restores the previous state on exit, also when an
-    exception leaves the block. The flag is process-wide.
+    exception leaves the block. The flag is process-wide, so that an op pays
+    no thread-local lookup: a caller that runs inference on more than one
+    thread holds one ``no_grad()`` over all of it and leaves it only after the
+    other threads are done, as ``run_pipeline`` does around its stage-2 worker.
     """
     global _GRAD_ENABLED
     previous = _GRAD_ENABLED

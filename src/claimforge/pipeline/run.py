@@ -8,9 +8,12 @@ reruns with the same inputs and seed.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -207,17 +210,132 @@ def generate_claim(rec: CorpusRecord, models: PipelineModels,
     return gen_ids, alpha, label, models.vocab.decode_text(gen_ids)
 
 
-@no_grad()
+def _timed_generation(rec: CorpusRecord, models: PipelineModels, config: PipelineConfig):
+    """``generate_claim``'s output and its wall seconds, timed on the thread that ran it."""
+    t_start = time.perf_counter()
+    out = generate_claim(rec, models, config)
+    return out, time.perf_counter() - t_start
+
+
+# Stage 2 runs on a worker thread only from this model width up. Below it the
+# decode is interpreter-bound and the two threads take turns at the GIL.
+# Whole runs over 30 synth records (8 heads, 2 layers, set-up included; 2
+# vCPUs, one BLAS thread) went 0.71x as fast overlapped as inline at
+# model_dim 16, 0.93x at 64, 1.07x at 128 and 1.06x at 256;
+# pipeline-paper's documents (512) ran 1.38x as fast.
+STAGE2_WORKER_MIN_DIM = 128
+# The variables OpenBLAS takes its thread count from: the first one set to a
+# positive number wins, and with none set it runs one thread per core.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# (quota file, period file) of a CPU quota, cgroup v2 then v1: v2 keeps
+# "quota period" in one file, v1 one number in each.
+CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max", "/sys/fs/cgroup/cpu.max"),
+                   ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+                    "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
+
+def usable_cores() -> int:
+    """The whole cores this process may run on: its affinity mask, capped by
+    the first CPU quota of ``CPU_QUOTA_FILES`` that can be read."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    for quota_path, period_path in CPU_QUOTA_FILES:
+        try:
+            quota = Path(quota_path).read_text().split()[0]
+            if quota in ("max", "-1"):
+                return cores
+            period = int(Path(period_path).read_text().split()[-1])
+            return max(1, min(cores, int(quota) // period))
+        except (OSError, ValueError, IndexError, ZeroDivisionError):
+            continue
+    return cores
+
+
+def blas_on_one_thread() -> bool:
+    """Whether the environment sets OpenBLAS to one thread (see ``BLAS_THREAD_VARS``)."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
+def stage2_worker_pays(config: PipelineConfig) -> bool:
+    """Whether ``run_pipeline`` runs stage 2 on a worker thread: from
+    ``STAGE2_WORKER_MIN_DIM`` up, with a second core, and with one BLAS thread.
+
+    With one BLAS thread the worker pays (pipeline-paper documents 1.39x as
+    fast). With OpenBLAS's default of one thread per core it does not: the
+    paper-geometry CLI ``pipeline`` on the pipeline-paper inputs took 2.43 s
+    overlapped against 1.80 s inline (medians of 12 alternating fresh-process
+    pairs, 2 vCPUs), since the worker's and the caller's BLAS threads then
+    share two cores.
+    """
+    return (config.model_dim >= STAGE2_WORKER_MIN_DIM and usable_cores() >= 2
+            and blas_on_one_thread())
+
+
+class StageTwo:
+    """The stage-2 generations of one run's records, one job per record.
+
+    The first ``start(rec)`` submits every record's job, in record order;
+    each ``start(rec)`` returns ``rec``'s job, whose ``result()`` is
+    ``_timed_generation``'s. Jobs are keyed by record, so a record that fails
+    before it asks for its result shifts no later generation. Where
+    ``stage2_worker_pays``, the jobs run in record order on one worker
+    thread, ahead of the caller; elsewhere a job runs inline at
+    ``result()``. Leaving the ``with`` block cancels the jobs not yet
+    started and joins the worker.
+    """
+
+    def __init__(self, records: list[CorpusRecord], models: PipelineModels,
+                 config: PipelineConfig):
+        self._threaded = stage2_worker_pays(config)
+        self._records = records
+        self._args = (models, config)
+        self._jobs: dict[int, object] | None = None
+        self._pool = None
+
+    def start(self, rec: CorpusRecord):
+        if self._jobs is None:
+            self._jobs = {id(r): self._submit(r) for r in self._records}
+        return self._jobs.pop(id(rec))
+
+    def _submit(self, rec: CorpusRecord):
+        if not self._threaded:
+            return SimpleNamespace(result=partial(_timed_generation, rec, *self._args))
+        if self._pool is None:
+            # imported only where a worker is made: about 5 ms after numpy
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stage2")
+        return self._pool.submit(_timed_generation, rec, *self._args)
+
+    def __enter__(self) -> "StageTwo":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+
+
 def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
                      models: PipelineModels, config: PipelineConfig,
-                     memo: StageOneMemo) -> tuple[dict, dict]:
+                     memo: StageOneMemo, stage2: StageTwo) -> tuple[dict, dict]:
     """Run stages 1-3 for one record; returns (report record, stage timings).
 
     ``memo`` carries the prior-art chunks' features across the records of
-    one run. No autodiff tape is built.
+    one run. ``stage2`` holds the run's generations: with a worker thread
+    they run while this thread does stage 1, and this record's stage 3 waits
+    for its own. ``stage2_seconds`` is the generation's own wall time, so
+    with a worker the three stage times overlap. The caller holds
+    ``no_grad()``, as ``run_pipeline`` does, so no autodiff tape is built.
     The report's ``curriculum`` block is the schedule at step 0, where
     inference runs.
     """
+    generation = stage2.start(rec)
     timings = {}
 
     # Stage 1: adaptive chunking + relationship-aware similarity
@@ -229,12 +347,10 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
     timings["stage1_seconds"] = time.perf_counter() - t_start
 
     # Stage 2: domain-adaptive generation
-    t_start = time.perf_counter()
     schedule = config.curriculum()
     tau = curriculum_progress(0, schedule)
     level = difficulty_level(0, schedule)
-    gen_ids, alpha, domain_label, generated_text = generate_claim(rec, models, config)
-    timings["stage2_seconds"] = time.perf_counter() - t_start
+    (gen_ids, alpha, domain_label, generated_text), timings["stage2_seconds"] = generation.result()
 
     # Stage 3: unified quality assessment
     t_start = time.perf_counter()
@@ -273,16 +389,20 @@ def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
 
     memo: StageOneMemo = {}
     reports, failures, timing_rows = [], [], []
-    for rec in records:
-        try:
-            report, timings = process_document(rec, prior_art, models, config, memo)
-        except (NonFiniteError, AssertionError):
-            raise  # a broken invariant ends the run, as in `evaluate`
-        except Exception as exc:  # failure isolation: one bad record skips one doc
-            failures.append({"doc_id": rec.id, "error": str(exc)})
-            continue
-        reports.append(report)
-        timing_rows.append({"doc_id": rec.id, **timings})
+    # The grad flag is process-wide, and the worker's `generate` sets and
+    # restores it too: one no_grad() over the whole loop, left only after the
+    # worker has been joined, keeps it off throughout and restores it once.
+    with no_grad(), StageTwo(records, models, config) as stage2:
+        for rec in records:
+            try:
+                report, timings = process_document(rec, prior_art, models, config, memo, stage2)
+            except (NonFiniteError, AssertionError):
+                raise  # a broken invariant ends the run, as in `evaluate`
+            except Exception as exc:  # failure isolation: one bad record skips one doc
+                failures.append({"doc_id": rec.id, "error": str(exc)})
+                continue
+            reports.append(report)
+            timing_rows.append({"doc_id": rec.id, **timings})
 
     report_path = out / "report.jsonl"
     write_jsonl(report_path, reports + [{"skipped": failure} for failure in failures])

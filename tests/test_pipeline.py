@@ -2,6 +2,9 @@
 
 import json
 import re
+import sys
+import threading
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 
 from claimforge.cli import main as cli_main
 from claimforge.generator import DOMAINS
-from claimforge.numerics import NonFiniteError
+from claimforge.numerics import NonFiniteError, Tensor
 from claimforge.pipeline import (
     CorpusRecord,
     PipelineConfig,
@@ -20,6 +23,7 @@ from claimforge.pipeline import (
     synth_corpus,
     write_corpus,
 )
+from claimforge.pipeline.run import usable_cores
 from claimforge.pipeline.synth import DOMAIN_POOLS
 
 DATA = Path(__file__).parent / "data"
@@ -306,9 +310,9 @@ class TestRunPipeline:
         memos = []
         process = pipeline_run.process_document
 
-        def capturing(rec, prior_art, models, config, memo):
+        def capturing(rec, prior_art, models, config, memo, stage2):
             memos.append(memo)
-            return process(rec, prior_art, models, config, memo)
+            return process(rec, prior_art, models, config, memo, stage2)
 
         monkeypatch.setattr(pipeline_run, "process_document", capturing)
         result = run_pipeline(DATA / "golden_corpus.jsonl",
@@ -518,6 +522,190 @@ class TestRunPipeline:
             run_pipeline(tmp_path / "c.jsonl", None, tmp_path / "out",
                          compact_config(), seed=0,
                          checkpoint_path=tmp_path / "m.ckpt")
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="stage 2 takes a worker thread only with a second core")
+class TestStageTwoWorker:
+    """Stage 2 on a worker thread, ahead of stages 1 and 3, writes the inline run's bytes."""
+
+    @staticmethod
+    def run(out, config, monkeypatch, worker=None, corpus=DATA / "golden_corpus.jsonl",
+            prior_art=DATA / "golden_prior_art.jsonl"):
+        """One run with the worker forced on or off, or as the gate decides
+        (``worker=None``); returns (result, the threads that ran ``generate``)."""
+        from claimforge.pipeline import run as run_module
+        generate, threads = run_module.generate, set()
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return generate(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            # The gate reads the BLAS thread count from the environment; the
+            # test process's own BLAS keeps the count it started with, which
+            # the compared runs share.
+            patch.setenv("OPENBLAS_NUM_THREADS", "1")
+            if worker is not None:
+                patch.setattr(run_module, "STAGE2_WORKER_MIN_DIM", 0 if worker else 10 ** 9)
+            patch.setattr(run_module, "generate", recording)
+            return run_pipeline(corpus, prior_art, out, config, seed=0), threads
+
+    def test_worker_reproduces_the_golden_report(self, tmp_path, monkeypatch):
+        # Slow decode steps, and a pause after each record, keep a generation
+        # live on the worker while the caller's thread is between records, and
+        # a short switch interval interleaves the two threads' bytecode;
+        # neither thread may switch the process-wide grad flag back on under
+        # the other, or leave it off after the run.
+        from claimforge.generator import decode
+        from claimforge.pipeline import run as run_module
+        step, process = decode.decoder_logits, run_module.process_document
+        from_op, taped = Tensor._from_op.__func__, []
+
+        def slow_step(*args, **kwargs):
+            time.sleep(0.002)
+            return step(*args, **kwargs)
+
+        def pausing(*args):
+            out = process(*args)
+            time.sleep(0.005)
+            return out
+
+        def counting(cls, data, parents, backward_fn):
+            out = from_op(cls, data, parents, backward_fn)
+            if out.requires_grad or out._parents or out._backward:
+                taped.append(out)
+            return out
+
+        monkeypatch.setattr(decode, "decoder_logits", slow_step)
+        monkeypatch.setattr(run_module, "process_document", pausing)
+        monkeypatch.setattr(Tensor, "_from_op", classmethod(counting))
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result, threads = self.run(tmp_path, compact_config(), monkeypatch, worker=True)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        assert result.report_path.read_bytes() == (DATA / "golden_report.jsonl").read_bytes()
+        assert threads and threading.get_ident() not in threads
+        assert not taped
+        assert len(result.timings_path.read_text().splitlines()) == len(result.reports)
+        assert threading.active_count() == before
+        assert (Tensor(np.ones(2), requires_grad=True) * 2.0)._backward is not None
+
+    def test_paper_geometry_overlapped_equals_inline(self, tmp_path, monkeypatch):
+        corpus = synth_corpus(5, 15)
+        write_corpus(tmp_path / "c.jsonl", corpus.records[:3])
+        write_corpus(tmp_path / "p.jsonl", corpus.prior_art[:2])
+        files = dict(corpus=tmp_path / "c.jsonl", prior_art=tmp_path / "p.jsonl")
+        inline, inline_threads = self.run(tmp_path / "inline", PipelineConfig(), monkeypatch,
+                                          worker=False, **files)
+        # the default width takes the worker with the gate where it is
+        _, threads = self.run(tmp_path / "overlap", PipelineConfig(), monkeypatch, **files)
+        assert inline_threads == {threading.get_ident()}
+        assert threads and threading.get_ident() not in threads
+        assert len(inline.reports) == 3
+        for name in ("report.jsonl", "summary.txt"):
+            assert ((tmp_path / "overlap" / name).read_bytes()
+                    == (tmp_path / "inline" / name).read_bytes())
+
+    def test_failing_records_give_the_inline_rows(self, tmp_path, monkeypatch):
+        from claimforge.pipeline import run as run_module
+        corpus = synth_corpus(8, 15)
+        records = corpus.records[:5]
+        write_corpus(tmp_path / "clean.jsonl", records)
+        write_corpus(tmp_path / "p.jsonl", corpus.prior_art[:1])
+        records[1].figure_count = -1  # raises in stage 1, after its generation was submitted
+        write_corpus(tmp_path / "c.jsonl", records)
+        files = dict(corpus=tmp_path / "c.jsonl", prior_art=tmp_path / "p.jsonl")
+        clean, _ = self.run(tmp_path / "clean", compact_config(), monkeypatch, worker=False,
+                            corpus=tmp_path / "clean.jsonl", prior_art=files["prior_art"])
+        generate_claim = run_module.generate_claim
+
+        def failing(rec, *args):
+            if rec.id == records[3].id:
+                raise ValueError(f"no claim for {rec.id}")
+            return generate_claim(rec, *args)
+
+        monkeypatch.setattr(run_module, "generate_claim", failing)
+        rows = {}
+        for worker in (False, True):
+            result, threads = self.run(tmp_path / f"out{worker}", compact_config(), monkeypatch,
+                                       worker=worker, **files)
+            assert (threading.get_ident() not in threads) is worker
+            assert [f["doc_id"] for f in result.failures] == [records[1].id, records[3].id]
+            rows[worker] = result.report_path.read_text().splitlines()
+        assert rows[True] == rows[False]
+        kept = [line for i, line in enumerate(clean.report_path.read_text().splitlines())
+                if i not in (1, 3)]
+        assert rows[True][:3] == kept
+
+    def test_non_finite_generation_ends_the_run_and_joins_the_worker(self, tmp_path,
+                                                                     monkeypatch):
+        from claimforge.pipeline import run as run_module
+        records = read_corpus(DATA / "golden_corpus.jsonl")
+        generate_claim = run_module.generate_claim
+
+        def poisoned(rec, *args):
+            if rec.id == records[1].id:
+                raise NonFiniteError("non-finite value in decoder logits")
+            return generate_claim(rec, *args)
+
+        monkeypatch.setattr(run_module, "generate_claim", poisoned)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteError, match="decoder logits"):
+            self.run(tmp_path, compact_config(), monkeypatch, worker=True)
+        assert threading.active_count() == before
+        assert (Tensor(np.ones(2), requires_grad=True) * 2.0)._backward is not None
+        assert not (tmp_path / "report.jsonl").exists()
+
+
+
+class TestStageTwoGate:
+    """Where ``run_pipeline`` takes the stage-2 worker."""
+
+    @pytest.mark.parametrize("env, pays", [
+        ({}, False),                                        # OpenBLAS: one thread per core
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "4"}, False),
+    ])
+    def test_worker_only_with_one_blas_thread(self, monkeypatch, env, pays):
+        from claimforge.pipeline import run as run_module
+        for var in run_module.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(run_module, "usable_cores", lambda: 2)
+        assert run_module.stage2_worker_pays(PipelineConfig()) is pays
+        assert run_module.stage2_worker_pays(compact_config()) is False
+        monkeypatch.setattr(run_module, "usable_cores", lambda: 1)
+        assert run_module.stage2_worker_pays(PipelineConfig()) is False
+
+    @pytest.mark.parametrize("v2, v1, cores", [
+        (None, None, "all"),
+        ("max 100000\n", None, "all"),
+        ("150000 100000\n", None, 1),
+        ("50000 100000\n", None, 1),
+        ("400000 100000\n", None, "all"),
+        (None, ("-1\n", "100000\n"), "all"),
+        (None, ("200000\n", "100000\n"), 2),
+        ("garbled\n", ("100000\n", "100000\n"), 1),
+    ])
+    def test_cpu_quota_caps_the_affinity_mask(self, tmp_path, monkeypatch, v2, v1, cores):
+        from claimforge.pipeline import run as run_module
+        monkeypatch.setattr(run_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        files = {"cpu.max": v2, "quota": v1 and v1[0], "period": v1 and v1[1]}
+        for name, text in files.items():
+            if text is not None:
+                (tmp_path / name).write_text(text)
+        monkeypatch.setattr(run_module, "CPU_QUOTA_FILES", (
+            (tmp_path / "cpu.max", tmp_path / "cpu.max"),
+            (tmp_path / "quota", tmp_path / "period")))
+        assert run_module.usable_cores() == (4 if cores == "all" else cores)
 
 
 class TestCli:
