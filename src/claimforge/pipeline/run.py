@@ -210,11 +210,12 @@ def generate_claim(rec: CorpusRecord, models: PipelineModels,
     return gen_ids, alpha, label, models.vocab.decode_text(gen_ids)
 
 
-def _timed_generation(rec: CorpusRecord, models: PipelineModels, config: PipelineConfig):
-    """``generate_claim``'s output and its wall seconds, timed on the thread that ran it."""
+def _timed_generation(rec: CorpusRecord, models: PipelineModels, config: PipelineConfig,
+                      thread: str = "main"):
+    """``generate_claim``'s output, its wall seconds on the thread that ran it, and that thread."""
     t_start = time.perf_counter()
     out = generate_claim(rec, models, config)
-    return out, time.perf_counter() - t_start
+    return out, time.perf_counter() - t_start, thread
 
 
 # Stage 2 runs on a worker thread only from this model width up. Below it the
@@ -286,9 +287,9 @@ class StageTwo:
     ``_timed_generation``'s. Jobs are keyed by record, so a record that fails
     before it asks for its result shifts no later generation. Where
     ``stage2_worker_pays``, the jobs run in record order on one worker
-    thread, ahead of the caller; elsewhere a job runs inline at
-    ``result()``. Leaving the ``with`` block cancels the jobs not yet
-    started and joins the worker.
+    thread, ahead of the caller, which takes pending ones at ``result()``
+    (``_wait``); elsewhere a job runs inline at ``result()``. Leaving the
+    ``with`` block cancels the jobs not yet started and joins the worker.
     """
 
     def __init__(self, records: list[CorpusRecord], models: PipelineModels,
@@ -297,12 +298,14 @@ class StageTwo:
         self._records = records
         self._args = (models, config)
         self._jobs: dict[int, object] | None = None
+        self._queued = list(records)  # whose jobs the worker may not have started
         self._pool = None
 
     def start(self, rec: CorpusRecord):
         if self._jobs is None:
             self._jobs = {id(r): self._submit(r) for r in self._records}
-        return self._jobs.pop(id(rec))
+        job = self._jobs.pop(id(rec))
+        return SimpleNamespace(result=partial(self._wait, rec, job)) if self._threaded else job
 
     def _submit(self, rec: CorpusRecord):
         if not self._threaded:
@@ -311,7 +314,32 @@ class StageTwo:
             # imported only where a worker is made: about 5 ms after numpy
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stage2")
-        return self._pool.submit(_timed_generation, rec, *self._args)
+        return self._pool.submit(_timed_generation, rec, *self._args, "worker")
+
+    def _wait(self, rec: CorpusRecord, job):
+        """``rec``'s job's outcome. This thread runs it if the worker has not
+        started it (``Future.cancel()`` succeeds only then), and while the
+        worker runs it, the last jobs the worker has not started. Each job
+        runs whole on one thread, so either thread gives the same bits."""
+        if job.cancel():
+            job = self._run_here(rec)
+        while not job.done() and self._queued:
+            last = self._queued.pop()
+            if id(last) not in self._jobs or not self._jobs[id(last)].cancel():
+                self._queued.clear()  # the worker, in record order, has started them all
+                break
+            self._jobs[id(last)] = self._run_here(last)
+        return job.result()
+
+    def _run_here(self, rec: CorpusRecord):
+        """A finished future holding ``rec``'s job's result or exception, run on this thread."""
+        from concurrent.futures import Future
+        done = Future()
+        try:
+            done.set_result(_timed_generation(rec, *self._args))
+        except Exception as exc:  # raised at ``rec``'s own result(), as from the worker
+            done.set_exception(exc)
+        return done
 
     def __enter__(self) -> "StageTwo":
         return self
@@ -328,12 +356,12 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
 
     ``memo`` carries the prior-art chunks' features across the records of
     one run. ``stage2`` holds the run's generations: with a worker thread
-    they run while this thread does stage 1, and this record's stage 3 waits
-    for its own. ``stage2_seconds`` is the generation's own wall time, so
-    with a worker the three stage times overlap. The caller holds
-    ``no_grad()``, as ``run_pipeline`` does, so no autodiff tape is built.
-    The report's ``curriculum`` block is the schedule at step 0, where
-    inference runs.
+    they run while this thread does stage 1, and this thread runs pending
+    ones while it waits for its own. ``stage2_seconds`` is the generation's
+    wall time on ``stage2_thread``, so with a worker the stage times
+    overlap. The caller holds ``no_grad()``, as ``run_pipeline`` does, so no
+    autodiff tape is built. The report's ``curriculum`` block is the
+    schedule at step 0, where inference runs.
     """
     generation = stage2.start(rec)
     timings = {}
@@ -350,7 +378,8 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
     schedule = config.curriculum()
     tau = curriculum_progress(0, schedule)
     level = difficulty_level(0, schedule)
-    (gen_ids, alpha, domain_label, generated_text), timings["stage2_seconds"] = generation.result()
+    ((gen_ids, alpha, domain_label, generated_text), timings["stage2_seconds"],
+     timings["stage2_thread"]) = generation.result()
 
     # Stage 3: unified quality assessment
     t_start = time.perf_counter()

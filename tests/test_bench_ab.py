@@ -25,14 +25,16 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def stdout(ops: float, rss: float, setup: float, errors=(), correct=True, failed=0,
-           sha="c976") -> str:
+           sha="c976", throughput=(88.5, 91.25)) -> str:
     """What bench/run.py prints for an untraced train-mix run, shortened."""
     lines = ['env {"nproc": 2, "seed": 300, "src_sha256": "abc"}',
              "check golden_report: ok sha256=d16b",
              f"check loss_history_sha256 repeat 0: {sha} ok",
              f"check loss_history_sha256 repeat 1: {sha} ok"]
     lines += [f"check repeat 1: {e}" for e in errors]
-    lines += ["repeats 2, operations per repeat 90", f"metric peak_rss_mb = {rss} MB",
+    lines += ["repeats 2, operations per repeat 90", "setup samples s: 0.1200 0.1300",
+              "throughput of each repeat 1/s: " + " ".join(f"{t:.4f}" for t in throughput),
+              f"metric peak_rss_mb = {rss} MB",
               "metric fail_ratio = 0 (failed 0 of 180)"]
     lines.append(json.dumps({"correct": correct, "attempted": 180, "failed": failed, "metrics": {
         "ops_per_s": {"value": ops, "unit": "1/s"},
@@ -56,6 +58,7 @@ def test_parse_run_keeps_the_checks_and_the_errors():
     assert (record["repeats_checked"], record["repeats_ok"]) == (2, True)
     assert record["errors"] == ["repeat 1: aspect scores off"]
     assert record["env"]["src_sha256"] == "abc"
+    assert record["repeat_throughput"] == [88.5, 91.25]
     assert record["result"]["metrics"]["ops_per_s"]["value"] == 100.0
 
 
@@ -122,6 +125,29 @@ def test_verdict_loss_is_a_median_worse_by_more_than_the_bound():
     assert verdicts(same_ops, [(p, 1.1 * p) for p in PARENT_RSS])["peak_rss_mb"] == "unresolved"
 
 
+def test_summary_compares_whole_repeat_throughput():
+    # each run's median over its repeats; ops_per_s, the best of two repeats
+    # per operation, is not what is compared here
+    sides = [((80.0, 84.0, 82.0), (90.0, 100.0)), ((70.0, 90.0), (95.0, 97.0)),
+             ((85.0, 86.0), (84.0, 85.0))]
+    runs = [{"pair": i, "first": "parent",
+             "parent": bench_ab.parse_run(stdout(100.0, 50.0, 0.12, throughput=p)),
+             "change": bench_ab.parse_run(stdout(150.0, 50.0, 0.12, throughput=c))}
+            for i, (p, c) in enumerate(sides, start=1)]
+    summary = bench_ab.summarize(runs, SPEC, traced=False)
+    whole = summary["repeat_throughput"]
+    # run medians: parent 82, 80, 85.5; change 95, 96, 84.5
+    assert whole["parent"] == {"q1": 81.0, "median": 82.0, "q3": 83.75}
+    assert whole["change"] == {"q1": 89.75, "median": 95.0, "q3": 95.5}
+    assert whole["median_ratio_change_over_parent"] == 95.0 / 82.0
+    assert whole["pairs_change_better"] == "2/3"
+    assert whole["parent_iqr"] == 2.75
+    assert (whole["unit"], whole["better"]) == ("1/s", "higher") and "verdict" not in whole
+    assert summary["ops_per_s"]["pairs_change_better"] == "3/3"
+    # a traced run prints no such line, and its summary has no such entry
+    assert "repeat_throughput" not in bench_ab.summarize(runs, SPEC, traced=True)
+
+
 def test_summary_refuses_an_incorrect_run():
     runs = pairs([(90.0, 100.0), (100.0, 95.0)])
     runs[1]["change"] = bench_ab.parse_run(
@@ -177,3 +203,28 @@ def test_main_records_both_sides_src_lines(tmp_path, monkeypatch):
     doc = json.loads((root / "BENCH_train-mix.json").read_text())
     assert doc["src_lines"] == {"parent": 7, "change": 4}
     assert doc["parent"] == "c0ffee" and len(doc["series"][0]["runs"]) == 2
+
+
+def test_append_keeps_every_series_of_the_same_command(tmp_path, monkeypatch):
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    ops = iter([100.0, 110.0, 120.0, 130.0, 140.0, 150.0, 160.0, 170.0])
+    monkeypatch.setattr(bench_ab, "ROOT", root)
+    monkeypatch.setattr(bench_ab, "export_parent", lambda rev, dest: "c0ffee")
+    monkeypatch.setattr(bench_ab, "export_worktree", lambda dest: None)
+    monkeypatch.setattr(bench_ab, "src_lines", lambda tree: 0)
+    monkeypatch.setattr(bench_ab, "run_bench",
+                        lambda tree, command: bench_ab.parse_run(stdout(next(ops), 50.0, 0.12)))
+    monkeypatch.setattr(bench_ab.signal, "signal", lambda *args: None)
+    args = ["--parent", "HEAD", "--workload", "train-mix", "--pairs", "1", "--work", str(tmp_path)]
+    assert bench_ab.main(args) == 0
+    assert bench_ab.main(args + ["--append"]) == 0
+    assert bench_ab.main(args + ["--seed", "7", "--append"]) == 0
+    series = json.loads((root / "BENCH_train-mix.json").read_text())["series"]
+    assert [s["command"].split("--seed ")[1].split()[0] for s in series] == ["300", "300", "7"]
+    assert [[r["parent"]["result"]["metrics"]["ops_per_s"]["value"] for r in s["runs"]]
+            for s in series] == [[100.0], [120.0], [140.0]]
+    # without --append the file is written anew
+    assert bench_ab.main(args) == 0
+    assert len(json.loads((root / "BENCH_train-mix.json").read_text())["series"]) == 1

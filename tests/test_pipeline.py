@@ -471,8 +471,10 @@ class TestRunPipeline:
                 for line in result.timings_path.read_text().splitlines()]
         assert len(rows) == 3
         for row in rows:
-            assert set(row) == {"doc_id", "stage1_seconds", "stage2_seconds", "stage3_seconds"}
+            assert set(row) == {"doc_id", "stage1_seconds", "stage2_seconds", "stage3_seconds",
+                                "stage2_thread"}
             assert all(row[f"stage{i}_seconds"] >= 0 for i in (1, 2, 3))
+            assert row["stage2_thread"] == "main"  # the test geometry keeps stage 2 inline
 
     def test_non_finite_similarity_ends_the_run_and_writes_no_report(self, tmp_path,
                                                                      monkeypatch):
@@ -526,19 +528,22 @@ class TestRunPipeline:
 
 @pytest.mark.skipif(usable_cores() < 2, reason="stage 2 takes a worker thread only with a second core")
 class TestStageTwoWorker:
-    """Stage 2 on a worker thread, ahead of stages 1 and 3, writes the inline run's bytes."""
+    """Stage 2 on a worker thread, ahead of stages 1 and 3, with the caller's
+    thread taking the generations the worker has not started, writes the
+    inline run's bytes."""
 
     @staticmethod
     def run(out, config, monkeypatch, worker=None, corpus=DATA / "golden_corpus.jsonl",
             prior_art=DATA / "golden_prior_art.jsonl"):
         """One run with the worker forced on or off, or as the gate decides
-        (``worker=None``); returns (result, the threads that ran ``generate``)."""
+        (``worker=None``); returns (result, one (description ids, thread) pair
+        per ``generate`` call)."""
         from claimforge.pipeline import run as run_module
-        generate, threads = run_module.generate, set()
+        generate, calls = run_module.generate, []
 
-        def recording(*args, **kwargs):
-            threads.add(threading.get_ident())
-            return generate(*args, **kwargs)
+        def recording(description_ids, *args, **kwargs):
+            calls.append((tuple(description_ids), threading.get_ident()))
+            return generate(description_ids, *args, **kwargs)
 
         with monkeypatch.context() as patch:
             # The gate reads the BLAS thread count from the environment; the
@@ -548,7 +553,65 @@ class TestStageTwoWorker:
             if worker is not None:
                 patch.setattr(run_module, "STAGE2_WORKER_MIN_DIM", 0 if worker else 10 ** 9)
             patch.setattr(run_module, "generate", recording)
-            return run_pipeline(corpus, prior_art, out, config, seed=0), threads
+            return run_pipeline(corpus, prior_art, out, config, seed=0), calls
+
+    @staticmethod
+    def assert_shared(calls, generations):
+        """``generate`` ran once for each of ``generations`` records, and the
+        worker ran at least one of them."""
+        assert len(calls) == len({ids for ids, _ in calls}) == generations
+        assert any(thread != threading.get_ident() for _, thread in calls)
+
+    @staticmethod
+    def write_records(tmp_path, count):
+        """``count`` synthetic records and one prior-art record, written; returns
+        the records and the ``run`` arguments that read them."""
+        corpus = synth_corpus(8, 15)
+        write_corpus(tmp_path / "c.jsonl", corpus.records[:count])
+        write_corpus(tmp_path / "p.jsonl", corpus.prior_art[:1])
+        return corpus.records[:count], dict(corpus=tmp_path / "c.jsonl",
+                                            prior_art=tmp_path / "p.jsonl")
+
+    @staticmethod
+    def fail_last(monkeypatch, records, error, release):
+        """Make the last record's generation raise ``error`` and set
+        ``release``; returns the threads it ran on."""
+        from claimforge.pipeline import run as run_module
+        generate_claim, raised_on = run_module.generate_claim, []
+
+        def failing(rec, *args):
+            if rec.id != records[-1].id:
+                return generate_claim(rec, *args)
+            raised_on.append(threading.get_ident())
+            release.set()
+            raise error(f"no claim for {rec.id}")
+
+        monkeypatch.setattr(run_module, "generate_claim", failing)
+        return raised_on
+
+    @staticmethod
+    def hold_worker(monkeypatch, release):
+        """Hold the worker inside its first decode step until ``release`` is
+        set. The caller's thread starts a record's stage 1 only once the
+        worker is held, so it finds the first record's job running and takes
+        the last record's."""
+        from claimforge.generator import decode
+        from claimforge.pipeline import run as run_module
+        step, stage1 = decode.decoder_logits, run_module.claim_similarities
+        held, main = threading.Event(), threading.get_ident()
+
+        def holding_step(*args, **kwargs):
+            if threading.get_ident() != main and not held.is_set():
+                held.set()
+                release.wait(timeout=30)
+            return step(*args, **kwargs)
+
+        def after_hold(*args):
+            held.wait(timeout=30)
+            return stage1(*args)
+
+        monkeypatch.setattr(decode, "decoder_logits", holding_step)
+        monkeypatch.setattr(run_module, "claim_similarities", after_hold)
 
     def test_worker_reproduces_the_golden_report(self, tmp_path, monkeypatch):
         # Slow decode steps, and a pause after each record, keep a generation
@@ -582,28 +645,55 @@ class TestStageTwoWorker:
         before, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            result, threads = self.run(tmp_path, compact_config(), monkeypatch, worker=True)
+            result, calls = self.run(tmp_path, compact_config(), monkeypatch, worker=True)
         finally:
             sys.setswitchinterval(interval)
         monkeypatch.undo()
         assert result.report_path.read_bytes() == (DATA / "golden_report.jsonl").read_bytes()
-        assert threads and threading.get_ident() not in threads
+        self.assert_shared(calls, 3)
         assert not taped
         assert len(result.timings_path.read_text().splitlines()) == len(result.reports)
         assert threading.active_count() == before
         assert (Tensor(np.ones(2), requires_grad=True) * 2.0)._backward is not None
+
+    def test_slow_worker_leaves_generations_to_the_caller(self, tmp_path, monkeypatch):
+        # Decode steps slowed on the worker alone: the caller's thread, which
+        # would otherwise wait, runs some records' generations, and the bytes
+        # stay those of a run on one thread.
+        from claimforge.generator import decode
+        _, files = self.write_records(tmp_path, 5)
+        self.run(tmp_path / "inline", compact_config(), monkeypatch, worker=False, **files)
+        step, main = decode.decoder_logits, threading.get_ident()
+
+        def slow_on_worker(*args, **kwargs):
+            if threading.get_ident() != main:
+                time.sleep(0.01)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(decode, "decoder_logits", slow_on_worker)
+        result, calls = self.run(tmp_path / "shared", compact_config(), monkeypatch,
+                                 worker=True, **files)
+        self.assert_shared(calls, 5)
+        assert main in {thread for _, thread in calls}
+        for name in ("report.jsonl", "summary.txt"):
+            assert ((tmp_path / "shared" / name).read_bytes()
+                    == (tmp_path / "inline" / name).read_bytes())
+        threads = [json.loads(line)["stage2_thread"]
+                   for line in result.timings_path.read_text().splitlines()]
+        assert sorted(set(threads)) == ["main", "worker"]
+        assert threads.count("main") == sum(thread == main for _, thread in calls)
 
     def test_paper_geometry_overlapped_equals_inline(self, tmp_path, monkeypatch):
         corpus = synth_corpus(5, 15)
         write_corpus(tmp_path / "c.jsonl", corpus.records[:3])
         write_corpus(tmp_path / "p.jsonl", corpus.prior_art[:2])
         files = dict(corpus=tmp_path / "c.jsonl", prior_art=tmp_path / "p.jsonl")
-        inline, inline_threads = self.run(tmp_path / "inline", PipelineConfig(), monkeypatch,
-                                          worker=False, **files)
+        inline, inline_calls = self.run(tmp_path / "inline", PipelineConfig(), monkeypatch,
+                                        worker=False, **files)
         # the default width takes the worker with the gate where it is
-        _, threads = self.run(tmp_path / "overlap", PipelineConfig(), monkeypatch, **files)
-        assert inline_threads == {threading.get_ident()}
-        assert threads and threading.get_ident() not in threads
+        _, calls = self.run(tmp_path / "overlap", PipelineConfig(), monkeypatch, **files)
+        assert {thread for _, thread in inline_calls} == {threading.get_ident()}
+        self.assert_shared(calls, 3)
         assert len(inline.reports) == 3
         for name in ("report.jsonl", "summary.txt"):
             assert ((tmp_path / "overlap" / name).read_bytes()
@@ -628,17 +718,62 @@ class TestStageTwoWorker:
             return generate_claim(rec, *args)
 
         monkeypatch.setattr(run_module, "generate_claim", failing)
-        rows = {}
+        rows, runs = {}, {}
         for worker in (False, True):
-            result, threads = self.run(tmp_path / f"out{worker}", compact_config(), monkeypatch,
-                                       worker=worker, **files)
-            assert (threading.get_ident() not in threads) is worker
+            result, runs[worker] = self.run(tmp_path / f"out{worker}", compact_config(),
+                                            monkeypatch, worker=worker, **files)
             assert [f["doc_id"] for f in result.failures] == [records[1].id, records[3].id]
             rows[worker] = result.report_path.read_text().splitlines()
+        # records 0, 2 and 4 generate; record 1's job, submitted before its
+        # stage 1 failed, may also run, on either thread, but not twice
+        calls = runs[True]
+        assert len(calls) == len({ids for ids, _ in calls})
+        assert {ids for ids, _ in runs[False]} <= {ids for ids, _ in calls}
+        assert any(thread != threading.get_ident() for _, thread in calls)
         assert rows[True] == rows[False]
         kept = [line for i, line in enumerate(clean.report_path.read_text().splitlines())
                 if i not in (1, 3)]
         assert rows[True][:3] == kept
+
+    def test_stolen_value_error_skips_its_own_record(self, tmp_path, monkeypatch):
+        records, files = self.write_records(tmp_path, 4)
+        release = threading.Event()
+        raised_on = self.fail_last(monkeypatch, records, ValueError, release)
+        inline, _ = self.run(tmp_path / "inline", compact_config(), monkeypatch, worker=False,
+                             **files)
+        release.clear()  # set by the inline run's failure
+        self.hold_worker(monkeypatch, release)
+        result, calls = self.run(tmp_path / "shared", compact_config(), monkeypatch,
+                                 worker=True, **files)
+        # raised inline, then on the caller's thread while the worker was held
+        assert raised_on == [threading.get_ident()] * 2
+        assert [f["doc_id"] for f in result.failures] == [records[-1].id]
+        assert result.report_path.read_bytes() == inline.report_path.read_bytes()
+        self.assert_shared(calls, 3)
+
+    def test_stolen_non_finite_error_ends_the_run_and_joins_the_worker(self, tmp_path,
+                                                                       monkeypatch):
+        from claimforge.pipeline import run as run_module
+        records, files = self.write_records(tmp_path, 4)
+        release = threading.Event()
+        raised_on = self.fail_last(monkeypatch, records, NonFiniteError, release)
+        self.hold_worker(monkeypatch, release)
+        score_pair, scored = run_module.score_pair, []
+
+        def scoring(*args):
+            scored.append(args)
+            return score_pair(*args)
+
+        monkeypatch.setattr(run_module, "score_pair", scoring)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteError, match=f"no claim for {records[-1].id}"):
+            self.run(tmp_path / "out", compact_config(), monkeypatch, worker=True, **files)
+        # taken at the first record, it ends the run at its own, the last
+        assert raised_on == [threading.get_ident()]
+        assert len(scored) == len(records) - 1
+        assert threading.active_count() == before
+        assert (Tensor(np.ones(2), requires_grad=True) * 2.0)._backward is not None
+        assert not (tmp_path / "out" / "report.jsonl").exists()
 
     def test_non_finite_generation_ends_the_run_and_joins_the_worker(self, tmp_path,
                                                                      monkeypatch):

@@ -128,7 +128,14 @@ def test_integer_past_the_float_range_accepted(tmp_path):
 @pytest.mark.parametrize("owner, name", RANGED)
 def test_value_at_its_bound_accepted(owner, name):
     if (owner, name) == ("PipelineConfig", "max_seq_len"):
-        pytest.skip("max_gen_len + 2 < max_seq_len puts its lowest value at 4")
+        # max_gen_len + 2 < max_seq_len, with max_gen_len at least 1, puts
+        # the lowest value at 4, above the rule's 1
+        assert PipelineConfig(**{**GEOMETRY, "max_gen_len": 1, "max_seq_len": 4}).max_seq_len == 4
+        with pytest.raises(SettingError, match=r"^max_gen_len \+ 2 must be below max_seq_len"
+                                               r".*: 1 \+ 2 >= 3$") as exc:
+            PipelineConfig(**{**GEOMETRY, "max_gen_len": 1, "max_seq_len": 3})
+        assert exc.value.setting == "max_gen_len"
+        return
     OWNERS[owner][1](name, LOWEST[name][0])
 
 

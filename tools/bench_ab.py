@@ -13,11 +13,13 @@ copies, without ``.git``, so their ``env.git_rev`` reads unknown and
 ``run_seconds``. Pair i runs the parent first when i is odd and the change
 first when i is even. Each run's record keeps the env line, the check lines
 (the errors of a failed repeat among them) and the final JSON line of
-``bench/run.py``, and the ``layer`` lines of a traced run. A run that reports
-``correct: false`` or a failed operation stops the summary with an error.
-``--append`` adds the series to an existing file for the same parent; without
-it the file is written anew. Either way ``src_lines`` records each side's line
-count of ``src/**/*.py``.
+``bench/run.py``, the throughput of each repeat of an untraced run, and the
+``layer`` lines of a traced run. A run that reports ``correct: false`` or a
+failed operation stops the summary with an error. ``--append`` adds the
+series to an existing file for the same parent, after every series already
+in it, one of the same command included; without it the file is written
+anew. Either way ``src_lines`` records each side's line count of
+``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def parse_run(stdout: str) -> dict:
     lines = stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise ValueError("bench/run.py printed no final JSON line")
-    env, golden, digests, errors, layers = {}, [], [], [], {}
+    env, golden, digests, errors, layers, throughput = {}, [], [], [], {}, []
     for line in lines:
         if line.startswith("env "):
             env = json.loads(line[4:])
@@ -85,6 +87,8 @@ def parse_run(stdout: str) -> dict:
             errors.append(line[len("check "):])
         elif line.startswith("check ") and "_sha256 repeat " in line:
             digests.append(line.split(": ", 1)[1].split())
+        elif line.startswith("throughput of each repeat 1/s: "):
+            throughput = [float(v) for v in line.split(": ", 1)[1].split()]
         elif line.startswith("layer ") and " = " in line:
             name, value = line[len("layer "):].split(" = ", 1)
             layers[name] = value
@@ -95,6 +99,7 @@ def parse_run(stdout: str) -> dict:
         "repeats_checked": len(digests),
         "repeats_ok": all(status == "ok" for _, status in digests),
         "errors": errors,
+        "repeat_throughput": throughput,
         "layers": layers,
         "env": env,
         "result": json.loads(lines[-1]),
@@ -115,6 +120,32 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def _compare(pairs: list[tuple[float, float]], higher: bool, bound: float | None = None) -> dict:
+    """Quartiles of each side of (parent, change) ``pairs``, the median ratio,
+    the pairs in which the change was better, the parent's IQR and, given a
+    ``bound``, a verdict (see ``summarize``)."""
+    parent = [float(p) for p, _ in pairs]
+    change = [float(c) for _, c in pairs]
+    better = sum(1 for p, c in zip(parent, change) if (c > p if higher else c < p))
+    pq, cq = _quartiles(parent), _quartiles(change)
+    compared = {
+        "parent": pq,
+        "change": cq,
+        "median_ratio_change_over_parent": cq["median"] / pq["median"],
+        "pairs_change_better": f"{better}/{len(pairs)}",
+        "parent_iqr": pq["q3"] - pq["q1"],
+    }
+    if bound is not None:
+        gap = (cq["median"] - pq["median"]) * (1 if higher else -1)  # > 0: the change is better
+        if 10 * better >= 9 * len(pairs) and gap > pq["q3"] - pq["q1"]:
+            compared["verdict"] = "gain"
+        elif -gap > bound * pq["median"]:
+            compared["verdict"] = "loss"
+        else:
+            compared["verdict"] = "unresolved"
+    return compared
+
+
 def summarize(runs: list[dict], spec: dict, traced: bool) -> dict:
     """Each side's output SHA-256s and whether they are the same; then per
     metric: medians (traced), or quartiles, the median ratio, the pairs in
@@ -125,6 +156,12 @@ def summarize(runs: list[dict], spec: dict, traced: bool) -> dict:
     ``loss`` when its median is worse than the parent's by more than the
     metric's ``bound`` in BENCHMARK.json, a fraction of the parent's median;
     ``unresolved`` otherwise.
+
+    Untraced, ``repeat_throughput`` compares in the same way each run's
+    median throughput of a whole repeat (its operations over its busy time),
+    with no verdict. ``ops_per_s`` takes the best of two repeats for each
+    operation apart, so work that moves between operations from one repeat
+    to the next reads it high; a whole repeat does not.
 
     Raises ValueError if any run was not correct or failed an operation.
     """
@@ -147,32 +184,19 @@ def summarize(runs: list[dict], spec: dict, traced: bool) -> dict:
                  and name in r["change"]["result"]["metrics"]]
         if not pairs:
             continue
-        parent = [float(p) for p, _ in pairs]
-        change = [float(c) for _, c in pairs]
         if traced:
-            summary[name] = {"unit": kind["unit"], "parent_median": statistics.median(parent),
-                             "change_median": statistics.median(change)}
+            summary[name] = {"unit": kind["unit"],
+                             "parent_median": statistics.median(float(p) for p, _ in pairs),
+                             "change_median": statistics.median(float(c) for _, c in pairs)}
             continue
-        higher = kind["better"] == "higher"
-        better = sum(1 for p, c in zip(parent, change) if (c > p if higher else c < p))
-        pq, cq = _quartiles(parent), _quartiles(change)
-        gap = (cq["median"] - pq["median"]) * (1 if higher else -1)  # > 0: the change is better
-        if 10 * better >= 9 * len(pairs) and gap > pq["q3"] - pq["q1"]:
-            verdict = "gain"
-        elif -gap > kind["bound"] * pq["median"]:
-            verdict = "loss"
-        else:
-            verdict = "unresolved"
-        summary[name] = {
-            "unit": kind["unit"],
-            "better": kind["better"],
-            "parent": pq,
-            "change": cq,
-            "median_ratio_change_over_parent": cq["median"] / pq["median"],
-            "pairs_change_better": f"{better}/{len(pairs)}",
-            "parent_iqr": pq["q3"] - pq["q1"],
-            "verdict": verdict,
-        }
+        summary[name] = {"unit": kind["unit"], "better": kind["better"],
+                         **_compare(pairs, kind["better"] == "higher", kind["bound"])}
+    throughput = [tuple(statistics.median(r[side]["repeat_throughput"])
+                        for side in ("parent", "change")) for r in runs
+                  if r["parent"]["repeat_throughput"] and r["change"]["repeat_throughput"]]
+    if throughput and not traced:
+        summary["repeat_throughput"] = {"unit": "1/s", "better": "higher",
+                                        **_compare(throughput, higher=True)}
     return summary
 
 
@@ -231,7 +255,6 @@ def main(argv: list[str] | None = None) -> int:
 
     summary = summarize(runs, spec, bool(args.trace))
     shown = "python3 " + " ".join(command)
-    doc["series"] = [s for s in doc["series"] if s["command"] != shown]
     doc["series"].append({"command": shown, "pairs": args.pairs, "summary": summary,
                           "runs": runs})
     out_path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
