@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -88,12 +89,19 @@ def build_models(vocab: Vocabulary, config: PipelineConfig, seed: int,
     checkpoint's name -> array map, which must hold exactly the model's tensors."""
     cfg = config.encoder_config()
     source = Rng(seed, ("init",)).substream if checkpoint is None else lambda stream: checkpoint
-    enc_params = init_encoder_params(len(vocab), cfg, source("enc"))
-    head_bank = HeadBank.init(cfg.model_dim, source("sim"), head_dim=cfg.head_dim)
-    generator = GeneratorModel.init(len(vocab), cfg, source("dec"))
-    adapter_bank = AdapterBank.init(cfg.num_layers, cfg.model_dim, source("bank"))
-    classifier = DomainClassifier.init(cfg.model_dim, source("clf"))
-    evaluator = EvaluatorModel.init(cfg, source("eval"))
+    draw_decoder = partial(GeneratorModel.init, len(vocab), cfg, source("dec"))
+    with ExitStack() as joined:  # joins the worker, if any, also when a draw raises
+        if checkpoint is None and stage2_worker_pays(config):
+            # each substream is drawn whole on one thread, so every bit is as inline
+            from concurrent.futures import ThreadPoolExecutor
+            pool = joined.enter_context(ThreadPoolExecutor(1, thread_name_prefix="init"))
+            draw_decoder = pool.submit(draw_decoder).result
+        enc_params = init_encoder_params(len(vocab), cfg, source("enc"))
+        head_bank = HeadBank.init(cfg.model_dim, source("sim"), head_dim=cfg.head_dim)
+        adapter_bank = AdapterBank.init(cfg.num_layers, cfg.model_dim, source("bank"))
+        classifier = DomainClassifier.init(cfg.model_dim, source("clf"))
+        evaluator = EvaluatorModel.init(cfg, source("eval"))
+        generator = draw_decoder()
     models = PipelineModels(vocab, cfg, enc_params, head_bank, generator,
                             adapter_bank, classifier, evaluator)
     unexpected = sorted(checkpoint.keys() - _param_tensors(models).keys()) if checkpoint else []
@@ -218,12 +226,17 @@ def _timed_generation(rec: CorpusRecord, models: PipelineModels, config: Pipelin
     return out, time.perf_counter() - t_start, thread
 
 
-# Stage 2 runs on a worker thread only from this model width up. Below it the
-# decode is interpreter-bound and the two threads take turns at the GIL.
-# Whole runs over 30 synth records (8 heads, 2 layers, set-up included; 2
-# vCPUs, one BLAS thread) went 0.71x as fast overlapped as inline at
-# model_dim 16, 0.93x at 64, 1.07x at 128 and 1.06x at 256;
+# Stage 2 runs on a worker thread, and set-up draws the decoder on one, only
+# from this model width up. Below it the decode is interpreter-bound and the
+# two threads take turns at the GIL.
+# Stage 2: whole runs over 30 synth records (8 heads, 2 layers, set-up
+# included; 2 vCPUs, one BLAS thread) went 0.71x as fast overlapped as inline
+# at model_dim 16, 0.93x at 64, 1.07x at 128 and 1.06x at 256;
 # pipeline-paper's documents (512) ran 1.38x as fast.
+# The draw: build_models on the pipeline-paper vocabulary (best of 3 in-process
+# repeats, medians of 10 alternating fresh-process pairs, one BLAS thread)
+# took 0.89x the inline time at 64, 0.76x at 128, and 0.59x at 256 and 512
+# (0.26 s against 0.44); at 64 it saves 1 ms, not worth a second width.
 STAGE2_WORKER_MIN_DIM = 128
 # The variables OpenBLAS takes its thread count from: the first one set to a
 # positive number wins, and with none set it runs one thread per core.
@@ -265,8 +278,9 @@ def blas_on_one_thread() -> bool:
 
 
 def stage2_worker_pays(config: PipelineConfig) -> bool:
-    """Whether ``run_pipeline`` runs stage 2 on a worker thread: from
-    ``STAGE2_WORKER_MIN_DIM`` up, with a second core, and with one BLAS thread.
+    """Whether ``run_pipeline`` runs stage 2 on a worker thread, and
+    ``build_models`` draws the decoder on one: from ``STAGE2_WORKER_MIN_DIM``
+    up, with a second core, and with one BLAS thread.
 
     With one BLAS thread the worker pays (pipeline-paper documents 1.39x as
     fast). With OpenBLAS's default of one thread per core it does not: the
@@ -285,7 +299,8 @@ class StageTwo:
     The first ``start(rec)`` submits every record's job, in record order;
     each ``start(rec)`` returns ``rec``'s job, whose ``result()`` is
     ``_timed_generation``'s. Jobs are keyed by record, so a record that fails
-    before it asks for its result shifts no later generation. Where
+    before it asks for its result shifts no later generation; ``drop(rec)``
+    spares a skipped record's generation where it can. Where
     ``stage2_worker_pays``, the jobs run in record order on one worker
     thread, ahead of the caller, which takes pending ones at ``result()``
     (``_wait``); elsewhere a job runs inline at ``result()``. Leaving the
@@ -304,8 +319,18 @@ class StageTwo:
     def start(self, rec: CorpusRecord):
         if self._jobs is None:
             self._jobs = {id(r): self._submit(r) for r in self._records}
-        job = self._jobs.pop(id(rec))
-        return SimpleNamespace(result=partial(self._wait, rec, job)) if self._threaded else job
+        if self._threaded:
+            return SimpleNamespace(result=partial(self._wait, rec))
+        return self._jobs.pop(id(rec))
+
+    def drop(self, rec: CorpusRecord) -> None:
+        """Forget a skipped record's job: cancelled if no thread has started it (a
+        started one runs to its end), and never taken by the caller's thread."""
+        if not self._threaded:
+            return
+        if id(rec) in self._jobs:
+            self._jobs.pop(id(rec)).cancel()
+        self._queued = [r for r in self._queued if r is not rec]
 
     def _submit(self, rec: CorpusRecord):
         if not self._threaded:
@@ -316,11 +341,12 @@ class StageTwo:
             self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stage2")
         return self._pool.submit(_timed_generation, rec, *self._args, "worker")
 
-    def _wait(self, rec: CorpusRecord, job):
+    def _wait(self, rec: CorpusRecord):
         """``rec``'s job's outcome. This thread runs it if the worker has not
         started it (``Future.cancel()`` succeeds only then), and while the
         worker runs it, the last jobs the worker has not started. Each job
         runs whole on one thread, so either thread gives the same bits."""
+        job = self._jobs.pop(id(rec))
         if job.cancel():
             job = self._run_here(rec)
         while not job.done() and self._queued:
@@ -428,6 +454,7 @@ def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
             except (NonFiniteError, AssertionError):
                 raise  # a broken invariant ends the run, as in `evaluate`
             except Exception as exc:  # failure isolation: one bad record skips one doc
+                stage2.drop(rec)  # if its stage 1 raised, no thread need generate for it
                 failures.append({"doc_id": rec.id, "error": str(exc)})
                 continue
             reports.append(report)

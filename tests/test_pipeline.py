@@ -25,6 +25,7 @@ from claimforge.pipeline import (
 )
 from claimforge.pipeline.run import usable_cores
 from claimforge.pipeline.synth import DOMAIN_POOLS
+from claimforge.textcore import Vocabulary
 
 DATA = Path(__file__).parent / "data"
 
@@ -590,14 +591,14 @@ class TestStageTwoWorker:
         return raised_on
 
     @staticmethod
-    def hold_worker(monkeypatch, release):
+    def hold_worker(monkeypatch, release, stage1="claim_similarities"):
         """Hold the worker inside its first decode step until ``release`` is
-        set. The caller's thread starts a record's stage 1 only once the
-        worker is held, so it finds the first record's job running and takes
-        the last record's."""
+        set. The caller's thread enters ``stage1``, a stage-1 step of
+        ``run_module``, only once the worker is held, so it finds the first
+        record's job running and takes the last record's."""
         from claimforge.generator import decode
         from claimforge.pipeline import run as run_module
-        step, stage1 = decode.decoder_logits, run_module.claim_similarities
+        step, stage1_step = decode.decoder_logits, getattr(run_module, stage1)
         held, main = threading.Event(), threading.get_ident()
 
         def holding_step(*args, **kwargs):
@@ -608,10 +609,10 @@ class TestStageTwoWorker:
 
         def after_hold(*args):
             held.wait(timeout=30)
-            return stage1(*args)
+            return stage1_step(*args)
 
         monkeypatch.setattr(decode, "decoder_logits", holding_step)
-        monkeypatch.setattr(run_module, "claim_similarities", after_hold)
+        monkeypatch.setattr(run_module, stage1, after_hold)
 
     def test_worker_reproduces_the_golden_report(self, tmp_path, monkeypatch):
         # Slow decode steps, and a pause after each record, keep a generation
@@ -794,6 +795,44 @@ class TestStageTwoWorker:
         assert (Tensor(np.ones(2), requires_grad=True) * 2.0)._backward is not None
         assert not (tmp_path / "report.jsonl").exists()
 
+    def test_skipped_records_are_not_generated(self, tmp_path, monkeypatch):
+        # Records 0 and 1 fail stage 1 while the worker is held inside record
+        # 0's generation: that started job runs to its end, record 1's is
+        # dropped before any thread starts it, and record 2's runs.
+        from claimforge.pipeline import run as run_module
+        records, _ = self.write_records(tmp_path, 3)
+        for rec in records[:2]:
+            rec.figure_count = -1
+        write_corpus(tmp_path / "c.jsonl", records)
+        files = dict(corpus=tmp_path / "c.jsonl", prior_art=tmp_path / "p.jsonl")
+        texts = run_module.record_texts(records + read_corpus(files["prior_art"]))
+        vocab = Vocabulary.build(texts, cap=compact_config().vocab_cap)
+        ids = [tuple(vocab.encode_text(rec.description)) for rec in records]
+        inline, inline_calls = self.run(tmp_path / "inline", compact_config(), monkeypatch,
+                                        worker=False, **files)
+        release = threading.Event()
+        self.hold_worker(monkeypatch, release, stage1="chunk_record")
+        chunk_record = run_module.chunk_record
+
+        def chunking(rec, vocab):
+            try:
+                return chunk_record(rec, vocab)
+            finally:
+                if rec.id == records[1].id:
+                    release.set()  # record 1's stage 1 has raised
+
+        monkeypatch.setattr(run_module, "chunk_record", chunking)
+        before = threading.active_count()
+        result, calls = self.run(tmp_path / "shared", compact_config(), monkeypatch,
+                                 worker=True, **files)
+        assert [i for i, _ in inline_calls] == [ids[2]]
+        assert [i for i, _ in calls] == [ids[0], ids[2]]
+        assert calls[0][1] != threading.get_ident()
+        assert [f["doc_id"] for f in result.failures] == [records[0].id, records[1].id]
+        for name in ("report.jsonl", "summary.txt"):
+            assert ((tmp_path / "shared" / name).read_bytes()
+                    == (tmp_path / "inline" / name).read_bytes())
+        assert threading.active_count() == before
 
 
 class TestStageTwoGate:
@@ -841,6 +880,101 @@ class TestStageTwoGate:
             (tmp_path / "cpu.max", tmp_path / "cpu.max"),
             (tmp_path / "quota", tmp_path / "period")))
         assert run_module.usable_cores() == (4 if cores == "all" else cores)
+
+
+class TestThreadedModelDraw:
+    """A fresh model whose decoder substream is drawn on a worker thread is the
+    model drawn on one thread, tensor for tensor and byte for byte."""
+
+    CONFIG = dict(model_dim=128, head_dim=16)  # the narrowest width that takes the worker
+
+    @staticmethod
+    def texts():
+        from claimforge.pipeline.run import record_texts
+        return record_texts(read_corpus(DATA / "golden_corpus.jsonl"))
+
+    @classmethod
+    def draw(cls, monkeypatch, threaded):
+        """Fresh models over the golden corpus at ``CONFIG``, with the draw's gate
+        forced on or off; returns them and the thread of each
+        ``GeneratorModel.init`` call."""
+        from claimforge.generator import GeneratorModel
+        from claimforge.pipeline import run as run_module
+        init, threads = GeneratorModel.init, []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return init(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(run_module, "stage2_worker_pays", lambda config: threaded)
+            patch.setattr(GeneratorModel, "init", recording)
+            models = run_module.load_models(cls.texts(), PipelineConfig(**cls.CONFIG), seed=0)
+        return models, threads
+
+    def test_threaded_draw_equals_inline(self, tmp_path, monkeypatch):
+        from claimforge.pipeline.run import all_params, save_models
+        before, params, threads = threading.active_count(), {}, {}
+        for threaded in (False, True):
+            models, threads[threaded] = self.draw(monkeypatch, threaded)
+            params[threaded] = all_params(models)
+            save_models(models, tmp_path / str(threaded))
+        assert threads[False] == [threading.get_ident()]
+        assert len(threads[True]) == 1 and threads[True][0] != threading.get_ident()
+        assert threading.active_count() == before
+        assert list(params[True]) == list(params[False])
+        for name, arr in params[False].items():
+            got = params[True][name]
+            assert got.dtype == arr.dtype and np.array_equal(got, arr), name
+        for name in ("model.ckpt", "vocab.txt"):
+            assert ((tmp_path / "True" / name).read_bytes()
+                    == (tmp_path / "False" / name).read_bytes())
+
+    @pytest.mark.parametrize("owner", ["GeneratorModel", "EvaluatorModel"])
+    def test_a_raising_draw_propagates_and_joins_the_worker(self, monkeypatch, owner):
+        # the decoder raises on the worker, or the evaluator on the caller's
+        # thread while the worker draws
+        from claimforge.pipeline import run as run_module
+        cls = getattr(run_module, owner)
+
+        def failing(*args):
+            raise ValueError(f"no {owner} today")
+
+        monkeypatch.setattr(cls, "init", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"no {owner} today"):
+            self.draw(monkeypatch, threaded=True)
+        assert threading.active_count() == before
+
+    def test_checkpoint_and_test_geometry_start_no_thread(self, tmp_path, monkeypatch):
+        from claimforge.pipeline import run as run_module
+        models, _ = self.draw(monkeypatch, threaded=False)
+        ckpt = run_module.save_models(models, tmp_path / "m")
+
+        def no_thread(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(run_module, "usable_cores", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert run_module.stage2_worker_pays(PipelineConfig(**self.CONFIG))
+        run_module.load_models([], PipelineConfig(**self.CONFIG), seed=0, checkpoint_path=ckpt)
+        assert not run_module.stage2_worker_pays(compact_config())
+        run_module.load_models(self.texts(), compact_config(), seed=0)
+
+    def test_default_blas_threads_draw_inline(self, monkeypatch):
+        # the draw was measured with one BLAS thread only; with OpenBLAS's
+        # default the caller's QR would share the two cores with the worker
+        from claimforge.pipeline import run as run_module
+        for var in run_module.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(run_module, "usable_cores", lambda: 2)
+
+        def no_thread(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        run_module.load_models(self.texts(), PipelineConfig(**self.CONFIG), seed=0)
 
 
 class TestCli:
