@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +77,11 @@ def effective_projection(base: Tensor, bank: AdapterBank, alpha,
     stacked_c = np.concatenate([c.data for c in cs], axis=1)
 
     def bwd(g, out):
-        splits = np.cumsum([b.shape[1] for b in bs])[:-1]
-        g_scaled = np.split(g @ stacked_c, splits, axis=1)
-        g_c = np.split(g.T @ scaled, splits, axis=1)
+        g_by_c, gt_by_s = g @ stacked_c, g.T @ scaled
+        edges = list(itertools.accumulate((b.shape[1] for b in bs), initial=0))
+        cols = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        g_scaled = [g_by_c[:, c] for c in cols]
+        g_c = [gt_by_s[:, c] for c in cols]
         g_alpha = np.array([(gs * b.data).sum() for gs, b in zip(g_scaled, bs)])
         g_b = [gs * a[d] for d, gs in enumerate(g_scaled)]
         return (g, g_alpha, *g_b, *g_c)

@@ -12,7 +12,11 @@ padded batch of them, ``cross_entropy_logits`` and
 ``sequence_cross_entropy``. The adapter merge,
 ``claimforge.generator.adapters.effective_projection``, is fused the same way.
 ``softmax_array`` and ``attention_array`` are the softmax and attention
-forwards over plain arrays, for inference that builds no tape.
+forwards over plain arrays, for inference that builds no tape. Attention
+runs its scale, mask add and softmax inside the scores buffer that
+``q @ k^T`` returns, with the same ufuncs in the same order, and its
+backward builds the score gradient inside the buffer of ``g @ v^T``; no
+input array is written.
 """
 
 from claimforge.numerics.tensor import (

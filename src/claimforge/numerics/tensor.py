@@ -345,9 +345,9 @@ def logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def softmax_array(x: np.ndarray, axis: int) -> np.ndarray:
-    """Max-shifted softmax of a plain array (no tape); rejects an empty or
-    non-finite input.
+def _softmax_into(out: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted softmax of ``x`` written into ``out`` (which may be ``x``
+    itself); rejects an empty or non-finite input and returns ``out``.
 
     ``x + (-max)``, exp, sum, divide: the ops and order of the composite
     softmax this replaced, so the same bits.
@@ -356,8 +356,15 @@ def softmax_array(x: np.ndarray, axis: int) -> np.ndarray:
         raise ValueError("softmax of empty input")
     _check_finite(x, "softmax input")
     # the max of a finite input is finite: no second check
-    e = np.exp(x + (-np.max(x, axis=axis, keepdims=True)))
-    return e / e.sum(axis=axis, keepdims=True)
+    np.add(x, -np.max(x, axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    return np.divide(out, out.sum(axis=axis, keepdims=True), out=out)
+
+
+def softmax_array(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted softmax of a plain array (no tape) into a fresh array; ``x``
+    is not written. Rejects an empty or non-finite input."""
+    return _softmax_into(np.empty_like(x, dtype=np.float64), x, axis)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -444,12 +451,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                     mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Forward of ``scaled_dot_attention`` over plain arrays: (output, weights, scale)."""
+    """Forward of ``scaled_dot_attention`` over plain arrays: (output, weights, scale).
+
+    The scale, the mask add and the softmax run inside the fresh array that
+    ``q @ k^T`` returns, which becomes the weights; no input is written.
+    """
     scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = (q @ k.swapaxes(-1, -2)) * scale
+    weights = q @ k.swapaxes(-1, -2)
+    np.multiply(weights, scale, out=weights)
     if mask is not None:
-        scores = scores + mask
-    weights = softmax_array(scores, -1)
+        np.add(weights, mask, out=weights)
+    _softmax_into(weights, weights, -1)
     return weights @ v, weights, scale
 
 
@@ -460,10 +472,13 @@ def _attention_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     output gradient ``g``, each None where ``wanted`` says it is not needed.
 
     With gs the gradient of the scaled scores, they are gs @ K, gs^T @ Q and
-    weights^T @ g.
+    weights^T @ g. gs is built inside the fresh buffer of g @ V^T; ``weights``
+    is not written, so a retained graph can run its backward again.
     """
-    gw = g @ v.swapaxes(-1, -2)
-    gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
+    gs = g @ v.swapaxes(-1, -2)
+    np.subtract(gs, (gs * weights).sum(axis=-1, keepdims=True), out=gs)
+    np.multiply(weights, gs, out=gs)
+    np.multiply(gs, scale, out=gs)
     want_q, want_k, want_v = wanted
     return (gs @ k if want_q else None,
             gs.swapaxes(-1, -2) @ q if want_k else None,

@@ -155,7 +155,8 @@ def encode_sequence(ids, cfg: EncoderConfig, params: dict[str, Tensor],
     # two rows at or above ``total`` holds the rows of the full one.
     rows = min(cfg.max_seq_len, 1 << (total - 1).bit_length())
     positions = _positional_encoding_cached(rows, cfg.model_dim)[offset:total]
-    x = embed[np.asarray(tokens)] + Tensor(positions)
+    # a constant, as Tensor._wrap makes one: the cached table is finite and read-only
+    x = embed[np.asarray(tokens)] + Tensor._from_op(positions, (), None)
 
     for layer in range(cfg.num_layers):
         p = f"l{layer}"

@@ -12,11 +12,14 @@ from claimforge.numerics import Tensor, check_settings
 class AdamW:
     """Decoupled weight-decay Adam over a named parameter dict.
 
-    The moments are kept as one flat vector each, in the dict's order, and a
-    step runs the update once over all parameters concatenated; each
-    parameter's ``data`` then becomes a view into the updated vector. The
-    update is elementwise, so it gives the same bits as one parameter at a
-    time.
+    The parameters are copied once, in the dict's order, into one flat
+    buffer, and each parameter's ``data`` becomes a view of it; the moments
+    are flat vectors in the same order. A step runs the update once over the
+    whole buffer, in place, with the expressions of the per-parameter update
+    in their order, so it gives the same bits as one parameter at a time. A
+    ``data`` rebound since the last step (a checkpoint load, the restack in
+    ``HeadBank.stacked_projections``) is copied into the buffer first and made
+    a view again; one rebound to another shape rejects the step.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 5e-5,
@@ -29,9 +32,16 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        size = sum(p.data.size for p in params.values())
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.data = np.concatenate([p.data.ravel() for p in params.values()])
+        self.m, self.v = np.zeros(self.data.size), np.zeros(self.data.size)
+        self._g, self._s = np.empty_like(self.data), np.empty_like(self.data)
+        self._views = []
+        start = 0
+        for p in params.values():
+            end = start + p.data.size
+            p.data = self.data[start:end].reshape(p.data.shape)
+            self._views.append(p.data)
+            start = end
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """One update; ``grads`` must hold a gradient for every parameter."""
@@ -39,32 +49,40 @@ class AdamW:
         for name in grads:
             if name not in self.params:
                 raise KeyError(f"unknown parameter {name!r}")
-        for name, p in self.params.items():
+        for (name, p), view in zip(self.params.items(), self._views):
             if name not in grads:
                 raise KeyError(f"no gradient for parameter {name!r}")
-            if grads[name].shape != p.data.shape:
+            if grads[name].shape != view.shape:
                 raise ValueError(
                     f"gradient shape {grads[name].shape} != parameter shape "
-                    f"{p.data.shape} for {name!r}"
+                    f"{view.shape} for {name!r}"
                 )
-        g = np.concatenate([grads[name].ravel() for name in self.params])
+            if p.data.shape != view.shape:
+                raise ValueError(f"parameter {name!r} was rebound to shape {p.data.shape}, "
+                                 f"not {view.shape}")
+        g = np.concatenate([grads[name].ravel() for name in self.params], out=self._g)
         if not np.isfinite(g).all():
             bad = next(name for name in self.params if not np.isfinite(grads[name]).all())
             raise ValueError(f"non-finite gradient for {bad!r}; step rejected")
+        for p, view in zip(self.params.values(), self._views):
+            if p.data is not view:
+                view[...] = p.data
+                p.data = view
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        data = np.concatenate([p.data.ravel() for p in self.params.values()])
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        m_hat = self.m / bc1
-        v_hat = self.v / bc2
-        data = data - self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * data)
-        start = 0
-        for p in self.params.values():
-            end = start + p.data.size
-            p.data = data[start:end].reshape(p.data.shape)
-            start = end
+        data, m, v, s = self.data, self.m, self.v, self._s
+        # m = beta1 * m + (1 - beta1) * g
+        np.add(np.multiply(self.beta1, m, out=m), np.multiply(1.0 - self.beta1, g, out=s), out=m)
+        # v = beta2 * v + (1 - beta2) * g * g
+        np.multiply(1.0 - self.beta2, g, out=s)
+        np.add(np.multiply(self.beta2, v, out=v), np.multiply(s, g, out=s), out=v)
+        # data = data - lr * (m / bc1 / (sqrt(v / bc2) + eps) + weight_decay * data),
+        # with g's buffer, no longer read, as the second scratch vector
+        np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), self.eps, out=s)
+        np.divide(np.divide(m, bc1, out=g), s, out=g)
+        np.add(g, np.multiply(self.weight_decay, data, out=s), out=g)
+        np.subtract(data, np.multiply(self.lr, g, out=g), out=data)
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> float:
@@ -73,6 +91,6 @@ def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> float
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm and total > 0:
         scale = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * scale
+        for g in grads.values():
+            g *= scale
     return total

@@ -17,6 +17,8 @@ from claimforge.numerics import (
     Params,
     Rng,
     Tensor,
+    attention_array,
+    attention_sublayer,
     backward,
     cross_entropy_logits,
     layer_norm,
@@ -27,6 +29,7 @@ from claimforge.numerics import (
     scaled_dot_attention,
     sequence_cross_entropy,
     softmax,
+    softmax_array,
 )
 from claimforge.numerics.gradcheck import (
     check_op,
@@ -296,6 +299,45 @@ class TestAttention:
                 gv[h] += np.outer(p, g[h, i])
         for t, want in zip(ts, (gq, gk, gv)):
             np.testing.assert_allclose(t.grad, want, rtol=1e-12, atol=1e-14)
+
+    def test_kernels_leave_their_inputs_unwritten(self):
+        # the softmax runs in a buffer of its own: the scores array of
+        # attention, a fresh array for softmax_array, never a caller's array
+        rng = Rng(6, ("attn-inputs",))
+        q, k, v = rng.normal((2, 2, 3, 4)), rng.normal((2, 2, 5, 4)), rng.normal((2, 2, 5, 3))
+        mask = np.zeros((2, 1, 1, 5))
+        mask[0, ..., 3:] = -1e9
+        x = rng.normal((3, 5))
+        before = [a.tobytes() for a in (q, k, v, mask, x)]
+        out, weights, _ = attention_array(q, k, v, mask)
+        probs = softmax_array(x, -1)
+        assert [a.tobytes() for a in (q, k, v, mask, x)] == before
+        assert not any(np.shares_memory(weights, a) for a in (q, k, v, mask))
+        assert not np.shares_memory(probs, x)
+        assert np.array_equal(weights[0, :, :, 3:], np.zeros((2, 3, 2)))
+
+    def test_retained_graph_backward_twice_gives_equal_gradients(self):
+        # both attention backwards build their score gradient in a fresh
+        # buffer, so the weights a graph keeps are still intact the second time
+        rng = Rng(7, ("attn-retained",))
+        ts = [Tensor(rng.normal(shape), requires_grad=True)
+              for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 3))]
+        mask = np.triu(np.full((3, 5), -1e9), k=3)
+        out, weights = scaled_dot_attention(*ts, mask)
+        x = Tensor(rng.normal((3, 8)), requires_grad=True)
+        ws = [Tensor(rng.normal(shape), requires_grad=True)
+              for shape in ((8,), (8,), (8, 8), (8, 8), (8, 8), (8, 8))]
+        block = attention_sublayer(x, *ws, 2, np.triu(np.full((3, 3), -1e9), k=1))
+        loss = (out * Tensor(rng.normal((2, 3, 3)))).sum() + (block * block).sum()
+        kept = weights.data.tobytes()
+        runs = []
+        for _ in range(2):
+            reached = loss.backward()
+            runs.append([t.grad.copy() for t in (*ts, x, *ws)])
+            for node in reached.values():
+                node.zero_grad()
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        assert weights.data.tobytes() == kept
 
 
 class TestBackward:

@@ -329,6 +329,67 @@ class TestFlatAdamW:
             opt.step(grads)
 
 
+class TestAdamWBuffer:
+    """The flat parameter buffer that AdamW updates in place."""
+
+    SHAPES = TestFlatAdamW.SHAPES
+    SETTINGS = dict(lr=3e-2, betas=(0.8, 0.95), eps=1e-8, weight_decay=0.05)
+
+    def _grads(self, rng):
+        return {name: rng.normal(shape) for name, shape in self.SHAPES.items()}
+
+    def test_every_parameter_is_a_view_of_one_buffer(self):
+        params = TestFlatAdamW()._params()
+        opt = AdamW(params, **self.SETTINGS)
+        rng = Rng(23, ("adamw-buffer",))
+        for _ in range(2):
+            opt.step(self._grads(rng))
+        assert all(p.data.base is opt.data for p in params.values())
+
+    def test_rebound_data_is_taken_in_bit_for_bit(self):
+        flat_params, ref_params = TestFlatAdamW()._params(), TestFlatAdamW()._params()
+        flat = AdamW(flat_params, **self.SETTINGS)
+        ref = PerParameterAdamW(ref_params, **self.SETTINGS)
+        rng = Rng(24, ("adamw-rebound",))
+        for step in range(6):
+            if step in (2, 4):
+                # a checkpoint load or a restack rebinds data between steps
+                for name in ("w", "s"):
+                    fresh = rng.normal(self.SHAPES[name])
+                    flat_params[name].data, ref_params[name].data = fresh, fresh.copy()
+            grads = self._grads(rng)
+            flat.step({name: g.copy() for name, g in grads.items()})
+            ref.step(grads)
+            for name in self.SHAPES:
+                assert np.array_equal(flat_params[name].data, ref_params[name].data), name
+                assert np.shares_memory(flat_params[name].data, flat.data), name
+
+    def test_rebound_to_another_shape_is_rejected(self):
+        params = TestFlatAdamW()._params()
+        opt = AdamW(params, **self.SETTINGS)
+        params["w"].data = np.zeros(12)
+        grads = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
+        with pytest.raises(ValueError, match="'w' was rebound to shape"):
+            opt.step(grads)
+        assert opt.t == 0
+
+    def test_rejected_step_leaves_the_buffer_untouched(self):
+        params = TestFlatAdamW()._params()
+        opt = AdamW(params, **self.SETTINGS)
+        rng = Rng(25, ("adamw-rejected",))
+        opt.step(self._grads(rng))
+        rebound = rng.normal(self.SHAPES["b"])
+        params["b"].data = rebound
+        state = [a.tobytes() for a in (opt.data, opt.m, opt.v)]
+        grads = self._grads(rng)
+        grads["t"][0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="step rejected"):
+            opt.step(grads)
+        assert [a.tobytes() for a in (opt.data, opt.m, opt.v)] == state
+        assert opt.t == 1
+        assert params["b"].data is rebound
+
+
 class TestClipGradNorm:
     def test_small_gradients_untouched(self):
         grads = {"w": np.array([0.3, 0.4])}
@@ -342,6 +403,17 @@ class TestClipGradNorm:
         assert norm == pytest.approx(5.0)
         total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert total == pytest.approx(1.0)
+
+    def test_scales_each_gradient_in_place(self):
+        rng = Rng(26, ("clip-in-place",))
+        grads = {"a": rng.normal((3, 4)), "b": rng.normal((5,)) * 100.0}
+        arrays = dict(grads)
+        before = {name: g.copy() for name, g in grads.items()}
+        norm = clip_grad_norm(grads, 0.5)
+        scale = 0.5 / norm
+        for name, g in grads.items():
+            assert g is arrays[name]
+            assert np.array_equal(g, before[name] * scale)
 
     @pytest.mark.parametrize("max_norm, rule", [(-1.0, "positive"), (0.0, "positive"),
                                                 (math.nan, "finite"), (math.inf, "finite")])
