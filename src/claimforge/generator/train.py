@@ -67,7 +67,17 @@ def train_generator(samples: list[GeneratorSample], model: GeneratorModel,
                     schedule: CurriculumSchedule, rng: Rng,
                     train_cfg: GeneratorTrainConfig = GeneratorTrainConfig(),
                     log_fn: Callable[[dict], None] | None = None) -> list[float]:
-    """Next-token training with curriculum batch sampling; returns loss history."""
+    """Next-token training with curriculum batch sampling; returns loss history.
+
+    A step's loss is the mean of its samples' losses. Each sample's graph is
+    built and walked on its own, as ``backward`` asks for it, so while one is
+    built only the graph walked before it is still alive, not the whole
+    batch's. The samples go newest first: one walk over the graph of the
+    summed batch, in reverse creation order, reached the last sample's nodes
+    first, so each parameter's gradient adds its samples' parts in the same
+    order, and gets the same bits. The loss recorded is the batch-order sum
+    of the samples' losses times ``1 / batch_size``, as that graph had it.
+    """
     if not samples:
         raise ValueError("empty corpus")
     usable = []
@@ -99,15 +109,22 @@ def train_generator(samples: list[GeneratorSample], model: GeneratorModel,
         else:
             idx = rng.integers(0, len(ids), size=train_cfg.batch_size)
             batch_ids = [ids[i] for i in idx]
-        loss = None
-        for sid in batch_ids:
-            term = _sample_loss(by_id[sid], model, bank, classifier)
-            loss = term if loss is None else loss + term
-        loss = loss * (1.0 / len(batch_ids))
-        grads = backward(loss, trainable)
+        scale = 1.0 / len(batch_ids)
+        terms = [0.0] * len(batch_ids)
+
+        def scaled_terms():
+            for i in reversed(range(len(batch_ids))):
+                term = _sample_loss(by_id[batch_ids[i]], model, bank, classifier)
+                terms[i] = term.item()
+                yield term * scale
+
+        grads = backward(scaled_terms(), trainable)
         norm = clip_grad_norm(grads, train_cfg.grad_clip)
         opt.step(grads)
-        history.append(loss.item())
+        loss = terms[0]
+        for value in terms[1:]:  # left to right, as the graph added them; sum() may not
+            loss += value
+        history.append(loss * scale)
         if log_fn is not None:
             log_fn({
                 "step": t,

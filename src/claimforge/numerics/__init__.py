@@ -17,6 +17,10 @@ runs its scale, mask add and softmax inside the scores buffer that
 ``q @ k^T`` returns, with the same ufuncs in the same order, and its
 backward builds the score gradient inside the buffer of ``g @ v^T``; no
 input array is written.
+
+``backward`` takes one scalar loss or an iterable of them, walked one at a
+time as it yields them; a walk frees each op node's gradient once its
+backward has used it, while leaves accumulate theirs.
 """
 
 from claimforge.numerics.tensor import (

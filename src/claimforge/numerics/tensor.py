@@ -3,7 +3,10 @@
 Tensors are immutable after forward construction: ops build new tensors and
 record a backward closure. Calling ``backward(loss, params)`` (or
 ``loss.backward()``) walks the recorded graph once in reverse topological
-order and accumulates gradients into every ``requires_grad`` tensor.
+order. Leaves (tensors made with ``requires_grad``) accumulate their gradient
+across walks; an op node's gradient is freed as soon as its backward closure
+has consumed it, so a walk holds no more gradient buffers than it needs, and
+a graph that is kept can be walked again with the same result.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections.abc import Iterable
 from contextlib import contextmanager
 from operator import attrgetter
 
@@ -279,8 +283,12 @@ class Tensor:
     # -- backward -------------------------------------------------------------
 
     def backward(self) -> dict[int, "Tensor"]:
-        """Accumulate gradients of this scalar into all reachable parameters;
-        returns this tensor and every tensor the walk reached, keyed by id."""
+        """Accumulate gradients of this scalar into all reachable leaves;
+        returns this tensor and every tensor the walk reached, keyed by id.
+
+        Each op node's gradient is set back to ``None`` once its backward
+        closure has used it; leaves keep theirs, adding to what they held.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         reached = {id(self): self}
@@ -297,6 +305,7 @@ class Tensor:
             if node._backward is None:
                 continue
             grads = node._backward(node.grad, node)
+            node.grad = None
             for parent, g in zip(node._parents, grads):
                 if parent.requires_grad:
                     parent.grad = g if parent.grad is None else parent.grad + g
@@ -306,17 +315,26 @@ class Tensor:
         self.grad = None
 
 
-def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Run reverse mode from ``loss`` and return a name -> gradient map.
+def backward(loss: Tensor | Iterable[Tensor],
+             params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Run reverse mode and return a name -> gradient map.
 
-    Parameters not reachable from the loss get a zero gradient and a warning.
+    ``loss`` is a scalar tensor or an iterable of them. The parameters are
+    zeroed once; each loss is walked as the iterable yields it, and its
+    gradients add to those of the losses before it. A caller that builds
+    each loss only when asked for it keeps alive, while it builds one, only
+    the graph walked last, not all of them. Parameters no loss reaches get a
+    zero gradient and a warning.
     """
     for p in params.values():
         p.zero_grad()
-    reachable = loss.backward()
+    wanted = {id(p) for p in params.values()}
+    reached: set[int] = set()
+    for term in (loss,) if isinstance(loss, Tensor) else loss:
+        reached |= wanted.intersection(term.backward())
     grads: dict[str, np.ndarray] = {}
     for name, p in params.items():
-        if id(p) not in reachable:
+        if id(p) not in reached:
             warnings.warn(f"parameter {name!r} not reachable from loss; gradient is zero")
         grads[name] = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
     return grads

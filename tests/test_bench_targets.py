@@ -16,6 +16,14 @@ from pathlib import Path
 
 from claimforge.cli import _corpus_texts
 from claimforge.evaluator import EvaluatorModel, EvaluatorTrainConfig, train_evaluator
+from claimforge.generator import (
+    AdapterBank,
+    DomainClassifier,
+    GeneratorModel,
+    GeneratorSample,
+    GeneratorTrainConfig,
+    train_generator,
+)
 from claimforge.numerics import Rng
 from claimforge.pipeline import (
     PipelineConfig,
@@ -26,6 +34,7 @@ from claimforge.pipeline import (
 )
 from claimforge.similarity import HeadBank, SimilarityTrainConfig, train_similarity
 from claimforge.textcore import EncoderConfig, Vocabulary, init_encoder_params
+from claimforge.training import CurriculumSchedule
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -91,6 +100,31 @@ def test_trainer_encoder_calls_are_counted_per_batch():
     assert (tracer.counters["textcore.encode.tokens"]
             == sim_counts["textcore.encode.tokens"] + pair_tokens)
     assert tracer.counters["numerics.backward.calls"] == 4
+    assert tracer.unmeasured == {}
+
+
+def test_generator_walks_once_per_step():
+    # the benchmark splits a step into forward, backward and optimizer time
+    # at the one backward call each step makes; the generator walks each
+    # sample's graph on its own, but all inside that one call
+    cfg = EncoderConfig(model_dim=16, num_heads=2, head_dim=8, num_layers=1, max_seq_len=64)
+    samples = [GeneratorSample(id=f"s{i}", description_ids=[5 + i, 6, 7], claim_ids=[8, 9 + i],
+                               domain_label=domain)
+               for i, domain in enumerate(("software", "chemical", "mechanical"))]
+    steps = 3
+    tracer = load_spans().Tracer(traced=True)
+    tracer.install()
+    try:
+        history = train_generator(samples, GeneratorModel.init(40, cfg, Rng(0, ("gen",))),
+                                  AdapterBank.init(1, 16, Rng(0, ("bank",))),
+                                  DomainClassifier.init(16, Rng(0, ("clf",))),
+                                  CurriculumSchedule(), Rng(0, ("t",)),
+                                  GeneratorTrainConfig(steps=steps, batch_size=4))
+    finally:
+        tracer.close()
+    assert len(history) == steps
+    assert tracer.counters["numerics.backward.calls"] == steps
+    assert tracer.counters["optim.step.calls"] == steps
     assert tracer.unmeasured == {}
 
 

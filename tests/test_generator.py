@@ -1,5 +1,7 @@
 """Adapter mixing, domain classification, decoding, and generator training."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,9 @@ from claimforge.generator import (
     train_domain_classifier,
     train_generator,
 )
+from claimforge.generator import train as generator_train
 from claimforge.generator.train import _sample_loss
-from claimforge.numerics import Rng, Tensor, concat
+from claimforge.numerics import Rng, Tensor, backward, concat
 from claimforge.numerics.gradcheck import check_op
 from claimforge.textcore import (
     BOS_ID,
@@ -34,7 +37,7 @@ from claimforge.textcore import (
     KVCache,
     encode_sequence,
 )
-from claimforge.training import CurriculumSchedule
+from claimforge.training import CurriculumSchedule, sample_batch
 
 CFG = EncoderConfig(model_dim=16, num_heads=2, head_dim=8, num_layers=1, max_seq_len=64)
 
@@ -444,6 +447,68 @@ class TestTrainGenerator:
                 train_generator(samples[:1], model, bank, clf, CurriculumSchedule(),
                                 Rng(0, ("t",)))
 
+    def test_per_sample_walks_give_the_whole_batch_graph_bits(self, small_vocab, monkeypatch):
+        # the trainer builds and walks each sample's graph on its own, newest
+        # first; one walk over the graph of the summed batch is the oracle
+        def fresh():
+            model, bank = make_model(4), make_bank(4)
+            randomize_bank(bank, 4)
+            return model, bank, DomainClassifier.init(CFG.model_dim, Rng(4, ("c",)))
+
+        batches, walked = [], []
+
+        def recording_batch(*args):
+            batches.append(sample_batch(*args))
+            return batches[-1]
+
+        def recording_backward(loss, params):
+            grads = backward(loss, params)
+            walked.append({name: g.copy() for name, g in grads.items()})
+            return grads
+
+        samples = self._samples(small_vocab)
+        monkeypatch.setattr(generator_train, "sample_batch", recording_batch)
+        monkeypatch.setattr(generator_train, "backward", recording_backward)
+        model, bank, clf = fresh()
+        history = train_generator(samples, model, bank, clf, CurriculumSchedule(),
+                                  Rng(4, ("t",)), GeneratorTrainConfig(steps=1, batch_size=4))
+        assert len(batches) == len(walked) == 1 and len(batches[0]) == 4
+
+        model, bank, clf = fresh()
+        by_id = {s.id: s for s in samples}
+        loss = None
+        for sid in batches[0]:
+            term = _sample_loss(by_id[sid], model, bank, clf)
+            loss = term if loss is None else loss + term
+        loss = loss * (1.0 / 4)
+        whole = backward(loss, {**bank.params, **model.params, **clf.params})
+        assert list(walked[0]) == list(whole)
+        assert [name for name in whole
+                if walked[0][name].tobytes() != whole[name].tobytes()] == []
+        assert history == [loss.item()]
+
+    def test_a_step_holds_at_most_one_earlier_sample_graph(self, small_vocab, monkeypatch):
+        # building the whole batch's graph kept every earlier term alive: 3
+        # of them when the fourth sample's loss was built. Tensor has no weak
+        # reference slot, so a term counts as alive while any array its op
+        # nodes computed is
+        terms, alive = [], []
+
+        def tracking_loss(*args):
+            alive.append(sum(any(ref() is not None for ref in refs) for refs in terms))
+            term = _sample_loss(*args)
+            terms.append([weakref.ref(node.data) for node in taped_ops(term)
+                          if isinstance(node.data, np.ndarray)])
+            return term
+
+        monkeypatch.setattr(generator_train, "_sample_loss", tracking_loss)
+        model, bank = make_model(5), make_bank(5)
+        clf = DomainClassifier.init(CFG.model_dim, Rng(5, ("c",)))
+        train_generator(self._samples(small_vocab), model, bank, clf, CurriculumSchedule(),
+                        Rng(5, ("t",)), GeneratorTrainConfig(steps=3, batch_size=4))
+        assert len(alive) == 12
+        assert max(alive) <= 1
+
     def test_log_lines_carry_schedule_state(self, small_vocab):
         model, bank = make_model(3), make_bank(3)
         clf = DomainClassifier.init(CFG.model_dim, Rng(3, ("c",)))
@@ -461,17 +526,18 @@ class TestTrainGenerator:
             assert np.isfinite(row["grad_norm"])
 
 
-def taped_nodes(loss: Tensor) -> int:
+def taped_ops(loss: Tensor) -> list[Tensor]:
     """Non-leaf nodes of the tape reachable from ``loss``: those with a backward."""
-    seen, stack, count = set(), [loss], 0
+    seen, stack, ops = set(), [loss], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        count += node._backward is not None
+        if node._backward is not None:
+            ops.append(node)
         stack.extend(node._parents)
-    return count
+    return ops
 
 
 class TestTapeSize:
@@ -485,15 +551,15 @@ class TestTapeSize:
         clf = DomainClassifier.init(CFG.model_dim, Rng(0, ("c",)))
         sample = GeneratorSample(id="s", description_ids=[5, 6, 7, 8], claim_ids=[9, 10, 11],
                                  domain_label="software")
-        count = taped_nodes(_sample_loss(sample, model, bank, clf))
+        count = len(taped_ops(_sample_loss(sample, model, bank, clf)))
         assert count <= 0.6 * 40
         assert count == 20
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_encoder_call(self, causal):
         model = make_model()
-        count = taped_nodes(encode_sequence([5, 6, 7, 8, 9], CFG, model.params, prefix="dec",
-                                            causal=causal))
+        count = len(taped_ops(encode_sequence([5, 6, 7, 8, 9], CFG, model.params, prefix="dec",
+                                              causal=causal)))
         assert count <= 0.6 * 24
         # embedding lookup, + positions, then the attention and FFN sublayers
         assert count == 4

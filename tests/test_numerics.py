@@ -389,6 +389,41 @@ class TestBackward:
         w.zero_grad()
         assert w.grad is None
 
+    def test_backward_twice_on_one_graph_gives_equal_gradients(self):
+        # op nodes kept the gradient of the first walk, and the second walk
+        # added to it: [6, 12], then [24, 48]
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (w * w).sum() * 3
+        for _ in range(2):
+            np.testing.assert_array_equal(backward(loss, {"w": w})["w"], [6.0, 12.0])
+
+    def test_walk_frees_op_node_gradients_and_leaves_keep_theirs(self):
+        rng = Rng(8, ("walk-frees",))
+        x, gain, bias, w = (Tensor(rng.normal(shape), requires_grad=True)
+                            for shape in ((3, 4), (4,), (4,), (4, 5)))
+        logits = layer_norm(x, gain, bias) @ w
+        loss = softmax(logits).sum() * 0.5 + cross_entropy_logits(logits[0], 2)
+        reached = loss.backward()
+        ops = [node for node in reached.values() if node._backward is not None]
+        leaves = [node for node in reached.values() if node._backward is None]
+        assert {id(node) for node in leaves} == {id(t) for t in (x, gain, bias, w)}
+        assert len(ops) >= 6 and all(node.grad is None for node in ops)
+        assert all(node.grad is not None for node in leaves)
+
+    def test_iterable_of_losses_adds_up_like_one_walk_over_their_sum(self):
+        # one walk over a + b reaches b's nodes (the newer) first, so walking
+        # b, then a, adds each leaf's parts in the same order: the same bits
+        rng = Rng(9, ("walk-terms",))
+        w = Tensor(rng.normal((3,)), requires_grad=True)
+        orphan = Tensor(np.ones(2), requires_grad=True)
+        a = (w * w).sum() * 0.5
+        b = (w.tanh() * 3.0).sum() * 0.5
+        whole = backward(a + b, {"w": w})
+        with pytest.warns(UserWarning, match="'orphan' not reachable"):
+            walked = backward(iter([b, a]), {"w": w, "orphan": orphan})
+        assert walked["w"].tobytes() == whole["w"].tobytes()
+        assert np.array_equal(walked["orphan"], np.zeros(2))
+
     def test_fresh_model_holds_no_gradient_buffer(self):
         from claimforge.pipeline import PipelineConfig
         from claimforge.pipeline.run import _param_tensors, build_models
