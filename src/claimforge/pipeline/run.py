@@ -14,7 +14,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,9 +69,9 @@ StageOneMemo = dict[str, list[tuple[str, ChunkFeatures]]]
 class PipelineResult:
     reports: list[dict]
     failures: list[dict]
-    report_path: Path | None = None
-    summary_path: Path | None = None
-    timings_path: Path | None = None
+    report_path: Path
+    summary_path: Path
+    timings_path: Path
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -218,14 +217,6 @@ def generate_claim(rec: CorpusRecord, models: PipelineModels,
     return gen_ids, alpha, label, models.vocab.decode_text(gen_ids)
 
 
-def _timed_generation(rec: CorpusRecord, models: PipelineModels, config: PipelineConfig,
-                      thread: str = "main"):
-    """``generate_claim``'s output, its wall seconds on the thread that ran it, and that thread."""
-    t_start = time.perf_counter()
-    out = generate_claim(rec, models, config)
-    return out, time.perf_counter() - t_start, thread
-
-
 # Stage 2 runs on a worker thread, and set-up draws the decoder on one, only
 # from this model width up. Below it the decode is interpreter-bound and the
 # two threads take turns at the GIL.
@@ -294,75 +285,74 @@ def stage2_worker_pays(config: PipelineConfig) -> bool:
 
 
 class StageTwo:
-    """The stage-2 generations of one run's records, one job per record.
+    """The stage-2 generations of one run's records: ``result(rec)`` is
+    ``rec``'s generation, its wall seconds and the thread that ran it.
 
-    The first ``start(rec)`` submits every record's job, in record order;
-    each ``start(rec)`` returns ``rec``'s job, whose ``result()`` is
-    ``_timed_generation``'s. Jobs are keyed by record, so a record that fails
-    before it asks for its result shifts no later generation; ``drop(rec)``
-    spares a skipped record's generation where it can. Where
-    ``stage2_worker_pays``, the jobs run in record order on one worker
-    thread, ahead of the caller, which takes pending ones at ``result()``
-    (``_wait``); elsewhere a job runs inline at ``result()``. Leaving the
-    ``with`` block cancels the jobs not yet started and joins the worker.
+    One path serves every run. Where ``stage2_worker_pays``, the first
+    ``start()`` submits every record's job, in record order, to one worker
+    thread, which runs them ahead of the caller; elsewhere no job is
+    submitted and ``result(rec)`` runs each here. Jobs are keyed by record,
+    so a record that fails before its result shifts no later generation, and
+    ``drop(rec)`` cancels a skipped record's job if no thread has started it.
+    Leaving the ``with`` block cancels the jobs not yet started and joins the
+    worker.
     """
 
     def __init__(self, records: list[CorpusRecord], models: PipelineModels,
                  config: PipelineConfig):
-        self._threaded = stage2_worker_pays(config)
-        self._records = records
         self._args = (models, config)
-        self._jobs: dict[int, object] | None = None
-        self._queued = list(records)  # whose jobs the worker may not have started
+        self._to_submit = list(records) if stage2_worker_pays(config) else []
+        self._jobs: dict[int, tuple[CorpusRecord, object]] = {}  # id(rec) -> (rec, future)
         self._pool = None
 
-    def start(self, rec: CorpusRecord):
-        if self._jobs is None:
-            self._jobs = {id(r): self._submit(r) for r in self._records}
-        if self._threaded:
-            return SimpleNamespace(result=partial(self._wait, rec))
-        return self._jobs.pop(id(rec))
+    def start(self) -> None:
+        # at the first record, not in __init__: a run stopped in set-up has no job to join
+        if self._to_submit:
+            # imported only where a worker is made: about 5 ms after numpy
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stage2")
+            self._jobs = {id(r): (r, self._pool.submit(self._run, r, "worker"))
+                          for r in self._to_submit}
+            self._to_submit = []
+
+    def result(self, rec: CorpusRecord):
+        """``rec``'s job's outcome. This thread runs it if it has no job or the
+        worker has not started it (``Future.cancel()`` succeeds only then),
+        and while the worker runs it, the last jobs the worker has not
+        started. Each job runs whole on one thread, so either thread gives
+        the same bits."""
+        _, job = self._jobs.pop(id(rec), (None, None))
+        if job is None or job.cancel():
+            return self._run(rec)
+        for key, (other, queued) in reversed(list(self._jobs.items())):
+            if job.done():
+                break
+            if queued.done():
+                continue  # an earlier steal
+            if not queued.cancel():
+                break  # the worker, in record order, has started all the jobs before it
+            self._jobs[key] = other, self._run_here(other)
+        return job.result()
 
     def drop(self, rec: CorpusRecord) -> None:
         """Forget a skipped record's job: cancelled if no thread has started it (a
         started one runs to its end), and never taken by the caller's thread."""
-        if not self._threaded:
-            return
-        if id(rec) in self._jobs:
-            self._jobs.pop(id(rec)).cancel()
-        self._queued = [r for r in self._queued if r is not rec]
+        _, job = self._jobs.pop(id(rec), (None, None))
+        if job is not None:
+            job.cancel()
 
-    def _submit(self, rec: CorpusRecord):
-        if not self._threaded:
-            return SimpleNamespace(result=partial(_timed_generation, rec, *self._args))
-        if self._pool is None:
-            # imported only where a worker is made: about 5 ms after numpy
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stage2")
-        return self._pool.submit(_timed_generation, rec, *self._args, "worker")
-
-    def _wait(self, rec: CorpusRecord):
-        """``rec``'s job's outcome. This thread runs it if the worker has not
-        started it (``Future.cancel()`` succeeds only then), and while the
-        worker runs it, the last jobs the worker has not started. Each job
-        runs whole on one thread, so either thread gives the same bits."""
-        job = self._jobs.pop(id(rec))
-        if job.cancel():
-            job = self._run_here(rec)
-        while not job.done() and self._queued:
-            last = self._queued.pop()
-            if id(last) not in self._jobs or not self._jobs[id(last)].cancel():
-                self._queued.clear()  # the worker, in record order, has started them all
-                break
-            self._jobs[id(last)] = self._run_here(last)
-        return job.result()
+    def _run(self, rec: CorpusRecord, thread: str = "main"):
+        """``generate_claim``'s output, its wall seconds on the thread that ran it, and that thread."""
+        t_start = time.perf_counter()
+        out = generate_claim(rec, *self._args)
+        return out, time.perf_counter() - t_start, thread
 
     def _run_here(self, rec: CorpusRecord):
         """A finished future holding ``rec``'s job's result or exception, run on this thread."""
         from concurrent.futures import Future
         done = Future()
         try:
-            done.set_result(_timed_generation(rec, *self._args))
+            done.set_result(self._run(rec))
         except Exception as exc:  # raised at ``rec``'s own result(), as from the worker
             done.set_exception(exc)
         return done
@@ -381,15 +371,14 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
     """Run stages 1-3 for one record; returns (report record, stage timings).
 
     ``memo`` carries the prior-art chunks' features across the records of
-    one run. ``stage2`` holds the run's generations: with a worker thread
-    they run while this thread does stage 1, and this thread runs pending
-    ones while it waits for its own. ``stage2_seconds`` is the generation's
-    wall time on ``stage2_thread``, so with a worker the stage times
-    overlap. The caller holds ``no_grad()``, as ``run_pipeline`` does, so no
+    one run. ``stage2.start()`` comes first, so a worker, if the run has one,
+    generates while this thread does stage 1; ``stage2.result(rec)`` gives
+    the generation. ``stage2_seconds`` is its wall time on ``stage2_thread``,
+    so with a worker the stage times overlap. The caller holds ``no_grad()``, as ``run_pipeline`` does, so no
     autodiff tape is built. The report's ``curriculum`` block is the
     schedule at step 0, where inference runs.
     """
-    generation = stage2.start(rec)
+    stage2.start()
     timings = {}
 
     # Stage 1: adaptive chunking + relationship-aware similarity
@@ -405,7 +394,7 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
     tau = curriculum_progress(0, schedule)
     level = difficulty_level(0, schedule)
     ((gen_ids, alpha, domain_label, generated_text), timings["stage2_seconds"],
-     timings["stage2_thread"]) = generation.result()
+     timings["stage2_thread"]) = stage2.result(rec)
 
     # Stage 3: unified quality assessment
     t_start = time.perf_counter()

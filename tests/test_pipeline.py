@@ -776,6 +776,61 @@ class TestStageTwoWorker:
         assert (Tensor(np.ones(2), requires_grad=True) * 2.0)._backward is not None
         assert not (tmp_path / "out" / "report.jsonl").exists()
 
+    def test_stolen_non_finite_error_of_a_skipped_record_is_dropped(self, tmp_path,
+                                                                     monkeypatch):
+        # The caller's thread takes the last record's generation, which raises,
+        # while the worker is held; that record then fails stage 1, so its
+        # error is never asked for, as inline, where its generation never runs.
+        records, _ = self.write_records(tmp_path, 4)
+        records[-1].figure_count = -1
+        write_corpus(tmp_path / "c.jsonl", records)
+        files = dict(corpus=tmp_path / "c.jsonl", prior_art=tmp_path / "p.jsonl")
+        release = threading.Event()
+        raised_on = self.fail_last(monkeypatch, records, NonFiniteError, release)
+        inline, _ = self.run(tmp_path / "inline", compact_config(), monkeypatch, worker=False,
+                             **files)
+        assert not raised_on
+        self.hold_worker(monkeypatch, release)
+        before = threading.active_count()
+        result, calls = self.run(tmp_path / "shared", compact_config(), monkeypatch,
+                                 worker=True, **files)
+        assert raised_on == [threading.get_ident()]
+        assert [f["doc_id"] for f in result.failures] == [records[-1].id]
+        assert result.report_path.read_text().count('"skipped"') == 1
+        assert result.report_path.read_bytes() == inline.report_path.read_bytes()
+        self.assert_shared(calls, 3)
+        assert threading.active_count() == before
+
+    def test_a_run_stopped_at_its_first_record_submits_no_generation(self, tmp_path,
+                                                                     monkeypatch):
+        # bench/setup_probe.py times set-up by stopping the run at its first
+        # record; jobs submitted before it would make leaving the run wait for
+        # a generation, which set-up would then be charged for.
+        from claimforge.pipeline import run as run_module
+
+        class FirstDocument(BaseException):
+            """Not an Exception, so ``run_pipeline`` does not isolate it."""
+
+        def stop(*args):
+            raise FirstDocument
+
+        start, started = threading.Thread.start, []
+
+        def recording_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(run_module, "process_document", stop)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        before, calls = threading.active_count(), []
+        monkeypatch.setattr(run_module, "generate", lambda *args, **kw: calls.append(args))
+        with pytest.raises(FirstDocument):
+            self.run(tmp_path, compact_config(), monkeypatch, worker=True)
+        # the gate held: the decoder was drawn on a worker, and no stage-2 one started
+        assert [name.split("_")[0] for name in started] == ["init"]
+        assert not calls
+        assert threading.active_count() == before
+
     def test_non_finite_generation_ends_the_run_and_joins_the_worker(self, tmp_path,
                                                                      monkeypatch):
         from claimforge.pipeline import run as run_module
@@ -961,6 +1016,13 @@ class TestThreadedModelDraw:
         run_module.load_models([], PipelineConfig(**self.CONFIG), seed=0, checkpoint_path=ckpt)
         assert not run_module.stage2_worker_pays(compact_config())
         run_module.load_models(self.texts(), compact_config(), seed=0)
+        # a whole run at the test geometry: stage 2 without a worker is the
+        # same path with no job submitted, each generation run at its result
+        result = run_pipeline(DATA / "golden_corpus.jsonl", DATA / "golden_prior_art.jsonl",
+                              tmp_path / "run", compact_config(), seed=0)
+        assert result.report_path.read_bytes() == (DATA / "golden_report.jsonl").read_bytes()
+        rows = result.timings_path.read_text().splitlines()
+        assert len(rows) == 3 and all(json.loads(row)["stage2_thread"] == "main" for row in rows)
 
     def test_default_blas_threads_draw_inline(self, monkeypatch):
         # the draw was measured with one BLAS thread only; with OpenBLAS's
