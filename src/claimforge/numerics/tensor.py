@@ -367,14 +367,14 @@ def _softmax_into(out: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     """Max-shifted softmax of ``x`` written into ``out`` (which may be ``x``
     itself); rejects an empty or non-finite input and returns ``out``.
 
-    ``x + (-max)``, exp, sum, divide: the ops and order of the composite
-    softmax this replaced, so the same bits.
+    ``x - max`` (IEEE 754's ``x + (-max)``), exp, sum, divide: the ops and
+    order of the composite softmax this replaced, so the same bits.
     """
     if x.size == 0:
         raise ValueError("softmax of empty input")
     _check_finite(x, "softmax input")
     # the max of a finite input is finite: no second check
-    np.add(x, -np.max(x, axis=axis, keepdims=True), out=out)
+    np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
     return np.divide(out, out.sum(axis=axis, keepdims=True), out=out)
 
@@ -408,10 +408,10 @@ def _log_softmax_parts(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.nd
         raise ValueError("log_softmax of empty input")
     m = np.max(x, axis=axis, keepdims=True)
     _check_finite(m, "log_softmax input")
-    shifted = x + (-m)
+    shifted = x - m
     e = np.exp(shifted)
     s = e.sum(axis=axis, keepdims=True)
-    return shifted + (-np.log(s)), e, s
+    return shifted - np.log(s), e, s
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -428,7 +428,7 @@ def _layer_norm_parts(x: np.ndarray, gain: np.ndarray,
                       bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward of ``layer_norm`` over plain arrays: (output, xhat, sigma)."""
     scale = 1.0 / x.shape[-1]
-    centered = x + (-(x.sum(axis=-1, keepdims=True) * scale))
+    centered = x - x.sum(axis=-1, keepdims=True) * scale
     var = (centered * centered).sum(axis=-1, keepdims=True) * scale
     sigma = np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered / sigma
@@ -474,7 +474,7 @@ def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     The scale, the mask add and the softmax run inside the fresh array that
     ``q @ k^T`` returns, which becomes the weights; no input is written.
     """
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    scale = 1.0 / math.sqrt(q.shape[-1])
     weights = q @ k.swapaxes(-1, -2)
     np.multiply(weights, scale, out=weights)
     if mask is not None:

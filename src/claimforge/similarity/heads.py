@@ -165,10 +165,9 @@ def head_scores(claim: ClaimFeatures, doc: ChunkFeatures) -> np.ndarray:
     """
     a = _pool(attention_array(claim.q, doc.k, doc.v, None)[0], 1)
     norm_a = np.sqrt((a * a).sum(axis=-1))
-    out = np.zeros(len(a))
     ok = (norm_a >= 1e-12) & (claim.q_norm >= 1e-12)
-    out[ok] = (a * claim.q_pooled).sum(axis=-1)[ok] / (norm_a * claim.q_norm)[ok]
-    return out
+    return np.divide((a * claim.q_pooled).sum(axis=-1), norm_a * claim.q_norm,
+                     out=np.zeros(len(a)), where=ok)
 
 
 def group_masses_from_weights(w: np.ndarray | list[float]) -> dict[str, float]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-_TERMINATORS = frozenset(".;?")
+_TERMINATOR_RE = re.compile(r"[.;?]")
 _CLAIM_NUM_RE = re.compile(r"(\d+)\.")
 _PARA_RE = re.compile(r"\n[ \t]*\n+")
 
@@ -32,9 +32,9 @@ def sentence_boundaries(text: str) -> list[int]:
             claim_dots.add(line_start + m.end() - 1)
         line_start += len(line)
 
-    for i, ch in enumerate(text):
-        if ch in _TERMINATORS and i not in claim_dots:
-            boundaries.add(i + 1)
+    for m in _TERMINATOR_RE.finditer(text):
+        if m.start() not in claim_dots:
+            boundaries.add(m.end())
 
     for m in _PARA_RE.finditer(text):
         boundaries.add(m.end())

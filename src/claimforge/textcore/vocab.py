@@ -39,11 +39,12 @@ class Vocabulary:
             raise ValueError(f"vocabulary size {len(tokens) + NUM_RESERVED} exceeds cap {cap}")
         if len(set(tokens)) != len(tokens):
             raise ValueError("duplicate tokens in vocabulary")
-        self._id_to_token = list(tokens)
-        self._token_to_id = {t: i + NUM_RESERVED for i, t in enumerate(tokens)}
+        self._tokens = [*_RESERVED_TOKENS.values(), *tokens]
+        # a token spelled like a reserved name keeps the reserved id
+        self._ids = {**{t: i for i, t in enumerate(self._tokens)}, **_RESERVED_BY_NAME}
 
     def __len__(self) -> int:
-        return len(self._id_to_token) + NUM_RESERVED
+        return len(self._tokens)
 
     @classmethod
     def build(cls, texts: list[str], cap: int = 8192) -> "Vocabulary":
@@ -56,20 +57,15 @@ class Vocabulary:
         return cls(keep, cap=cap)
 
     def token_id(self, token: str) -> int:
-        if token in _RESERVED_BY_NAME:
-            return _RESERVED_BY_NAME[token]
-        return self._token_to_id.get(token, UNK_ID)
+        return self._ids.get(token, UNK_ID)
 
     def token(self, token_id: int) -> str:
-        if token_id in _RESERVED_TOKENS:
-            return _RESERVED_TOKENS[token_id]
-        idx = token_id - NUM_RESERVED
-        if idx < 0 or idx >= len(self._id_to_token):
+        if not 0 <= token_id < len(self._tokens):
             raise ValueError(f"token id {token_id} out of range (vocab size {len(self)})")
-        return self._id_to_token[idx]
+        return self._tokens[token_id]
 
     def encode(self, tokens: list[str]) -> list[int]:
-        return [self.token_id(t) for t in tokens]
+        return [self._ids.get(t, UNK_ID) for t in tokens]
 
     def encode_text(self, text: str) -> list[int]:
         return self.encode(tokenize(text))
@@ -83,7 +79,7 @@ class Vocabulary:
     # one token per line, line number = id - 5
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for token in self._id_to_token:
+            for token in self._tokens[NUM_RESERVED:]:
                 fh.write(token + "\n")
 
     @classmethod

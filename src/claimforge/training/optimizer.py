@@ -88,7 +88,10 @@ class AdamW:
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> float:
     """Scale gradients in place so their global L2 norm is at most max_norm."""
     check_settings(max_norm=max_norm)
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    total = 0.0
+    for g in grads.values():  # left to right: from Python 3.12, sum() of floats is compensated
+        total += float(np.sum(g * g))
+    total = math.sqrt(total)
     if total > max_norm and total > 0:
         scale = max_norm / total
         for g in grads.values():

@@ -37,6 +37,7 @@ from claimforge.numerics.gradcheck import (
     op_cases,
     run_gradient_suite,
 )
+from claimforge.numerics.tensor import LAYER_NORM_EPS, _layer_norm_parts, _log_softmax_parts
 
 
 class TestGradientSuite:
@@ -211,6 +212,51 @@ class TestFusedForwardBits:
         row = Tensor(x[0], requires_grad=True)
         assert same_bits(cross_entropy_logits(row, targets[0]),
                          composite_cross_entropy(row, targets[0]))
+
+
+def negated_shift_softmax(x, axis):
+    e = np.exp(x + (-np.max(x, axis=axis, keepdims=True)))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def negated_shift_log_softmax(x, axis):
+    shifted = x + (-np.max(x, axis=axis, keepdims=True))
+    e = np.exp(shifted)
+    s = e.sum(axis=axis, keepdims=True)
+    return shifted + (-np.log(s)), e, s
+
+
+def negated_shift_layer_norm(x, gain, bias):
+    scale = 1.0 / x.shape[-1]
+    centered = x + (-(x.sum(axis=-1, keepdims=True) * scale))
+    sigma = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * scale + LAYER_NORM_EPS)
+    xhat = centered / sigma
+    return xhat * gain + bias, xhat, sigma
+
+
+class TestShiftKernelBits:
+    """The plain-array kernels shift with one subtraction; each part equals the
+    add-of-negation form byte for byte, signed zeros included."""
+
+    SIGNED_ZEROS = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 1.5], [-2.0, -0.0, 0.0]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(), st.sampled_from([0, -1]), st.data())
+    @example(SIGNED_ZEROS, -1, None)
+    @example(SIGNED_ZEROS, 0, None)
+    def test_each_part_equals_the_add_of_negation(self, x, axis, data):
+        cols = x.shape[1]
+        if data is None:
+            gain, bias = np.array([1.0, -0.0, 2.0]), np.array([-0.0, 0.0, 0.5])
+        else:
+            gain = data.draw(hnp.arrays(np.float64, (cols,), elements=FINITE))
+            bias = data.draw(hnp.arrays(np.float64, (cols,), elements=FINITE))
+        assert softmax_array(x, axis).tobytes() == negated_shift_softmax(x, axis).tobytes()
+        for got, want in zip(_log_softmax_parts(x, axis), negated_shift_log_softmax(x, axis)):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(_layer_norm_parts(x, gain, bias),
+                             negated_shift_layer_norm(x, gain, bias)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSoftmax:

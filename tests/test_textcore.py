@@ -1,6 +1,7 @@
 """Tokenizer, sentence boundaries, vocabulary, and encoder behavior."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,36 @@ class TestTokenize:
         assert tokenize("FIG. 3") == ["fig", ".", "3"]
 
 
+def char_scan_boundaries(text: str) -> list[int]:
+    """The reference for ``sentence_boundaries``: the same rules, with the
+    terminators found by a per-character scan."""
+    if not text:
+        return []
+    boundaries: set[int] = set()
+    claim_dots: set[int] = set()
+    line_start = 0
+    for line in text.splitlines(keepends=True):
+        m = re.match(r"(\d+)\.", line)
+        if m:
+            if line_start > 0:
+                boundaries.add(line_start)
+            claim_dots.add(line_start + m.end() - 1)
+        line_start += len(line)
+    for i, ch in enumerate(text):
+        if ch in ".;?" and i not in claim_dots:
+            boundaries.add(i + 1)
+    for m in re.finditer(r"\n[ \t]*\n+", text):
+        boundaries.add(m.end())
+    boundaries.add(len(text))
+    return sorted(b for b in boundaries if 0 < b <= len(text))
+
+
+SEGMENT_PIECES = st.sampled_from([
+    ".", ";", "?", "..", " ", "word", "Él", "straße", "1. ", "23.", "7", "\n", "\r\n", "\r",
+    "\x0b", "\u2028", "\n\n", "\n \t\n", "\n12. claim",
+])
+
+
 class TestSentenceBoundaries:
     def test_two_terminators(self):
         assert sentence_boundaries("One. Two.") == [4, 9]
@@ -123,6 +154,12 @@ class TestSentenceBoundaries:
         text = "1. A widget"
         assert sentence_boundaries(text) == [len(text)]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(SEGMENT_PIECES, st.text(alphabet="a.;?é\n\r1 ", max_size=4)),
+                    max_size=30).map("".join))
+    def test_equals_the_character_scan(self, text):
+        assert sentence_boundaries(text) == char_scan_boundaries(text)
+
 
 class TestVocabulary:
     def test_reserved_ids(self):
@@ -154,6 +191,24 @@ class TestVocabulary:
         loaded = Vocabulary.load(path, cap=64)
         text = "gear bearing shaft"
         assert loaded.encode_text(text) == vocab.encode_text(text)
+
+    def test_a_listed_reserved_name_keeps_its_reserved_id(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<pad>\ngear\n", encoding="utf-8")
+        vocab = Vocabulary.load(path)
+        assert len(vocab) == NUM_RESERVED + 2
+        assert vocab.token_id("<pad>") == PAD_ID
+        assert vocab.encode(["<pad>", "gear", "<sep>", "zeta"]) == [PAD_ID, 6, SEP_ID, UNK_ID]
+        assert vocab.token(5) == "<pad>"
+        assert vocab.decode([np.int64(0), np.int64(6), np.int32(5)]) == ["<pad>", "gear", "<pad>"]
+        vocab.save(tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_text(encoding="utf-8") == "<pad>\ngear\n"
+        again = Vocabulary.load(tmp_path / "again.txt")
+        assert [again.token(i) for i in range(len(again))] == \
+            [vocab.token(i) for i in range(len(vocab))]
+        for bad in (-1, len(vocab), np.int64(-1), np.int64(len(vocab))):
+            with pytest.raises(ValueError, match="out of range"):
+                vocab.token(bad)
 
 
 def sinusoid_positions(length: int, dim: int) -> np.ndarray:

@@ -415,6 +415,14 @@ class TestClipGradNorm:
             assert g is arrays[name]
             assert np.array_equal(g, before[name] * scale)
 
+    def test_norm_adds_the_terms_left_to_right(self):
+        # each 1e-16 term is lost against 1.0 when added in order; a compensated
+        # sum (math.fsum, or the built-in sum() of floats from Python 3.12) keeps them
+        grads = {"a": np.array([1.0]), **{f"b{i}": np.array([1e-8]) for i in range(10)}}
+        terms = [float(np.sum(g * g)) for g in grads.values()]
+        assert math.sqrt(math.fsum(terms)) > 1.0
+        assert clip_grad_norm(grads, 10.0) == 1.0
+
     @pytest.mark.parametrize("max_norm, rule", [(-1.0, "positive"), (0.0, "positive"),
                                                 (math.nan, "finite"), (math.inf, "finite")])
     def test_max_norm_not_positive_and_finite_rejected(self, max_norm, rule):
