@@ -7,7 +7,7 @@ import os
 import sys
 from pathlib import Path
 
-from claimforge.numerics import NonFiniteError, Rng, CheckpointError, no_grad
+from claimforge.numerics import NonFiniteError, Rng, CheckpointError, no_grad, one_blas_thread
 from claimforge.evaluator import EvaluatorTrainConfig, ordering_accuracy, score_pair, train_evaluator
 from claimforge.generator import (
     DOMAINS,
@@ -153,6 +153,7 @@ def _cmd_chunk(args, config, seed) -> int:
 
 
 @no_grad()
+@one_blas_thread()
 def _cmd_similarity(args, config, seed) -> int:
     records, prior = read_corpus(args.corpus), read_corpus(args.prior_art)
     models = load_models(record_texts(records + prior), config, seed, args.checkpoint)
@@ -216,6 +217,7 @@ def _cmd_train_eval(args, config, seed) -> int:
     return EXIT_OK
 
 
+@one_blas_thread()
 def _cmd_generate(args, config, seed) -> int:
     records = read_corpus(args.corpus)
     models = load_models(record_texts(records), config, seed, args.checkpoint)
@@ -246,6 +248,7 @@ def _read_pairs(path: Path) -> list[tuple[int, dict]]:
     return pairs
 
 
+@one_blas_thread()
 def _cmd_evaluate(args, config, seed) -> int:
     """Scores every pair it can; a pair that cannot be scored is reported on
     stderr as ``path:lineno: message``, and then the exit code is

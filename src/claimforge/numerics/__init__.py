@@ -41,6 +41,7 @@ from claimforge.numerics.tensor import (
     cross_entropy_logits,
     sequence_cross_entropy,
 )
+from claimforge.numerics.blas import blas_threads, one_blas_thread
 from claimforge.numerics.rng import Rng
 from claimforge.numerics.params import ParamSource, Params
 from claimforge.numerics.checkpoint import save_checkpoint, load_checkpoint, CheckpointError
@@ -63,6 +64,8 @@ __all__ = [
     "ffn_sublayer",
     "cross_entropy_logits",
     "sequence_cross_entropy",
+    "blas_threads",
+    "one_blas_thread",
     "Rng",
     "ParamSource",
     "Params",

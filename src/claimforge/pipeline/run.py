@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from claimforge.numerics import NonFiniteError, Rng, Tensor, load_checkpoint, no_grad, save_checkpoint
+from claimforge.numerics import (NonFiniteError, Rng, Tensor, blas_threads, load_checkpoint,
+                                 no_grad, one_blas_thread, save_checkpoint)
 from claimforge.chunker import Chunk, Document, chunk_document, complexity, target_size
 from claimforge.evaluator import EvaluatorModel, score_pair
 from claimforge.generator import (
@@ -229,9 +230,6 @@ def generate_claim(rec: CorpusRecord, models: PipelineModels,
 # took 0.89x the inline time at 64, 0.76x at 128, and 0.59x at 256 and 512
 # (0.26 s against 0.44); at 64 it saves 1 ms, not worth a second width.
 STAGE2_WORKER_MIN_DIM = 128
-# The variables OpenBLAS takes its thread count from: the first one set to a
-# positive number wins, and with none set it runs one thread per core.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # (quota file, period file) of a CPU quota, cgroup v2 then v1: v2 keeps
 # "quota period" in one file, v1 one number in each.
 CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max", "/sys/fs/cgroup/cpu.max"),
@@ -256,32 +254,11 @@ def usable_cores() -> int:
     return cores
 
 
-def blas_on_one_thread() -> bool:
-    """Whether the environment sets OpenBLAS to one thread (see ``BLAS_THREAD_VARS``)."""
-    for var in BLAS_THREAD_VARS:
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1
-    return False
-
-
 def stage2_worker_pays(config: PipelineConfig) -> bool:
-    """Whether ``run_pipeline`` runs stage 2 on a worker thread, and
-    ``build_models`` draws the decoder on one: from ``STAGE2_WORKER_MIN_DIM``
-    up, with a second core, and with one BLAS thread.
-
-    With one BLAS thread the worker pays (pipeline-paper documents 1.39x as
-    fast). With OpenBLAS's default of one thread per core it does not: the
-    paper-geometry CLI ``pipeline`` on the pipeline-paper inputs took 2.43 s
-    overlapped against 1.80 s inline (medians of 12 alternating fresh-process
-    pairs, 2 vCPUs), since the worker's and the caller's BLAS threads then
-    share two cores.
-    """
+    """Whether ``run_pipeline`` runs stage 2, and ``build_models`` draws the decoder, on a worker
+    thread: from ``STAGE2_WORKER_MIN_DIM`` up, on two cores, on the one BLAS thread the run pins."""
     return (config.model_dim >= STAGE2_WORKER_MIN_DIM and usable_cores() >= 2
-            and blas_on_one_thread())
+            and blas_threads() == 1)
 
 
 class StageTwo:
@@ -421,6 +398,7 @@ def process_document(rec: CorpusRecord, prior_art: list[CorpusRecord],
     return report, timings
 
 
+@one_blas_thread()
 def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
                  seed: int, checkpoint_path=None) -> PipelineResult:
     """Execute the full three-stage pipeline over a corpus file."""
@@ -433,9 +411,8 @@ def run_pipeline(corpus_path, prior_art_path, out_dir, config: PipelineConfig,
 
     memo: StageOneMemo = {}
     reports, failures, timing_rows = [], [], []
-    # The grad flag is process-wide, and the worker's `generate` sets and
-    # restores it too: one no_grad() over the whole loop, left only after the
-    # worker has been joined, keeps it off throughout and restores it once.
+    # The grad flag and the BLAS pin are process-wide, and the worker's `generate` sets the
+    # flag too: each is held over the whole loop and left once, after the worker's join.
     with no_grad(), StageTwo(records, models, config) as stage2:
         for rec in records:
             try:

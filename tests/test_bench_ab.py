@@ -205,6 +205,24 @@ def test_main_records_both_sides_src_lines(tmp_path, monkeypatch):
     assert doc["parent"] == "c0ffee" and len(doc["series"][0]["runs"]) == 2
 
 
+def test_main_makes_a_missing_work_directory(tmp_path, monkeypatch):
+    root, work = tmp_path / "repo", tmp_path / "missing" / "work"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    trees = []
+    monkeypatch.setattr(bench_ab, "ROOT", root)
+    monkeypatch.setattr(bench_ab, "export_parent", lambda rev, dest: trees.append(dest) or "c0ffee")
+    monkeypatch.setattr(bench_ab, "export_worktree", lambda dest: trees.append(dest))
+    monkeypatch.setattr(bench_ab, "src_lines", lambda tree: 0)
+    monkeypatch.setattr(bench_ab, "run_bench",
+                        lambda tree, command: bench_ab.parse_run(stdout(100.0, 50.0, 0.12)))
+    monkeypatch.setattr(bench_ab.signal, "signal", lambda *args: None)
+    assert bench_ab.main(["--parent", "HEAD", "--workload", "train-mix", "--pairs", "1",
+                          "--work", str(work)]) == 0
+    assert [tree.parent.parent for tree in trees] == [work, work]
+    assert work.is_dir() and list(work.iterdir()) == []  # the exported trees are removed
+
+
 def test_append_keeps_every_series_of_the_same_command(tmp_path, monkeypatch):
     root = tmp_path / "repo"
     root.mkdir()

@@ -37,6 +37,24 @@ class TestCounting:
         assert count_figures("FIG. 1 shows a gear. Figure 2 shows a shaft.") == 2
         assert count_figures("no drawings at all") == 0
 
+    def test_a_record_without_the_counts_takes_them_from_its_text(self):
+        # the pipeline's chunking counts from the text whatever the corpus
+        # record leaves out: no claims list, or a null figure_count
+        from claimforge.pipeline import CorpusRecord
+        from claimforge.pipeline.run import chunk_record
+        description = ("A valve is shown in FIG. 1, its seat in FIG. 2 and figure 3.\n"
+                       "Claims\n1. A valve.\n2. The valve of claim 1 with a seat.\n")
+        vocab = Vocabulary.build([description], cap=128)
+        doc, kappa, _, _ = chunk_record(CorpusRecord("r", description), vocab)
+        tokens = len(vocab.encode_text(description))
+        assert (doc.claim_count, doc.figure_count) == (2, 3)
+        assert kappa == (2 + 3) / tokens
+        # the record's own fields win where it has them
+        doc, kappa, _, _ = chunk_record(CorpusRecord("r", description, claims=["A valve."],
+                                                     figure_count=7), vocab)
+        assert (doc.claim_count, doc.figure_count) == (1, 7)
+        assert kappa == (1 + 7) / len(doc.tokens)
+
 
 class TestComplexity:
     def test_direct_arithmetic(self):

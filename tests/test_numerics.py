@@ -4,6 +4,8 @@ import contextlib
 import math
 import re
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,11 +22,13 @@ from claimforge.numerics import (
     attention_array,
     attention_sublayer,
     backward,
+    blas_threads,
     cross_entropy_logits,
     layer_norm,
     load_checkpoint,
     log_softmax,
     no_grad,
+    one_blas_thread,
     save_checkpoint,
     scaled_dot_attention,
     sequence_cross_entropy,
@@ -555,6 +559,86 @@ class TestNoGrad:
 
         assert depth(3) == 3
         assert has_tape(w + 1.0)
+
+
+class TestOneBlasThread:
+    """The BLAS pin over a stand-in library: it sets one thread only where the
+    count is another, and sets back only the count it changed."""
+
+    @staticmethod
+    def library(monkeypatch, threads):
+        """A stand-in OpenBLAS at ``threads``; returns the counts set on it."""
+        from claimforge.numerics import blas
+        state, sets = [threads], []
+
+        def set_threads(n):
+            sets.append(n)
+            state[0] = n
+
+        monkeypatch.setattr(blas, "_openblas", lambda: (lambda: state[0], set_threads))
+        return sets
+
+    def test_pins_one_thread_and_restores_the_count(self, monkeypatch):
+        sets = self.library(monkeypatch, 4)
+        with one_blas_thread():
+            assert blas_threads() == 1
+            with one_blas_thread():  # nested: reads the count, sets nothing
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 4 and sets == [1, 4]
+
+    def test_restored_after_exception_also_as_a_decorator(self, monkeypatch):
+        sets = self.library(monkeypatch, 2)
+
+        @one_blas_thread()
+        def failing():
+            assert blas_threads() == 1
+            raise KeyError("boom")
+
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                failing()
+            assert blas_threads() == 2
+        assert sets == [1, 2, 1, 2]
+
+    def test_one_thread_already_is_only_read(self, monkeypatch):
+        sets = self.library(monkeypatch, 1)
+        with one_blas_thread():
+            assert blas_threads() == 1
+        assert sets == []
+
+    def test_without_an_openblas_the_pin_does_nothing(self, monkeypatch):
+        from claimforge.numerics import blas
+        monkeypatch.setattr(blas, "_openblas", lambda: None)
+        assert blas_threads() is None
+        with one_blas_thread():
+            assert blas_threads() is None
+
+    def test_lookup_takes_the_first_name_pair_the_library_has_whole(self, monkeypatch):
+        from claimforge.numerics import blas
+
+        getter, setter, paths = SimpleNamespace(), SimpleNamespace(), []
+        library = SimpleNamespace(  # a getter without its setter under the first two names
+            scipy_openblas_get_num_threads64_=SimpleNamespace(),
+            openblas_get_num_threads64_=SimpleNamespace(),
+            openblas_get_num_threads=getter, openblas_set_num_threads=setter)
+        monkeypatch.setattr(blas.ctypes, "CDLL", lambda path: paths.append(path) or library)
+        blas._openblas.cache_clear()
+        try:
+            assert blas._openblas() == (getter, setter)
+            assert Path(paths[0]).name.startswith("_multiarray_umath")
+            monkeypatch.setattr(blas.ctypes, "CDLL", lambda path: SimpleNamespace())
+            blas._openblas.cache_clear()
+            assert blas._openblas() is None
+        finally:
+            monkeypatch.undo()
+            blas._openblas.cache_clear()
+
+    def test_the_loaded_openblas_is_found_and_set(self, library_threads):
+        library_threads(2)
+        with one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 2
 
 
 class TestTensorValidation:

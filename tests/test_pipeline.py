@@ -1,7 +1,9 @@
 """Synthetic corpus, config, orchestration, reports, and the CLI contract."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -13,7 +15,7 @@ import pytest
 
 from claimforge.cli import main as cli_main
 from claimforge.generator import DOMAINS
-from claimforge.numerics import NonFiniteError, Tensor
+from claimforge.numerics import NonFiniteError, Tensor, blas_threads
 from claimforge.pipeline import (
     CorpusRecord,
     PipelineConfig,
@@ -547,10 +549,8 @@ class TestStageTwoWorker:
             return generate(description_ids, *args, **kwargs)
 
         with monkeypatch.context() as patch:
-            # The gate reads the BLAS thread count from the environment; the
-            # test process's own BLAS keeps the count it started with, which
-            # the compared runs share.
-            patch.setenv("OPENBLAS_NUM_THREADS", "1")
+            # run_pipeline pins one BLAS thread itself, so the gate passes at
+            # the default width wherever OpenBLAS is found
             if worker is not None:
                 patch.setattr(run_module, "STAGE2_WORKER_MIN_DIM", 0 if worker else 10 ** 9)
             patch.setattr(run_module, "generate", recording)
@@ -684,6 +684,7 @@ class TestStageTwoWorker:
         assert sorted(set(threads)) == ["main", "worker"]
         assert threads.count("main") == sum(thread == main for _, thread in calls)
 
+    @pytest.mark.skipif(blas_threads() is None, reason="the gate needs an OpenBLAS thread count")
     def test_paper_geometry_overlapped_equals_inline(self, tmp_path, monkeypatch):
         corpus = synth_corpus(5, 15)
         write_corpus(tmp_path / "c.jsonl", corpus.records[:3])
@@ -893,24 +894,28 @@ class TestStageTwoWorker:
 class TestStageTwoGate:
     """Where ``run_pipeline`` takes the stage-2 worker."""
 
-    @pytest.mark.parametrize("env, pays", [
-        ({}, False),                                        # OpenBLAS: one thread per core
-        ({"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({"OMP_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "4"}, False),
+    @pytest.mark.parametrize("threads, pays", [
+        (1, True),
+        (2, False),      # OpenBLAS's default on two cores
+        (None, False),   # no OpenBLAS found: MKL, Accelerate
     ])
-    def test_worker_only_with_one_blas_thread(self, monkeypatch, env, pays):
+    def test_worker_only_with_one_blas_thread(self, monkeypatch, threads, pays):
         from claimforge.pipeline import run as run_module
-        for var in run_module.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(run_module, "blas_threads", lambda: threads)
         monkeypatch.setattr(run_module, "usable_cores", lambda: 2)
         assert run_module.stage2_worker_pays(PipelineConfig()) is pays
         assert run_module.stage2_worker_pays(compact_config()) is False
         monkeypatch.setattr(run_module, "usable_cores", lambda: 1)
+        assert run_module.stage2_worker_pays(PipelineConfig()) is False
+
+    def test_a_variable_set_after_the_library_loaded_opens_no_gate(self, monkeypatch,
+                                                                  library_threads):
+        # OpenBLAS takes OPENBLAS_NUM_THREADS when it loads, not later
+        from claimforge.pipeline import run as run_module
+        library_threads(2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(run_module, "usable_cores", lambda: 2)
+        assert blas_threads() == 2
         assert run_module.stage2_worker_pays(PipelineConfig()) is False
 
     @pytest.mark.parametrize("v2, v1, cores", [
@@ -1011,7 +1016,7 @@ class TestThreadedModelDraw:
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         monkeypatch.setattr(run_module, "usable_cores", lambda: 2)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(run_module, "blas_threads", lambda: 1)
         assert run_module.stage2_worker_pays(PipelineConfig(**self.CONFIG))
         run_module.load_models([], PipelineConfig(**self.CONFIG), seed=0, checkpoint_path=ckpt)
         assert not run_module.stage2_worker_pays(compact_config())
@@ -1028,8 +1033,7 @@ class TestThreadedModelDraw:
         # the draw was measured with one BLAS thread only; with OpenBLAS's
         # default the caller's QR would share the two cores with the worker
         from claimforge.pipeline import run as run_module
-        for var in run_module.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(run_module, "blas_threads", lambda: 2)
         monkeypatch.setattr(run_module, "usable_cores", lambda: 2)
 
         def no_thread(thread):
@@ -1037,6 +1041,88 @@ class TestThreadedModelDraw:
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         run_module.load_models(self.texts(), PipelineConfig(**self.CONFIG), seed=0)
+
+
+class TestBlasPin:
+    """``run_pipeline`` holds OpenBLAS on one thread, model set-up included, and
+    gives the library its count back, so the count does not move the bytes."""
+
+    @staticmethod
+    def paper_inputs(tmp_path):
+        """The first two records and the first prior-art record of the
+        pipeline-paper inputs (seed 300, one record per domain)."""
+        corpus, seen = synth_corpus(300, 15), set()
+        records = [r for r in corpus.records if not (r.domain in seen or seen.add(r.domain))]
+        write_corpus(tmp_path / "c.jsonl", records[:2])
+        write_corpus(tmp_path / "p.jsonl", corpus.prior_art[:1])
+        return tmp_path / "c.jsonl", tmp_path / "p.jsonl"
+
+    def test_the_thread_count_does_not_move_the_report(self, tmp_path):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so each count
+        # takes a fresh process; unset, it runs one thread per core
+        corpus, prior_art = self.paper_inputs(tmp_path)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                             *filter(None, [env.get("PYTHONPATH")])])
+        reports = {}
+        for threads in (None, "2", "1"):
+            out = tmp_path / f"out-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "claimforge.cli", "--seed", "0", "--out", str(out),
+                 "pipeline", "--corpus", str(corpus), "--prior-art", str(prior_art)],
+                env={**env, **({"OPENBLAS_NUM_THREADS": threads} if threads else {})},
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            reports[threads] = (out / "report.jsonl").read_bytes()
+        assert reports[None] == reports["2"] == reports["1"]
+
+    def test_a_run_gives_the_library_its_count_back(self, tmp_path, monkeypatch,
+                                                    library_threads):
+        from claimforge.pipeline import run as run_module
+        library_threads(2)
+        seen = []
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                seen.append((name, blas_threads()))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(run_module, name, wrapped)
+
+        recording("build_models", run_module.build_models)
+        recording("process_document", run_module.process_document)
+        run_pipeline(DATA / "golden_corpus.jsonl", DATA / "golden_prior_art.jsonl",
+                     tmp_path / "ok", compact_config(), seed=0)
+        assert seen == [("build_models", 1)] + [("process_document", 1)] * 3
+        assert blas_threads() == 2
+
+        def broken(*args):
+            raise AssertionError("a broken invariant ends the run")
+
+        recording("process_document", broken)
+        with pytest.raises(AssertionError, match="broken invariant"):
+            run_pipeline(DATA / "golden_corpus.jsonl", DATA / "golden_prior_art.jsonl",
+                         tmp_path / "raised", compact_config(), seed=0)
+        assert seen[-1] == ("process_document", 1)
+        assert blas_threads() == 2
+
+    def test_a_paper_run_without_an_openblas_is_inline_with_the_pinned_bytes(
+            self, tmp_path, monkeypatch, library_threads):
+        from claimforge.numerics import blas
+        corpus, prior_art = self.paper_inputs(tmp_path)
+        pinned = run_pipeline(corpus, prior_art, tmp_path / "pinned", PipelineConfig(), seed=0)
+        # the library the unpinned run finds is on one thread, but the run cannot see it
+        library_threads(1)
+        monkeypatch.setattr(blas, "_openblas", lambda: None)
+
+        def no_thread(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        unpinned = run_pipeline(corpus, prior_art, tmp_path / "unpinned", PipelineConfig(),
+                                seed=0)
+        assert len(unpinned.reports) == 2
+        assert unpinned.report_path.read_bytes() == pinned.report_path.read_bytes()
 
 
 class TestCli:

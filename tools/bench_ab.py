@@ -212,7 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--append", action="store_true",
                         help="add the series to an existing BENCH file for the same parent")
     parser.add_argument("--work", type=Path, default=None,
-                        help="where the two trees are exported (default: a system temp dir)")
+                        help="where the two trees are exported, made if missing "
+                             "(default: a system temp dir)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -220,6 +221,8 @@ def main(argv: list[str] | None = None) -> int:
     # a terminated run still removes its exported trees (and kills its child)
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     out_path = ROOT / f"BENCH_{args.workload}.json"
+    if args.work is not None:
+        args.work.mkdir(parents=True, exist_ok=True)
     command = ["bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", f"{spec['run_seconds']:g}", "--trace", str(args.trace)]
     with tempfile.TemporaryDirectory(prefix="bench-ab-", dir=args.work) as tmp:
