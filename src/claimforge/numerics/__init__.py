@@ -9,8 +9,10 @@ the encoder's two pre-norm residual blocks, ``attention_sublayer`` (parents
 x, layer-norm gain and bias, wq, wk, wv, wo) and ``ffn_sublayer`` (parents x,
 layer-norm gain and bias, w1, b1, w2, b2), both over one sequence or a
 padded batch of them, ``cross_entropy_logits`` and
-``sequence_cross_entropy``. The adapter merge,
-``claimforge.generator.adapters.effective_projection``, is fused the same way.
+``sequence_cross_entropy``. Two fused nodes are defined outside
+``numerics``: the adapter merge,
+``claimforge.generator.adapters.effective_projection``, and the head-weight
+MLP, ``claimforge.similarity.heads.head_weights``.
 ``softmax_array`` and ``attention_array`` are the softmax and attention
 forwards over plain arrays, for inference that builds no tape. Attention
 runs its scale, mask add and softmax inside the scores buffer that

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import (ParamSource, Params, Tensor, attention_array, concat, softmax,
-                                 softmax_array)
+from claimforge.numerics import ParamSource, Params, Tensor, attention_array, softmax_array
+from claimforge.numerics.tensor import _rows
 
 NUM_HEADS = 8
 HEAD_DIM = 64
@@ -25,11 +25,20 @@ RELATIONSHIP_ORDER = ("equivalence", "improvement", "contradiction", "technical"
 
 @dataclass
 class HeadBank:
-    """Per-head projection triples plus the shared head-weight MLP."""
+    """Per-head projection triples plus the shared head-weight MLP. The heads'
+    wq, wk and wv are held once, in one (3, NUM_HEADS, model_dim, head_dim)
+    stack made with the bank, of which each ``sim/h{h}/w*`` holds its view."""
 
     model_dim: int
-    params: dict[str, Tensor] = field(default_factory=dict)
-    _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    params: dict[str, Tensor]
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names = [[f"sim/h{h}/{w}" for h in range(1, NUM_HEADS + 1)] for w in ("wq", "wk", "wv")]
+        self._stack = np.array([[self.params[n].data for n in row] for row in names])
+        for p, row in enumerate(names):
+            for h, n in enumerate(row):
+                self.params[n].data = self._stack[p, h]
 
     @classmethod
     def init(cls, model_dim: int, rng: ParamSource, head_dim: int = HEAD_DIM) -> "HeadBank":
@@ -45,20 +54,7 @@ class HeadBank:
         return cls(model_dim=model_dim, params=p.tensors)
 
     def stacked_projections(self) -> np.ndarray:
-        """The heads' wq, wk and wv as one (3, NUM_HEADS, model_dim, head_dim) array.
-
-        The weights are held once: each head's ``data`` becomes its view of
-        the stack, and the same stack is returned while every head still is
-        one. After a head's ``data`` was rebound (an optimizer step, a
-        checkpoint load) the heads are stacked again.
-        """
-        heads = [[self.params[f"sim/h{h}/{proj}"] for h in range(1, NUM_HEADS + 1)]
-                 for proj in ("wq", "wk", "wv")]
-        if self._stack is None or any(t.data.base is not self._stack for row in heads for t in row):
-            self._stack = np.stack([np.stack([t.data for t in row]) for row in heads])
-            for p, row in enumerate(heads):
-                for h, t in enumerate(row):
-                    t.data = self._stack[p, h]
+        """The heads' wq, wk and wv as one (3, NUM_HEADS, model_dim, head_dim) array."""
         return self._stack
 
 
@@ -76,33 +72,41 @@ class SimilarityReport:
         return dict(vars(self))
 
 
-def head_weights(claim_repr: Tensor, doc_repr: Tensor, bank: HeadBank) -> Tensor:
-    """Softmax over 8 logits from MLP([claim; doc; claim * doc]).
+def head_weight_array(claim_pooled: np.ndarray, doc_pooled: np.ndarray,
+                      bank: HeadBank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax over 8 logits from MLP([claim; doc; claim * doc]) with no tape:
+    (weights, MLP input x, hidden activations h). The representations are
+    (model_dim,) vectors, or (pairs, model_dim) stacks for (pairs, 8) weights.
+    The MLP's one forward: inference calls it, ``head_weights`` tapes it."""
+    p = bank.params
+    x = np.concatenate([claim_pooled, doc_pooled, claim_pooled * doc_pooled], axis=-1)
+    h = x @ p["sim/phi/w1"].data + p["sim/phi/b1"].data
+    h *= h > 0
+    return softmax_array(h @ p["sim/phi/w2"].data + p["sim/phi/b2"].data, -1), x, h
 
-    The representations are (model_dim,) vectors, or (pairs, model_dim)
-    stacks of them for (pairs, 8) weights.
-    """
+
+def head_weights(claim_repr: Tensor, doc_repr: Tensor, bank: HeadBank) -> Tensor:
+    """``head_weight_array`` as one node over the two representations and the
+    MLP's w1, b1, w2 and b2. The backward runs the per-op composite's gradient
+    expressions in its walk order, so the same bits: softmax, ``@ w2.T`` where
+    h > 0, ``@ w1.T`` split in three, the product's part added to each side last."""
     if claim_repr.shape[-1:] != (bank.model_dim,) or doc_repr.shape != claim_repr.shape:
         raise ValueError(
             f"pooled representations must have dim {bank.model_dim}, "
             f"got {claim_repr.shape} and {doc_repr.shape}"
         )
-    x = concat([claim_repr, doc_repr, claim_repr * doc_repr], axis=-1)
-    h = (x @ bank.params["sim/phi/w1"] + bank.params["sim/phi/b1"]).relu()
-    logits = h @ bank.params["sim/phi/w2"] + bank.params["sim/phi/b2"]
-    return softmax(logits)
+    c, d = claim_repr.data, doc_repr.data
+    w1, b1, w2, b2 = (bank.params[f"sim/phi/{n}"] for n in ("w1", "b1", "w2", "b2"))
+    y, x, h = head_weight_array(c, d, bank)
 
+    def bwd(g, out):
+        g = y * (g - (g * y).sum(axis=-1, keepdims=True))
+        g_pre = (g @ w2.data.T) * (h > 0)
+        g_c, g_d, g_m = np.split(g_pre @ w1.data.T, 3, axis=-1)
+        return (g_c + g_m * d, g_d + g_m * c, _rows(x).T @ _rows(g_pre),
+                _rows(g_pre).sum(axis=0), _rows(h).T @ _rows(g), _rows(g).sum(axis=0))
 
-def head_weight_array(claim_pooled: np.ndarray, doc_pooled: np.ndarray,
-                      bank: HeadBank) -> np.ndarray:
-    """``head_weights`` in plain numpy for inference, with the same ops in the
-    same order, so the same bits: concat, ``@ w1 + b1``, relu, ``@ w2 + b2``,
-    ``softmax_array``."""
-    p = bank.params
-    x = np.concatenate([claim_pooled, doc_pooled, claim_pooled * doc_pooled])
-    h = x @ p["sim/phi/w1"].data + p["sim/phi/b1"].data
-    logits = (h * (h > 0)) @ p["sim/phi/w2"].data + p["sim/phi/b2"].data
-    return softmax_array(logits, -1)
+    return Tensor._from_op(y, (claim_repr, doc_repr, w1, b1, w2, b2), bwd)
 
 
 def _pool(x: np.ndarray, axis: int) -> np.ndarray:
@@ -139,7 +143,8 @@ class ChunkFeatures:
 
 
 def claim_features(states: np.ndarray, projections: np.ndarray) -> ClaimFeatures:
-    """Features of (n, model_dim) claim states under ``HeadBank.stacked_projections``."""
+    """Features of (n, model_dim) claim states under the bank's projection
+    stack, ``HeadBank.stacked_projections()``: the queries."""
     _check_states(states)
     q = states @ projections[0]
     q_pooled = _pool(q, 1)
@@ -148,7 +153,8 @@ def claim_features(states: np.ndarray, projections: np.ndarray) -> ClaimFeatures
 
 
 def chunk_features(states: np.ndarray, projections: np.ndarray) -> ChunkFeatures:
-    """Features of (m, model_dim) doc-chunk states under ``HeadBank.stacked_projections``."""
+    """Features of (m, model_dim) doc-chunk states under the bank's projection
+    stack, ``HeadBank.stacked_projections()``: the keys and values."""
     _check_states(states)
     return ChunkFeatures(_pool(states, 0), states @ projections[1], states @ projections[2])
 
@@ -202,7 +208,7 @@ def similarity(claim_chunk_id: str, doc_chunk_id: str,
             claim = claim_features(claim.data, projections)
         if isinstance(doc, Tensor):
             doc = chunk_features(doc.data, projections)
-    w_np = head_weight_array(claim.pooled, doc.pooled, bank)
+    w_np = head_weight_array(claim.pooled, doc.pooled, bank)[0]
     score_np = head_scores(claim, doc)
     weights = w_np.tolist()
     masses = group_masses_from_weights(weights)

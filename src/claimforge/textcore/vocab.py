@@ -13,14 +13,7 @@ SEP_ID = 4
 
 NUM_RESERVED = 5
 
-_RESERVED_TOKENS = {
-    PAD_ID: "<pad>",
-    UNK_ID: "<unk>",
-    BOS_ID: "<bos>",
-    EOS_ID: "<eos>",
-    SEP_ID: "<sep>",
-}
-_RESERVED_BY_NAME = {v: k for k, v in _RESERVED_TOKENS.items()}
+_RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>", "<sep>")  # by id
 
 # alphanumeric runs are words; any other non-space character is its own token
 _TOKEN_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
@@ -37,11 +30,12 @@ class Vocabulary:
     def __init__(self, tokens: list[str], cap: int = 8192):
         if len(tokens) + NUM_RESERVED > cap:
             raise ValueError(f"vocabulary size {len(tokens) + NUM_RESERVED} exceeds cap {cap}")
-        if len(set(tokens)) != len(tokens):
-            raise ValueError("duplicate tokens in vocabulary")
-        self._tokens = [*_RESERVED_TOKENS.values(), *tokens]
-        # a token spelled like a reserved name keeps the reserved id
-        self._ids = {**{t: i for i, t in enumerate(self._tokens)}, **_RESERVED_BY_NAME}
+        self._tokens = [*_RESERVED_TOKENS, *tokens]
+        self._ids = {t: i for i, t in enumerate(self._tokens)}
+        if len(self._ids) != len(self._tokens):
+            reserved = next((t for t in tokens if t in _RESERVED_TOKENS), None)
+            raise ValueError("duplicate tokens in vocabulary" if reserved is None
+                             else f"vocabulary lists the reserved token {reserved!r}")
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -74,7 +68,7 @@ class Vocabulary:
         return [self.token(i) for i in ids]
 
     def decode_text(self, ids: list[int]) -> str:
-        return " ".join(t for t in self.decode(ids) if t not in _RESERVED_BY_NAME)
+        return " ".join(t for t in self.decode(ids) if t not in _RESERVED_TOKENS)
 
     # one token per line, line number = id - 5
     def save(self, path) -> None:

@@ -17,9 +17,7 @@ class AdamW:
     are flat vectors in the same order. A step runs the update once over the
     whole buffer, in place, with the expressions of the per-parameter update
     in their order, so it gives the same bits as one parameter at a time. A
-    ``data`` rebound since the last step (a checkpoint load, the restack in
-    ``HeadBank.stacked_projections``) is copied into the buffer first and made
-    a view again; one rebound to another shape rejects the step.
+    parameter whose ``data`` was rebound after that rejects the step.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 5e-5,
@@ -57,17 +55,12 @@ class AdamW:
                     f"gradient shape {grads[name].shape} != parameter shape "
                     f"{view.shape} for {name!r}"
                 )
-            if p.data.shape != view.shape:
-                raise ValueError(f"parameter {name!r} was rebound to shape {p.data.shape}, "
-                                 f"not {view.shape}")
+            if p.data is not view:
+                raise ValueError(f"parameter {name!r} was rebound; step rejected")
         g = np.concatenate([grads[name].ravel() for name in self.params], out=self._g)
         if not np.isfinite(g).all():
             bad = next(name for name in self.params if not np.isfinite(grads[name]).all())
             raise ValueError(f"non-finite gradient for {bad!r}; step rejected")
-        for p, view in zip(self.params.values(), self._views):
-            if p.data is not view:
-                view[...] = p.data
-                p.data = view
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

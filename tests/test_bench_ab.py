@@ -25,14 +25,15 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def stdout(ops: float, rss: float, setup: float, errors=(), correct=True, failed=0,
-           sha="c976", throughput=(88.5, 91.25)) -> str:
+           sha="c976", throughput=(88.5, 91.25), setup_samples=(0.12, 0.13)) -> str:
     """What bench/run.py prints for an untraced train-mix run, shortened."""
     lines = ['env {"nproc": 2, "seed": 300, "src_sha256": "abc"}',
              "check golden_report: ok sha256=d16b",
              f"check loss_history_sha256 repeat 0: {sha} ok",
              f"check loss_history_sha256 repeat 1: {sha} ok"]
     lines += [f"check repeat 1: {e}" for e in errors]
-    lines += ["repeats 2, operations per repeat 90", "setup samples s: 0.1200 0.1300",
+    lines += ["repeats 2, operations per repeat 90",
+              "setup samples s: " + " ".join(f"{s:.4f}" for s in setup_samples),
               "throughput of each repeat 1/s: " + " ".join(f"{t:.4f}" for t in throughput),
               f"metric peak_rss_mb = {rss} MB",
               "metric fail_ratio = 0 (failed 0 of 180)"]
@@ -59,6 +60,7 @@ def test_parse_run_keeps_the_checks_and_the_errors():
     assert record["errors"] == ["repeat 1: aspect scores off"]
     assert record["env"]["src_sha256"] == "abc"
     assert record["repeat_throughput"] == [88.5, 91.25]
+    assert record["setup_samples"] == [0.12, 0.13]
     assert record["result"]["metrics"]["ops_per_s"]["value"] == 100.0
 
 
@@ -146,6 +148,24 @@ def test_summary_compares_whole_repeat_throughput():
     assert summary["ops_per_s"]["pairs_change_better"] == "3/3"
     # a traced run prints no such line, and its summary has no such entry
     assert "repeat_throughput" not in bench_ab.summarize(runs, SPEC, traced=True)
+
+
+def test_summary_pools_the_setup_samples():
+    # run medians: parent 0.23, 0.24; change 0.22, 0.25
+    sides = [((0.22, 0.24, 0.23), (0.21, 0.23, 0.22)), ((0.25, 0.23), (0.24, 0.26))]
+    runs = [{"pair": i, "first": "parent",
+             "parent": bench_ab.parse_run(stdout(100.0, 50.0, 0.12, setup_samples=p)),
+             "change": bench_ab.parse_run(stdout(100.0, 50.0, 0.12, setup_samples=c))}
+            for i, (p, c) in enumerate(sides, start=1)]
+    summary = bench_ab.summarize(runs, SPEC, traced=False)
+    setup = summary["setup_samples"]
+    # inclusive quartiles of 0.22, 0.23, 0.23, 0.24, 0.25 and of 0.21, 0.22, 0.23, 0.24, 0.26
+    assert setup["parent"] == pytest.approx({"q1": 0.23, "median": 0.23, "q3": 0.24})
+    assert setup["change"] == pytest.approx({"q1": 0.22, "median": 0.23, "q3": 0.24})
+    assert setup["median_ratio_change_over_parent"] == pytest.approx(1.0)
+    assert setup["pairs_change_better"] == "1/2"
+    assert (setup["unit"], setup["better"]) == ("s", "lower") and "verdict" not in setup
+    assert "setup_samples" not in bench_ab.summarize(runs, SPEC, traced=True)
 
 
 def test_summary_refuses_an_incorrect_run():

@@ -1287,6 +1287,22 @@ class TestModelCheckpoints:
         assert code == 1
         assert name in capsys.readouterr().err
 
+    def test_a_vocabulary_listing_a_reserved_name_exits_1_naming_it(self, tmp_path, capsys):
+        from claimforge.pipeline.run import load_models, record_texts, save_models
+        records = read_corpus(DATA / "golden_corpus.jsonl")
+        ckpt = save_models(load_models(record_texts(records), compact_config(), seed=0),
+                           tmp_path / "m")
+        vocab = tmp_path / "m" / "vocab.txt"
+        lines = vocab.read_text(encoding="utf-8").splitlines()
+        vocab.write_text("\n".join(["<sep>"] + lines[1:]) + "\n", encoding="utf-8")
+        code = cli_main(["--config", str(_write_config(tmp_path / "c.cfg")),
+                         "--seed", "0", "--out", str(tmp_path / "o"), "pipeline",
+                         "--corpus", str(DATA / "golden_corpus.jsonl"),
+                         "--checkpoint", str(ckpt)])
+        assert code == 1
+        assert "vocabulary lists the reserved token '<sep>'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.jsonl").exists()
+
     def test_checkpointed_load_draws_no_random_model(self, tmp_path, monkeypatch):
         # the load used to draw a whole random model and then overwrite every tensor
         from claimforge.numerics import Rng, load_checkpoint

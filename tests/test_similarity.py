@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimforge.numerics import NonFiniteError, Rng, Tensor, concat, scaled_dot_attention
+from claimforge.numerics import (NonFiniteError, Rng, Tensor, concat, no_grad,
+                                 scaled_dot_attention, softmax)
+from claimforge.numerics.gradcheck import check_op
 from claimforge.similarity import (
     NUM_HEADS,
     RELATIONSHIP_GROUPS,
@@ -24,7 +26,8 @@ from claimforge.similarity import (
     similarity,
     train_similarity,
 )
-from claimforge.similarity.heads import group_masses_from_weights, label_from_masses
+from claimforge.similarity.heads import (group_masses_from_weights, head_weight_array,
+                                         label_from_masses)
 from claimforge.similarity.train import _batch_loss
 from claimforge.textcore import EncoderConfig, init_encoder_params, encode_sequence, mean_pool
 from claimforge.training import contrastive_loss
@@ -82,12 +85,79 @@ class TestHeadWeights:
             head_weights(Tensor(np.ones(DIM + 1)), Tensor(np.ones(DIM)), bank)
 
 
+PHI = ("sim/phi/w1", "sim/phi/b1", "sim/phi/w2", "sim/phi/b2")
+
+
+def composite_head_weights(claim: Tensor, doc: Tensor, bank: HeadBank) -> Tensor:
+    """The head-weight MLP as the per-op composite the fused node replaced."""
+    w1, b1, w2, b2 = (bank.params[name] for name in PHI)
+    x = concat([claim, doc, claim * doc], axis=-1)
+    return softmax((x @ w1 + b1).relu() @ w2 + b2)
+
+
+class TestFusedHeadWeights:
+    """``head_weights`` is one node; its forward is ``head_weight_array``."""
+
+    @pytest.mark.parametrize("pairs", [None, 3])
+    def test_gradients_match_finite_differences(self, pairs):
+        rng = Rng(11, ("head-weights-grad",))
+        shape = (DIM,) if pairs is None else (pairs, DIM)
+        out_weights = rng.normal(shape[:-1] + (NUM_HEADS,))
+        bank = make_bank(seed=5)
+        # a non-zero b1 and b2, so no parent starts at a special value
+        inputs = [rng.normal(shape), rng.normal(shape)] + [
+            bank.params[name].data + rng.normal(bank.params[name].shape, 0.1) for name in PHI]
+
+        def build(ts):
+            bank.params.update(zip(PHI, ts[2:]))
+            return (head_weights(ts[0], ts[1], bank) * Tensor(out_weights)).sum()
+
+        # claim, doc, then w1, b1, w2, b2; central differences of a gradient
+        # entry near 1e-6 keep about 1e-11 of rounding
+        assert check_op(build, inputs) < 1e-4
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    @pytest.mark.parametrize("pairs", [None, 1, 5])
+    def test_output_and_gradients_equal_the_composite_bit_for_bit(self, dim, pairs):
+        bank = HeadBank.init(dim, Rng(dim, ("bank",)), head_dim=8)
+        rng = Rng(12, ("head-weights-bits", str(dim)))
+        for scale in (1e-3, 1.0, 30.0):
+            shape = (dim,) if pairs is None else (pairs, dim)
+            c, d = rng.normal(shape, scale), rng.normal(shape, scale)
+            out_weights = Tensor(rng.normal(shape[:-1] + (NUM_HEADS,)))
+            results = []
+            for fn in (head_weights, composite_head_weights):
+                claim, doc = Tensor(c, requires_grad=True), Tensor(d, requires_grad=True)
+                parents = [claim, doc] + [bank.params[name] for name in PHI]
+                for t in parents:
+                    t.zero_grad()
+                w = fn(claim, doc, bank)
+                (w * out_weights).sum().backward()
+                results.append([w.data] + [t.grad.copy() for t in parents])
+            fused, composite = results
+            for got, want in zip(fused, composite):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_inference_builds_no_tape(self):
+        bank = make_bank()
+        rng = Rng(13, ("head-weights-tape",))
+        c, d = rng.normal((DIM,)), rng.normal((DIM,))
+        w, x, h = head_weight_array(c, d, bank)
+        assert np.array_equal(x, np.concatenate([c, d, c * d]))
+        assert np.all(h >= 0)
+        with no_grad():
+            taped = head_weights(Tensor(c), Tensor(d), bank)
+        assert taped._backward is None and not taped.requires_grad
+        assert np.array_equal(taped.data, w)
+
+
 class TestHeadScore:
     def test_identical_chunks_identity_projections_score_one(self):
         bank = HeadBank.init(DIM, Rng(0, ("b",)), head_dim=DIM)
         eye = np.eye(DIM)
         for proj in ("wq", "wk", "wv"):
-            bank.params[f"sim/h1/{proj}"].data = eye.copy()
+            bank.params[f"sim/h1/{proj}"].data[...] = eye
         # attended output is a convex recombination of the same value rows;
         # with V == Q == K the pooled vectors line up exactly when the chunk
         # is a single repeated row
@@ -97,7 +167,7 @@ class TestHeadScore:
     def test_orthogonal_pools_score_zero(self):
         bank = HeadBank.init(DIM, Rng(0, ("b",)), head_dim=DIM)
         for proj in ("wq", "wk", "wv"):
-            bank.params[f"sim/h1/{proj}"].data = np.eye(DIM)
+            bank.params[f"sim/h1/{proj}"].data[...] = np.eye(DIM)
         q = np.zeros((1, DIM)); q[0, 0] = 1.0
         v = np.zeros((1, DIM)); v[0, 1] = 1.0
         # single doc row: attended == projected doc value == e1, query pool e0
@@ -169,7 +239,7 @@ class TestHeadScores:
         zero = scores_of(np.zeros((2, DIM)), doc, bank.stacked_projections())
         assert np.array_equal(zero, np.zeros(NUM_HEADS))
         # a zero query projection zeroes one head and leaves the others alone
-        bank.params["sim/h3/wq"].data = np.zeros((DIM, head_dim))
+        bank.params["sim/h3/wq"].data[...] = 0.0
         claim = rng.normal((2, DIM))
         got = scores_of(claim, doc, bank.stacked_projections())
         assert got[2] == 0.0
@@ -195,17 +265,22 @@ class TestHeadScores:
                 assert np.array_equal(head, before[f"sim/h{h}/{proj}"])
                 assert np.array_equal(stacked[p, h - 1], head)
 
-    def test_a_rebound_head_shows_on_the_next_call(self):
-        # an optimizer step or a checkpoint load assigns each head a new array
-        bank = make_bank(seed=3)
+    @pytest.mark.parametrize("source", ["rng", "checkpoint"])
+    def test_every_head_is_bound_to_the_stack_when_the_bank_is_made(self, source):
+        drawn = make_bank(seed=4)
+        tensors = {name: t.data.copy() for name, t in drawn.params.items()}
+        bank = make_bank(seed=4) if source == "rng" else HeadBank.init(DIM, tensors, head_dim=8)
+        # bound before anything asks for the stack
+        heads = {f"sim/h{h}/{proj}": bank.params[f"sim/h{h}/{proj}"].data
+                 for h in range(1, NUM_HEADS + 1) for proj in ("wq", "wk", "wv")}
         stacked = bank.stacked_projections()
-        new = np.full((DIM, 8), 0.5)
-        bank.params["sim/h3/wk"].data = new
-        again = bank.stacked_projections()
-        assert again is not stacked
-        assert np.array_equal(again[1, 2], new)
-        assert np.array_equal(again[0, 0], stacked[0, 0])
-        assert np.shares_memory(bank.params["sim/h3/wk"].data, again)
+        for name, data in heads.items():
+            assert data.base is stacked, name
+            assert np.array_equal(data, tensors[name]), name
+        # a write into a head is a write into the stack: no restack to wait for
+        bank.params["sim/h3/wk"].data[...] = 0.5
+        assert bank.stacked_projections() is stacked
+        assert np.array_equal(stacked[1, 2], np.full((DIM, 8), 0.5))
 
 
 def per_pair_head_scores(claim: np.ndarray, doc: np.ndarray,
@@ -258,7 +333,7 @@ class TestFeaturePathEqualsPerPairPath:
         if zero_query == "states":
             claim = np.zeros_like(claim)  # every pooled query is zero
         elif zero_query == "head":
-            bank.params["sim/h5/wq"].data = np.zeros((DIM, head_dim))  # one pooled query is zero
+            bank.params["sim/h5/wq"].data[...] = 0.0  # one pooled query is zero
         projections = bank.stacked_projections()
         features = claim_features(claim, projections)
         for doc in docs:
@@ -335,9 +410,9 @@ class TestSimilarityReport:
         # other score projections (new wq and wk, scaled wv) move every score
         for h in range(1, NUM_HEADS + 1):
             p = {proj: bank.params[f"sim/h{h}/{proj}"] for proj in ("wq", "wk", "wv")}
-            p["wq"].data = rng.normal(p["wq"].shape)
-            p["wk"].data = rng.normal(p["wk"].shape)
-            p["wv"].data = p["wv"].data * 3.0
+            p["wq"].data[...] = rng.normal(p["wq"].shape)
+            p["wk"].data[...] = rng.normal(p["wk"].shape)
+            p["wv"].data *= 3.0
         r2 = similarity("c", "d", claim, doc, bank)
         assert not np.allclose(r1.head_scores, r2.head_scores)
         assert r2.relationship_label == r1.relationship_label

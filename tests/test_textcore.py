@@ -192,20 +192,23 @@ class TestVocabulary:
         text = "gear bearing shaft"
         assert loaded.encode_text(text) == vocab.encode_text(text)
 
-    def test_a_listed_reserved_name_keeps_its_reserved_id(self, tmp_path):
+    @pytest.mark.parametrize("name", ["<pad>", "<unk>", "<bos>", "<eos>", "<sep>"])
+    def test_a_listed_reserved_name_is_rejected(self, tmp_path, name):
+        # listed, it got an id that no text reaches: encode gives the reserved id
         path = tmp_path / "vocab.txt"
-        path.write_text("<pad>\ngear\n", encoding="utf-8")
-        vocab = Vocabulary.load(path)
-        assert len(vocab) == NUM_RESERVED + 2
-        assert vocab.token_id("<pad>") == PAD_ID
-        assert vocab.encode(["<pad>", "gear", "<sep>", "zeta"]) == [PAD_ID, 6, SEP_ID, UNK_ID]
-        assert vocab.token(5) == "<pad>"
-        assert vocab.decode([np.int64(0), np.int64(6), np.int32(5)]) == ["<pad>", "gear", "<pad>"]
-        vocab.save(tmp_path / "again.txt")
-        assert (tmp_path / "again.txt").read_text(encoding="utf-8") == "<pad>\ngear\n"
-        again = Vocabulary.load(tmp_path / "again.txt")
-        assert [again.token(i) for i in range(len(again))] == \
-            [vocab.token(i) for i in range(len(vocab))]
+        path.write_text(f"gear\n{name}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"reserved token '{name}'"):
+            Vocabulary.load(path)
+        # a built vocabulary never lists one: the tokenizer splits the name
+        built = Vocabulary.build([f"gear {name}"])
+        assert [built.token(i) for i in range(NUM_RESERVED, len(built))] == \
+            sorted(["gear", "<", ">", name[1:-1]])
+
+    def test_duplicates_rejected_and_ids_checked(self):
+        with pytest.raises(ValueError, match="duplicate tokens"):
+            Vocabulary(["gear", "shaft", "gear"])
+        vocab = Vocabulary(["gear", "shaft"])
+        assert vocab.decode([np.int64(0), np.int64(5), np.int32(6)]) == ["<pad>", "gear", "shaft"]
         for bad in (-1, len(vocab), np.int64(-1), np.int64(len(vocab))):
             with pytest.raises(ValueError, match="out of range"):
                 vocab.token(bad)

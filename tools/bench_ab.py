@@ -13,13 +13,13 @@ copies, without ``.git``, so their ``env.git_rev`` reads unknown and
 ``run_seconds``. Pair i runs the parent first when i is odd and the change
 first when i is even. Each run's record keeps the env line, the check lines
 (the errors of a failed repeat among them) and the final JSON line of
-``bench/run.py``, the throughput of each repeat of an untraced run, and the
-``layer`` lines of a traced run. A run that reports ``correct: false`` or a
-failed operation stops the summary with an error. ``--append`` adds the
-series to an existing file for the same parent, after every series already
-in it, one of the same command included; without it the file is written
-anew. Either way ``src_lines`` records each side's line count of
-``src/**/*.py``.
+``bench/run.py``, the throughput of each repeat and the set-up samples of an
+untraced run, and the ``layer`` lines of a traced run. A run that reports
+``correct: false`` or a failed operation stops the summary with an error.
+``--append`` adds the series to an existing file for the same parent, after
+every series already in it, one of the same command included; without it
+the file is written anew. Either way ``src_lines`` records each side's line
+count of ``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def parse_run(stdout: str) -> dict:
     lines = stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise ValueError("bench/run.py printed no final JSON line")
-    env, golden, digests, errors, layers, throughput = {}, [], [], [], {}, []
+    env, golden, digests, errors, layers, throughput, setup = {}, [], [], [], {}, [], []
     for line in lines:
         if line.startswith("env "):
             env = json.loads(line[4:])
@@ -89,6 +89,8 @@ def parse_run(stdout: str) -> dict:
             digests.append(line.split(": ", 1)[1].split())
         elif line.startswith("throughput of each repeat 1/s: "):
             throughput = [float(v) for v in line.split(": ", 1)[1].split()]
+        elif line.startswith("setup samples s: "):
+            setup = [float(v) for v in line.split(": ", 1)[1].split()]
         elif line.startswith("layer ") and " = " in line:
             name, value = line[len("layer "):].split(" = ", 1)
             layers[name] = value
@@ -100,6 +102,7 @@ def parse_run(stdout: str) -> dict:
         "repeats_ok": all(status == "ok" for _, status in digests),
         "errors": errors,
         "repeat_throughput": throughput,
+        "setup_samples": setup,
         "layers": layers,
         "env": env,
         "result": json.loads(lines[-1]),
@@ -161,7 +164,11 @@ def summarize(runs: list[dict], spec: dict, traced: bool) -> dict:
     median throughput of a whole repeat (its operations over its busy time),
     with no verdict. ``ops_per_s`` takes the best of two repeats for each
     operation apart, so work that moves between operations from one repeat
-    to the next reads it high; a whole repeat does not.
+    to the next reads it high; a whole repeat does not. ``setup_samples``
+    pools each side's set-up samples, the fresh-interpreter times whose
+    median is ``setup_s``, into its quartiles and their median ratio, and
+    counts the pairs in which the change's run median was lower, with no
+    verdict.
 
     Raises ValueError if any run was not correct or failed an operation.
     """
@@ -197,6 +204,17 @@ def summarize(runs: list[dict], spec: dict, traced: bool) -> dict:
     if throughput and not traced:
         summary["repeat_throughput"] = {"unit": "1/s", "better": "higher",
                                         **_compare(throughput, higher=True)}
+    setup = [(r["parent"]["setup_samples"], r["change"]["setup_samples"]) for r in runs
+             if r["parent"]["setup_samples"] and r["change"]["setup_samples"]]
+    if setup and not traced:
+        pooled = {side: _quartiles([s for samples in sides for s in samples])
+                  for side, sides in zip(("parent", "change"), zip(*setup))}
+        lower = sum(statistics.median(c) < statistics.median(p) for p, c in setup)
+        summary["setup_samples"] = {
+            "unit": "s", "better": "lower", **pooled,
+            "median_ratio_change_over_parent": pooled["change"]["median"]
+            / pooled["parent"]["median"],
+            "pairs_change_better": f"{lower}/{len(setup)}"}
     return summary
 
 
