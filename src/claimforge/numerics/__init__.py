@@ -8,8 +8,8 @@ are ``softmax``, ``log_softmax``, ``layer_norm`` (parents x, gain, bias),
 the encoder's two pre-norm residual blocks, ``attention_sublayer`` (parents
 x, layer-norm gain and bias, wq, wk, wv, wo) and ``ffn_sublayer`` (parents x,
 layer-norm gain and bias, w1, b1, w2, b2), both over one sequence or a
-padded batch of them, ``cross_entropy_logits`` and
-``sequence_cross_entropy``. Two fused nodes are defined outside
+padded batch of them, and ``sequence_cross_entropy``, which is also
+``cross_entropy_logits``'s one node. Two fused nodes are defined outside
 ``numerics``: the adapter merge,
 ``claimforge.generator.adapters.effective_projection``, and the head-weight
 MLP, ``claimforge.similarity.heads.head_weights``.
@@ -21,8 +21,9 @@ backward builds the score gradient inside the buffer of ``g @ v^T``; no
 input array is written.
 
 ``backward`` takes one scalar loss or an iterable of them, walked one at a
-time as it yields them; a walk frees each op node's gradient once its
-backward has used it, while leaves accumulate theirs.
+time as it yields them; a walk runs the op nodes a loss reaches and frees
+each one's gradient once its backward has used it, while leaves accumulate
+theirs. ``pack`` binds tensors to one shared buffer (the head bank, AdamW).
 """
 
 from claimforge.numerics.tensor import (
@@ -45,7 +46,7 @@ from claimforge.numerics.tensor import (
 )
 from claimforge.numerics.blas import blas_threads, one_blas_thread
 from claimforge.numerics.rng import Rng
-from claimforge.numerics.params import ParamSource, Params
+from claimforge.numerics.params import ParamSource, Params, pack
 from claimforge.numerics.checkpoint import save_checkpoint, load_checkpoint, CheckpointError
 from claimforge.numerics.settings import SettingError, Settings, check_settings
 
@@ -71,6 +72,7 @@ __all__ = [
     "Rng",
     "ParamSource",
     "Params",
+    "pack",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",

@@ -1,4 +1,5 @@
-"""The one maker of a model's trainable tensors, from random draws or a checkpoint."""
+"""The one maker of a model's trainable tensors, from random draws or a
+checkpoint, and, in ``pack``, the one place a tensor is bound to a shared buffer."""
 
 import numpy as np
 
@@ -36,3 +37,14 @@ class Params:
 
     def fill(self, name: str, shape: tuple[int, ...], value: float) -> None:
         self.add(name, shape, lambda rng: np.full(shape, float(value)))
+
+
+def pack(tensors: list[Tensor], shape: tuple[int, ...]) -> np.ndarray:
+    """One new array of ``shape`` holding the tensors' data back to back, in
+    order; each tensor's ``data`` becomes its view of that array."""
+    buffer = np.empty(shape)
+    flat = buffer.reshape(-1)
+    np.concatenate([t.data.ravel() for t in tensors], out=flat)
+    for t, end in zip(tensors, np.cumsum([t.data.size for t in tensors])):
+        t.data = flat[end - t.data.size:end].reshape(t.data.shape)
+    return buffer

@@ -2,11 +2,11 @@
 
 Tensors are immutable after forward construction: ops build new tensors and
 record a backward closure. Calling ``backward(loss, params)`` (or
-``loss.backward()``) walks the recorded graph once in reverse topological
-order. Leaves (tensors made with ``requires_grad``) accumulate their gradient
-across walks; an op node's gradient is freed as soon as its backward closure
-has consumed it, so a walk holds no more gradient buffers than it needs, and
-a graph that is kept can be walked again with the same result.
+``loss.backward()``) runs the op nodes the loss reaches once, in reverse
+topological order. Leaves (tensors made with ``requires_grad``) accumulate
+their gradient across walks; an op node's gradient is freed once its backward
+closure has consumed it, so a walk holds no more gradient buffers than it
+needs, and a kept graph can be walked again with the same result.
 """
 
 from __future__ import annotations
@@ -282,34 +282,33 @@ class Tensor:
 
     # -- backward -------------------------------------------------------------
 
-    def backward(self) -> dict[int, "Tensor"]:
-        """Accumulate gradients of this scalar into all reachable leaves;
-        returns this tensor and every tensor the walk reached, keyed by id.
+    def backward(self) -> None:
+        """Accumulate gradients of this scalar into every leaf it reaches.
 
-        Each op node's gradient is set back to ``None`` once its backward
-        closure has used it; leaves keep theirs, adding to what they held.
+        The walk runs the op nodes (those with a backward) that the loss
+        reaches; leaves are reached as the op nodes' inputs. Each op node's gradient
+        is set back to ``None`` once its backward closure has used it; leaves
+        keep theirs, adding to what they held. A leaf the walk does not reach
+        is left with the gradient it had, ``None`` after ``zero_grad``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
-        reached = {id(self): self}
-        stack = [self]
-        while stack:
-            for p in stack.pop()._parents:
-                if p.requires_grad and id(p) not in reached:
-                    reached[id(p)] = p
-                    stack.append(p)
         ones = np.ones_like(self.data)
         self.grad = ones if self.grad is None else self.grad + ones
+        ops = {id(self): self} if self._backward is not None else {}
+        stack = list(ops.values())
+        while stack:
+            for p in stack.pop()._parents:
+                if p._backward is not None and id(p) not in ops:
+                    ops[id(p)] = p
+                    stack.append(p)
         # reverse creation order is a reverse topological order of the graph
-        for node in sorted(reached.values(), key=attrgetter("_seq"), reverse=True):
-            if node._backward is None:
-                continue
+        for node in sorted(ops.values(), key=attrgetter("_seq"), reverse=True):
             grads = node._backward(node.grad, node)
             node.grad = None
             for parent, g in zip(node._parents, grads):
                 if parent.requires_grad:
                     parent.grad = g if parent.grad is None else parent.grad + g
-        return reached
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -323,18 +322,17 @@ def backward(loss: Tensor | Iterable[Tensor],
     zeroed once; each loss is walked as the iterable yields it, and its
     gradients add to those of the losses before it. A caller that builds
     each loss only when asked for it keeps alive, while it builds one, only
-    the graph walked last, not all of them. Parameters no loss reaches get a
-    zero gradient and a warning.
+    the graph walked last, not all of them. A parameter no loss reaches is
+    one left with no gradient after the walks: it gets a zero gradient and a
+    warning.
     """
     for p in params.values():
         p.zero_grad()
-    wanted = {id(p) for p in params.values()}
-    reached: set[int] = set()
     for term in (loss,) if isinstance(loss, Tensor) else loss:
-        reached |= wanted.intersection(term.backward())
+        term.backward()
     grads: dict[str, np.ndarray] = {}
     for name, p in params.items():
-        if id(p) not in reached:
+        if p.grad is None:
             warnings.warn(f"parameter {name!r} not reachable from loss; gradient is zero")
         grads[name] = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
     return grads
@@ -629,36 +627,27 @@ def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
 
 
 def cross_entropy_logits(logits: Tensor, target: int) -> Tensor:
-    """Negative log likelihood of ``target`` under softmax(logits); logits 1-D.
-
-    One node: the backward is g * (softmax(logits) - onehot(target)).
-    """
-    t = int(target)
-    logp, e, s = _log_softmax_parts(logits.data)
-
-    def bwd(g, out):
-        d = e / s
-        d[t] -= 1.0
-        return (g * d,)
-
-    return Tensor._from_op(-np.asarray(logp[t], dtype=np.float64), (logits,), bwd)
+    """Negative log likelihood of ``target`` under softmax(logits), logits 1-D:
+    ``sequence_cross_entropy`` of the one row."""
+    return sequence_cross_entropy(logits, [target])
 
 
 def sequence_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean next-token negative log likelihood; logits (len, vocab).
+    """Mean next-token negative log likelihood; logits (len, vocab), or one
+    1-D row with one target.
 
     One node over the logits: the backward is
     g / len * (softmax(row) - onehot(target)) for each row.
     """
     targets = np.asarray(targets, dtype=np.int64)
     rows = np.arange(len(targets))
-    logp, e, s = _log_softmax_parts(logits.data)
+    logp, e, s = _log_softmax_parts(logits.data.reshape(-1, logits.shape[-1]))
     picked = logp[rows, targets]
     scale = 1.0 / picked.size
 
     def bwd(g, out):
         d = e / s
         d[rows, targets] -= 1.0
-        return (d * (g * scale),)
+        return ((d * (g * scale)).reshape(logits.shape),)
 
     return Tensor._from_op(-(picked.sum() * scale), (logits,), bwd)

@@ -6,12 +6,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from claimforge.numerics import ParamSource, Params, Tensor, attention_array, softmax_array
+from claimforge.numerics import ParamSource, Params, Tensor, attention_array, pack, softmax_array
 from claimforge.numerics.tensor import _rows
 
 NUM_HEADS = 8
 HEAD_DIM = 64
 PHI_HIDDEN = 128  # hidden width of the head-weight MLP
+# the heads' projections, in the order of the bank's stack
+HEAD_PROJECTIONS = tuple(f"sim/h{h}/{w}" for w in ("wq", "wk", "wv") for h in range(1, NUM_HEADS + 1))
 
 # two heads per relationship group; order fixes argmax tie-breaking
 RELATIONSHIP_GROUPS: dict[str, tuple[int, int]] = {
@@ -34,11 +36,8 @@ class HeadBank:
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [[f"sim/h{h}/{w}" for h in range(1, NUM_HEADS + 1)] for w in ("wq", "wk", "wv")]
-        self._stack = np.array([[self.params[n].data for n in row] for row in names])
-        for p, row in enumerate(names):
-            for h, n in enumerate(row):
-                self.params[n].data = self._stack[p, h]
+        heads = [self.params[n] for n in HEAD_PROJECTIONS]
+        self._stack = pack(heads, (3, NUM_HEADS) + heads[0].shape)
 
     @classmethod
     def init(cls, model_dim: int, rng: ParamSource, head_dim: int = HEAD_DIM) -> "HeadBank":
@@ -54,7 +53,11 @@ class HeadBank:
         return cls(model_dim=model_dim, params=p.tensors)
 
     def stacked_projections(self) -> np.ndarray:
-        """The heads' wq, wk and wv as one (3, NUM_HEADS, model_dim, head_dim) array."""
+        """The heads' wq, wk and wv as one (3, NUM_HEADS, model_dim, head_dim) array;
+        raises if a head was bound elsewhere (an optimizer's buffer): it would be stale."""
+        for name in HEAD_PROJECTIONS:
+            if self.params[name].data.base is not self._stack:
+                raise ValueError(f"head {name!r} is no longer bound to the projection stack")
         return self._stack
 
 

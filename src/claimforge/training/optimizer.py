@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 
-from claimforge.numerics import Tensor, check_settings
+from claimforge.numerics import Tensor, check_settings, pack
 
 
 class AdamW:
     """Decoupled weight-decay Adam over a named parameter dict.
 
-    The parameters are copied once, in the dict's order, into one flat
-    buffer, and each parameter's ``data`` becomes a view of it; the moments
+    The parameters are packed once, in the dict's order, into one flat
+    buffer (``numerics.pack``), of which each holds its view; the moments
     are flat vectors in the same order. A step runs the update once over the
     whole buffer, in place, with the expressions of the per-parameter update
     in their order, so it gives the same bits as one parameter at a time. A
@@ -30,16 +30,9 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.data = np.concatenate([p.data.ravel() for p in params.values()])
+        self.data = pack(list(params.values()), (sum(p.data.size for p in params.values()),))
         self.m, self.v = np.zeros(self.data.size), np.zeros(self.data.size)
         self._g, self._s = np.empty_like(self.data), np.empty_like(self.data)
-        self._views = []
-        start = 0
-        for p in params.values():
-            end = start + p.data.size
-            p.data = self.data[start:end].reshape(p.data.shape)
-            self._views.append(p.data)
-            start = end
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """One update; ``grads`` must hold a gradient for every parameter."""
@@ -47,16 +40,16 @@ class AdamW:
         for name in grads:
             if name not in self.params:
                 raise KeyError(f"unknown parameter {name!r}")
-        for (name, p), view in zip(self.params.items(), self._views):
+        for name, p in self.params.items():
             if name not in grads:
                 raise KeyError(f"no gradient for parameter {name!r}")
-            if grads[name].shape != view.shape:
+            if p.data.base is not self.data:
+                raise ValueError(f"parameter {name!r} was rebound; step rejected")
+            if grads[name].shape != p.data.shape:
                 raise ValueError(
                     f"gradient shape {grads[name].shape} != parameter shape "
-                    f"{view.shape} for {name!r}"
+                    f"{p.data.shape} for {name!r}"
                 )
-            if p.data is not view:
-                raise ValueError(f"parameter {name!r} was rebound; step rejected")
         g = np.concatenate([grads[name].ravel() for name in self.params], out=self._g)
         if not np.isfinite(g).all():
             bad = next(name for name in self.params if not np.isfinite(grads[name]).all())

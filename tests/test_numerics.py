@@ -29,6 +29,7 @@ from claimforge.numerics import (
     log_softmax,
     no_grad,
     one_blas_thread,
+    pack,
     save_checkpoint,
     scaled_dot_attention,
     sequence_cross_entropy,
@@ -149,6 +150,18 @@ def same_bits(fused: Tensor, reference: Tensor) -> bool:
     return np.array_equal(np.asarray(fused.data), np.asarray(reference.data))
 
 
+def graph_tensors(loss: Tensor) -> list[Tensor]:
+    """``loss`` and every tensor that needs a gradient reached from it."""
+    found = {id(loss): loss}
+    stack = [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.requires_grad and id(p) not in found:
+                found[id(p)] = p
+                stack.append(p)
+    return list(found.values())
+
+
 FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 
@@ -216,6 +229,30 @@ class TestFusedForwardBits:
         row = Tensor(x[0], requires_grad=True)
         assert same_bits(cross_entropy_logits(row, targets[0]),
                          composite_cross_entropy(row, targets[0]))
+
+
+def closed_form_cross_entropy(logits: np.ndarray, target: int, g: np.ndarray) -> tuple:
+    """The one-row cross entropy's own closed form, from before it became
+    ``sequence_cross_entropy`` of one row: (value, gradient under upstream g)."""
+    logp, e, s = _log_softmax_parts(logits)
+    d = e / s
+    d[target] -= 1.0
+    return -np.asarray(logp[target], dtype=np.float64), g * d
+
+
+@pytest.mark.parametrize("vocab", [5, 8, 9, 17, 177, 1000])
+def test_one_row_cross_entropy_keeps_its_closed_form_bits(vocab):
+    rng = Rng(31, ("ce-row", str(vocab)))
+    for draw in range(200):
+        logits = rng.normal((vocab,), 10.0 ** (draw % 3))
+        target = int(rng.integers(0, vocab))
+        g = np.ones(()) if draw % 2 else np.asarray(rng.normal(()))
+        want_value, want_grad = closed_form_cross_entropy(logits, target, g)
+        t = Tensor(logits, requires_grad=True)
+        out = cross_entropy_logits(t, target)
+        (got_grad,) = out._backward(g, out)
+        assert np.asarray(out.data).tobytes() == want_value.tobytes()
+        assert got_grad.shape == (vocab,) and got_grad.tobytes() == want_grad.tobytes()
 
 
 def negated_shift_softmax(x, axis):
@@ -381,10 +418,11 @@ class TestAttention:
         loss = (out * Tensor(rng.normal((2, 3, 3)))).sum() + (block * block).sum()
         kept = weights.data.tobytes()
         runs = []
+        graph = graph_tensors(loss)
         for _ in range(2):
-            reached = loss.backward()
+            loss.backward()
             runs.append([t.grad.copy() for t in (*ts, x, *ws)])
-            for node in reached.values():
+            for node in graph:
                 node.zero_grad()
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
         assert weights.data.tobytes() == kept
@@ -453,12 +491,35 @@ class TestBackward:
                             for shape in ((3, 4), (4,), (4,), (4, 5)))
         logits = layer_norm(x, gain, bias) @ w
         loss = softmax(logits).sum() * 0.5 + cross_entropy_logits(logits[0], 2)
-        reached = loss.backward()
-        ops = [node for node in reached.values() if node._backward is not None]
-        leaves = [node for node in reached.values() if node._backward is None]
+        graph = graph_tensors(loss)
+        assert loss.backward() is None
+        ops = [node for node in graph if node._backward is not None]
+        leaves = [node for node in graph if node._backward is None]
         assert {id(node) for node in leaves} == {id(t) for t in (x, gain, bias, w)}
         assert len(ops) >= 6 and all(node.grad is None for node in ops)
         assert all(node.grad is not None for node in leaves)
+
+    def test_warns_for_exactly_the_parameters_left_with_no_gradient(self):
+        # a cached K and V take no gradient, so wk and wv are reached by the
+        # walk but end it with none, like the parameter no loss reaches
+        rng = Rng(10, ("walk-warns",))
+        names = ("x", "gain", "bias", "wq", "wk", "wv", "wo")
+        shapes = ((3, 8), (8,), (8,), (8, 8), (8, 8), (8, 8), (8, 8))
+        params = {n: Tensor(rng.normal(s), requires_grad=True) for n, s in zip(names, shapes)}
+        params["orphan"] = Tensor(np.ones(2), requires_grad=True)
+        cached = rng.normal((2, 2, 4))
+
+        def extend_kv(k, v):
+            return np.concatenate([cached, k], axis=1), np.concatenate([cached, v], axis=1)
+
+        out = attention_sublayer(*(params[n] for n in names), 2, None, extend_kv)
+        with pytest.warns(UserWarning) as caught:
+            grads = backward((out * out).sum(), params)
+        assert all("not reachable from loss" in str(w.message) for w in caught)
+        warned = {str(w.message).split("'")[1] for w in caught}
+        assert warned == {"wk", "wv", "orphan"}
+        assert warned == {n for n, p in params.items() if p.grad is None}
+        assert all(not grads[n].any() for n in warned)
 
     def test_iterable_of_losses_adds_up_like_one_walk_over_their_sum(self):
         # one walk over a + b reaches b's nodes (the newer) first, so walking
@@ -864,6 +925,25 @@ class TestParams:
         with pytest.raises(ValueError, match=re.escape(
                 "checkpoint tensor 'a' has shape (3,), model expects (2,)")):
             Params({"a": np.zeros(3)}).fill("a", (2,), 0.0)
+
+
+class TestPack:
+    def test_copies_the_values_and_binds_views_in_order(self):
+        rng = Rng(32, ("pack",))
+        arrays = [rng.normal(s) for s in ((2, 3), (4,), (), (3, 1))]
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        buffer = pack(tensors, (2, 7))
+        assert buffer.shape == (2, 7) and buffer.flags.owndata
+        assert buffer.tobytes() == b"".join(a.tobytes() for a in arrays)
+        start = 0
+        for t, a in zip(tensors, arrays):
+            assert t.data.base is buffer and t.data.shape == a.shape
+            assert t.data.tobytes() == a.tobytes()
+            assert t.data.ctypes.data - buffer.ctypes.data == 8 * start
+            start += a.size
+        # a write through a tensor is a write into the buffer
+        tensors[1].data[...] = 0.5
+        assert np.array_equal(buffer.reshape(-1)[6:10], np.full(4, 0.5))
 
 
 class TestRng:

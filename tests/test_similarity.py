@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimforge.numerics import (NonFiniteError, Rng, Tensor, concat, no_grad,
-                                 scaled_dot_attention, softmax)
+from claimforge.numerics import (NonFiniteError, Rng, Tensor, concat, load_checkpoint, no_grad,
+                                 save_checkpoint, scaled_dot_attention, softmax)
 from claimforge.numerics.gradcheck import check_op
 from claimforge.similarity import (
     NUM_HEADS,
@@ -26,11 +26,11 @@ from claimforge.similarity import (
     similarity,
     train_similarity,
 )
-from claimforge.similarity.heads import (group_masses_from_weights, head_weight_array,
-                                         label_from_masses)
+from claimforge.similarity.heads import (HEAD_PROJECTIONS, group_masses_from_weights,
+                                         head_weight_array, label_from_masses)
 from claimforge.similarity.train import _batch_loss
 from claimforge.textcore import EncoderConfig, init_encoder_params, encode_sequence, mean_pool
-from claimforge.training import contrastive_loss
+from claimforge.training import AdamW, contrastive_loss
 
 DIM = 16
 
@@ -265,10 +265,13 @@ class TestHeadScores:
                 assert np.array_equal(head, before[f"sim/h{h}/{proj}"])
                 assert np.array_equal(stacked[p, h - 1], head)
 
-    @pytest.mark.parametrize("source", ["rng", "checkpoint"])
-    def test_every_head_is_bound_to_the_stack_when_the_bank_is_made(self, source):
+    @pytest.mark.parametrize("source", ["rng", "checkpoint", "checkpoint-file"])
+    def test_every_head_is_bound_to_the_stack_when_the_bank_is_made(self, source, tmp_path):
         drawn = make_bank(seed=4)
         tensors = {name: t.data.copy() for name, t in drawn.params.items()}
+        if source == "checkpoint-file":
+            save_checkpoint(tmp_path / "bank.ckpt", tensors)
+            tensors = load_checkpoint(tmp_path / "bank.ckpt")
         bank = make_bank(seed=4) if source == "rng" else HeadBank.init(DIM, tensors, head_dim=8)
         # bound before anything asks for the stack
         heads = {f"sim/h{h}/{proj}": bank.params[f"sim/h{h}/{proj}"].data
@@ -281,6 +284,18 @@ class TestHeadScores:
         bank.params["sim/h3/wk"].data[...] = 0.5
         assert bank.stacked_projections() is stacked
         assert np.array_equal(stacked[1, 2], np.full((DIM, 8), 0.5))
+
+    def test_an_optimizer_over_the_heads_makes_the_stack_refuse(self):
+        # AdamW binds the heads to its own buffer: a stack that stayed would
+        # score the untrained weights while a checkpoint saves the trained ones
+        bank = make_bank(seed=7)
+        stacked = bank.stacked_projections()
+        heads = {name: bank.params[name] for name in HEAD_PROJECTIONS}
+        opt = AdamW(heads, lr=1e-2)
+        opt.step({name: np.ones_like(t.data) for name, t in heads.items()})
+        assert not np.array_equal(heads["sim/h1/wq"].data, stacked[0, 0])
+        with pytest.raises(ValueError, match="head 'sim/h1/wq' is no longer bound"):
+            bank.stacked_projections()
 
 
 def per_pair_head_scores(claim: np.ndarray, doc: np.ndarray,
@@ -540,6 +555,20 @@ class TestTrainSimilarity:
         history = train_similarity(pairs, small_cfg, enc, bank,
                                    SimilarityTrainConfig(epochs=6, lr=1e-3))
         assert history[-1] < history[0]
+
+    def test_training_the_head_weights_leaves_the_heads_on_the_stack(self, small_cfg,
+                                                                      small_vocab):
+        enc = init_encoder_params(len(small_vocab), small_cfg, Rng(1, ("enc",)))
+        bank = HeadBank.init(small_cfg.model_dim, Rng(1, ("bank",)), head_dim=8)
+        stacked = bank.stacked_projections()
+        heads, w2 = stacked.copy(), bank.params["sim/phi/w2"].data.copy()
+        pairs = [(small_vocab.encode_text(f"w{i} w{i + 1}"),
+                  small_vocab.encode_text(f"w{i + 2} w{i + 3}"), RELATIONSHIP_ORDER[i % 4])
+                 for i in range(4)]
+        train_similarity(pairs, small_cfg, enc, bank, SimilarityTrainConfig(epochs=1, lr=1e-2))
+        assert not np.array_equal(bank.params["sim/phi/w2"].data, w2)
+        assert bank.stacked_projections() is stacked
+        assert np.array_equal(stacked, heads)
 
     def test_log_fn_gets_every_step(self, small_cfg, small_vocab):
         def run(log_fn):
